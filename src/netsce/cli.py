@@ -291,7 +291,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="scenario JSON file")
         p.add_argument("--output", "-o", default=None, help="output CSV file (default stdout)")
-        p.add_argument("--format", default="csv", choices=["csv"], help="output format")
         p.add_argument("--tol", type=float, default=None, help="override scenario tol")
         p.add_argument("--max-iter", type=int, default=None, help="override scenario max_iter")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")

@@ -155,11 +155,51 @@ def _solve_active(spec: GameSpec, k: Sequence[int]):
     return sol, None
 
 
-def _embed(spec: GameSpec, k: Sequence[int], sol: np.ndarray) -> np.ndarray:
-    a = np.zeros(spec.n)
-    for pos, i in enumerate(sorted(k)):
-        a[i] = sol[pos]
-    return a
+def _subsets(agents: Sequence[int]):
+    """Every subset of ``agents``, by size and then lexicographically.
+
+    Raises before yielding anything when the count exceeds
+    2^_MAX_ENUM_BITS; subsets of a sorted sequence come out sorted.
+    """
+    if len(agents) > _MAX_ENUM_BITS:
+        raise UsageError(
+            f"enumerating subsets of {len(agents)} agents needs 2^{len(agents)} solves; "
+            f"limit is {_MAX_ENUM_BITS}"
+        )
+    return itertools.chain.from_iterable(
+        itertools.combinations(agents, r) for r in range(len(agents) + 1)
+    )
+
+
+def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
+    """Interior solutions on each sorted active set, in the order given.
+
+    Keeps (support, actions) when the solution is strictly positive
+    (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so every kept
+    profile's active set is exactly its support. Singular supports and
+    cap-bound solutions are reported in the returned diagnostics.
+    """
+    found, singular, cap_hits = [], [], []
+    examined = 0
+    for k in supports:
+        examined += 1
+        sol, fail = _solve_active(spec, k)
+        if fail is not None:
+            singular.append((frozenset(k), fail))
+            continue
+        if np.any(sol <= ACTIVE_TOL):
+            continue
+        idx = np.array(k, dtype=int)
+        if np.any(sol > spec.a_max[idx] - CAP_MARGIN):
+            cap_hits.append(frozenset(k))
+            continue
+        a = np.zeros(spec.n)
+        a[idx] = sol
+        found.append((k, a))
+    diags = SolveDiagnostics(
+        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
+    )
+    return found, diags
 
 
 def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
@@ -176,42 +216,15 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     for i in j:
         if not 0 <= i < spec.n:
             raise UsageError(f"agent index {i} out of range")
-    if len(j) > _MAX_ENUM_BITS:
-        raise UsageError(
-            f"active-set enumeration over {len(j)} agents needs 2^{len(j)} solves; "
-            f"limit is {_MAX_ENUM_BITS}"
-        )
+    found, diags = _solve_supports(spec, _subsets(j))
     declared = frozenset(range(spec.n)) - frozenset(j)
-    records, singular, cap_hits = [], [], []
-    seen = set()
-    examined = 0
-    for r in range(len(j) + 1):
-        for k in itertools.combinations(j, r):
-            examined += 1
-            sol, fail = _solve_active(spec, k)
-            if fail is not None:
-                singular.append((frozenset(k), fail))
-                continue
-            if np.any(sol <= ACTIVE_TOL):
-                continue
-            caps = spec.a_max[list(k)] if k else np.zeros(0)
-            if np.any(sol > caps - CAP_MARGIN):
-                cap_hits.append(frozenset(k))
-                continue
-            a = _embed(spec, k, sol)
-            x = aggregate(spec, a)
-            rest = [i for i in j if i not in k]
-            if any(spec.alpha[i] + x[i] > ACTIVE_TOL for i in rest):
-                continue
-            key = tuple(np.round(a, 12))
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(make_record(spec, a, declared_inactive=declared, validate=False))
+    records = []
+    for k, a in found:
+        x = aggregate(spec, a)
+        if any(spec.alpha[i] + x[i] > ACTIVE_TOL for i in j if i not in k):
+            continue
+        records.append(make_record(spec, a, declared_inactive=declared, validate=False))
     records.sort(key=lambda rec: rec.bitmask)
-    diags = SolveDiagnostics(
-        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
-    )
     return records, diags
 
 
@@ -230,42 +243,17 @@ def enumerate_sce(spec: GameSpec):
     justifiable because conjecture ranges contain attainable aggregates), so
     the returned set contains the Nash set.
     """
-    i0 = sorted(justifiable_inactivity_set(spec))
-    if len(i0) > _MAX_ENUM_BITS:
-        raise UsageError(
-            f"{len(i0)} agents can justify inactivity; enumeration needs "
-            f"2^{len(i0)} solves, limit is {_MAX_ENUM_BITS}"
-        )
-    records, singular, cap_hits = [], [], []
-    seen = set()
-    examined = 0
-    all_agents = frozenset(range(spec.n))
-    for r in range(len(i0) + 1):
-        for s in itertools.combinations(i0, r):
-            examined += 1
-            active = sorted(all_agents - frozenset(s))
-            sol, fail = _solve_active(spec, active)
-            if fail is not None:
-                singular.append((frozenset(active), fail))
-                continue
-            if np.any(sol <= ACTIVE_TOL):
-                continue
-            caps = spec.a_max[active] if active else np.zeros(0)
-            if np.any(sol > caps - CAP_MARGIN):
-                cap_hits.append(frozenset(active))
-                continue
-            a = _embed(spec, active, sol)
-            key = tuple(np.round(a, 12))
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(
-                make_record(spec, a, declared_inactive=frozenset(s), validate=False)
-            )
-    records.sort(key=lambda rec: rec.bitmask)
-    diags = SolveDiagnostics(
-        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
+    everyone = frozenset(range(spec.n))
+    supports = (
+        tuple(sorted(everyone - frozenset(s)))
+        for s in _subsets(sorted(justifiable_inactivity_set(spec)))
     )
+    found, diags = _solve_supports(spec, supports)
+    records = [
+        make_record(spec, a, declared_inactive=everyone - frozenset(k), validate=False)
+        for k, a in found
+    ]
+    records.sort(key=lambda rec: rec.bitmask)
     return records, diags
 
 

@@ -15,13 +15,8 @@ class UsageError(NetsceError):
 class NumericError(NetsceError):
     """Numerical failure: singular solve, non-convergence, overflow.
 
-    The command-line driver maps this to exit code 2. Diagnostics gathered
-    before the failure are attached as ``payload`` when available.
+    The command-line driver maps this to exit code 2.
     """
-
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload
 
 
 class NotSymmetrizableError(NetsceError):

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .game import GameSpec, aggregate, realized_payoff
+from .game import GameSpec, _vec, aggregate, realized_payoff
 from .network import WeightedNetwork
 
 __all__ = [
@@ -48,19 +48,6 @@ __all__ = [
     "solve_global_sce",
     "true_centrality",
 ]
-
-
-def _vec(value, n, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise UsageError(f"{name} must be a scalar or length-{n} vector")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError(f"{name} must be finite")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

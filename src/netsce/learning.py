@@ -13,7 +13,6 @@ or a recurring increment pattern riding on a drift), or max-iter.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -24,10 +23,11 @@ from .errors import CapBindingWarning, UsageError
 from .game import GameSpec, best_reply, invert_feedback, realized_payoff
 from .equilibrium import (
     ACTIVE_TOL,
+    _solve_supports,
+    _subsets,
     interior_conditions,
     is_sce,
     make_record,
-    solve_auxiliary_ne,
 )
 from .network import spectral_radius, submatrix
 
@@ -419,8 +419,7 @@ class StableFamily:
 def stable_sce_family(spec: GameSpec, record) -> StableFamily:
     """Construct the family of equilibria on subsets of a record's active set."""
     active = sorted(record.active_set)
-    if len(active) > 16:
-        raise UsageError("family enumeration is limited to 16 active agents")
+    subsets = list(_subsets(active))
     report = interior_conditions(submatrix(spec.net, active)) if active else None
     if active and not report.any_holds():
         return StableFamily(
@@ -430,14 +429,16 @@ def stable_sce_family(spec: GameSpec, record) -> StableFamily:
             skipped=(),
         )
 
+    # Each member is its own fully active solve: one solve per subset.
+    found, _ = _solve_supports(spec, subsets)
+    solved = dict(found)
+    everyone = frozenset(range(spec.n))
     members, skipped = [], []
-    for r in range(len(active) + 1):
-        for j in itertools.combinations(active, r):
-            recs, _ = solve_auxiliary_ne(spec, j)
-            full = [rec for rec in recs if rec.active_set == frozenset(j)]
-            if not full:
-                skipped.append((frozenset(j), "no fully active solution"))
-                continue
-            rec = full[0]
-            members.append((rec, analytic_stability(spec, rec)))
+    for j in subsets:
+        if j not in solved:
+            skipped.append((frozenset(j), "no fully active solution"))
+            continue
+        declared = everyone - frozenset(j)
+        rec = make_record(spec, solved[j], declared_inactive=declared, validate=False)
+        members.append((rec, analytic_stability(spec, rec)))
     return StableFamily(applicable=True, why=None, members=tuple(members), skipped=tuple(skipped))

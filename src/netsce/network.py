@@ -105,10 +105,6 @@ class WeightedNetwork:
     def n(self) -> int:
         return self.z.shape[0]
 
-    def row_abs_sums(self) -> np.ndarray:
-        """Per-agent total incoming weight magnitude, sum_j |z_ij|."""
-        return np.abs(self.z).sum(axis=1)
-
 
 class NeighborSets(NamedTuple):
     """In-neighborhood of one agent, split by externality sign."""
@@ -147,72 +143,50 @@ class Decomposition:
 
     - ``"uniform"``: Z = gamma * z0 with a scalar gamma and symmetric z0;
     - ``"diagonal"``: Z = diag(gamma) @ z0 with a positive vector gamma and
-      symmetric z0;
-    - ``"signed"``: Z = gamma * (signs * z0) with symmetric sign pattern and
-      symmetric nonnegative magnitudes (a construction helper);
-    - ``"general"``: no structure claimed, z0 is Z itself.
+      symmetric z0.
     """
 
     kind: str
     z0: np.ndarray
     gamma: Union[float, np.ndarray, None] = None
-    signs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "z0", _as_readonly(self.z0))
-        if self.kind not in ("uniform", "diagonal", "signed", "general"):
+        if self.kind not in ("uniform", "diagonal"):
             raise UsageError(f"unknown decomposition kind {self.kind!r}")
-        if self.kind in ("uniform", "diagonal") and not np.allclose(
-            self.z0, self.z0.T, rtol=1e-9, atol=0.0
-        ):
+        if not np.allclose(self.z0, self.z0.T, rtol=1e-9, atol=0.0):
             raise UsageError(f"{self.kind} decomposition needs a symmetric z0")
         if self.kind == "uniform":
             g = float(self.gamma)
             if g == 0:
                 raise UsageError("uniform scale must be nonzero")
             object.__setattr__(self, "gamma", g)
-        elif self.kind == "diagonal":
+        else:
             g = np.asarray(self.gamma, dtype=float)
             if g.ndim != 1 or g.shape[0] != self.z0.shape[0]:
                 raise UsageError("diagonal decomposition needs one gamma per agent")
             if np.any(g <= 0):
                 raise UsageError("diagonal scaling must be strictly positive")
             object.__setattr__(self, "gamma", _as_readonly(g))
-        elif self.kind == "signed":
-            s = np.asarray(self.signs, dtype=float)
-            if s.shape != self.z0.shape or not np.array_equal(s, s.T):
-                raise UsageError("sign pattern must be a symmetric matrix")
-            if np.any(np.abs(s[s != 0]) != 1):
-                raise UsageError("sign pattern entries must be -1, 0 or +1")
-            object.__setattr__(self, "signs", _as_readonly(s))
-            g = 1.0 if self.gamma is None else float(self.gamma)
-            object.__setattr__(self, "gamma", g)
 
     def recompose(self) -> np.ndarray:
         """The matrix this decomposition denotes."""
         if self.kind == "uniform":
             return self.gamma * self.z0
-        if self.kind == "diagonal":
-            return self.gamma[:, None] * self.z0
-        if self.kind == "signed":
-            return self.gamma * (self.signs * self.z0)
-        return np.array(self.z0)
+        return self.gamma[:, None] * self.z0
 
     def symmetrized(self) -> np.ndarray:
         """The similar symmetric matrix sqrt(G) Z0 sqrt(G).
 
         Entry (i, j) equals z0_ij * sqrt(gamma_i * gamma_j). Invariant under
         the rescaling (c*Gamma, Z0/c), so it is a property of Z itself.
-        Defined for the uniform and diagonal kinds.
         """
         if self.kind == "uniform":
             if self.gamma < 0:
                 raise UsageError("symmetrized form needs a positive scaling")
             return self.gamma * np.array(self.z0)
-        if self.kind == "diagonal":
-            d = np.sqrt(self.gamma)
-            return d[:, None] * self.z0 * d[None, :]
-        raise UsageError(f"symmetrized form undefined for kind {self.kind!r}")
+        d = np.sqrt(self.gamma)
+        return d[:, None] * self.z0 * d[None, :]
 
     def lambda_max(self) -> float:
         """Algebraically largest eigenvalue of the symmetrized form."""

@@ -55,7 +55,7 @@ def test_flag_validation(tmp_path):
     assert main(["stability", "-i", scn, "--samples", "0"]) == 1
     assert main(["stability", "-i", scn, "--seed", "-3"]) == 1
     assert main(["learn", "-i", scn, "--max-iter", "0"]) == 1
-    assert main(["sce", "-i", scn, "--format", "json"]) == 1  # only csv exists
+    assert main(["sce", "-i", scn, "--format", "json"]) == 1  # no --format flag: output is csv
 
 
 # ------------------------------------------------------------- equilibrium IO

@@ -1,0 +1,281 @@
+"""The shared active-set enumeration engine against per-caller loops.
+
+``solve_auxiliary_ne``, ``enumerate_sce`` and ``stable_sce_family`` all run
+through one private engine in ``netsce.equilibrium``. The reference
+functions below are the independent loops each caller used to carry
+(solve, positivity, cap, dedupe, record), including the family's one
+``solve_auxiliary_ne`` call per subset. The engine must reproduce their
+records, diagnostics and family output bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from netsce import (
+    UsageError,
+    WeightedNetwork,
+    aggregate,
+    enumerate_sce,
+    interior_conditions,
+    make_game,
+    make_record,
+    solve_auxiliary_ne,
+    solve_full_ne,
+    stable_sce_family,
+)
+from netsce import equilibrium
+from netsce.equilibrium import ACTIVE_TOL, CAP_MARGIN, SolveDiagnostics, _solve_active
+from netsce.game import justifiable_inactivity_set
+from netsce.learning import analytic_stability
+from netsce.network import submatrix
+
+from conftest import by_active
+
+# ------------------------------------------------------------ reference loops
+
+
+def _ref_embed(spec, k, sol):
+    a = np.zeros(spec.n)
+    for pos, i in enumerate(sorted(k)):
+        a[i] = sol[pos]
+    return a
+
+
+def _ref_auxiliary_ne(spec, candidates):
+    j = sorted(set(int(i) for i in candidates))
+    declared = frozenset(range(spec.n)) - frozenset(j)
+    records, singular, cap_hits = [], [], []
+    seen = set()
+    examined = 0
+    for r in range(len(j) + 1):
+        for k in itertools.combinations(j, r):
+            examined += 1
+            sol, fail = _solve_active(spec, k)
+            if fail is not None:
+                singular.append((frozenset(k), fail))
+                continue
+            if np.any(sol <= ACTIVE_TOL):
+                continue
+            caps = spec.a_max[list(k)] if k else np.zeros(0)
+            if np.any(sol > caps - CAP_MARGIN):
+                cap_hits.append(frozenset(k))
+                continue
+            a = _ref_embed(spec, k, sol)
+            x = aggregate(spec, a)
+            rest = [i for i in j if i not in k]
+            if any(spec.alpha[i] + x[i] > ACTIVE_TOL for i in rest):
+                continue
+            key = tuple(np.round(a, 12))
+            if key in seen:
+                continue
+            seen.add(key)
+            records.append(make_record(spec, a, declared_inactive=declared, validate=False))
+    records.sort(key=lambda rec: rec.bitmask)
+    diags = SolveDiagnostics(
+        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
+    )
+    return records, diags
+
+
+def _ref_enumerate_sce(spec):
+    i0 = sorted(justifiable_inactivity_set(spec))
+    records, singular, cap_hits = [], [], []
+    seen = set()
+    examined = 0
+    all_agents = frozenset(range(spec.n))
+    for r in range(len(i0) + 1):
+        for s in itertools.combinations(i0, r):
+            examined += 1
+            active = sorted(all_agents - frozenset(s))
+            sol, fail = _solve_active(spec, active)
+            if fail is not None:
+                singular.append((frozenset(active), fail))
+                continue
+            if np.any(sol <= ACTIVE_TOL):
+                continue
+            caps = spec.a_max[active] if active else np.zeros(0)
+            if np.any(sol > caps - CAP_MARGIN):
+                cap_hits.append(frozenset(active))
+                continue
+            a = _ref_embed(spec, active, sol)
+            key = tuple(np.round(a, 12))
+            if key in seen:
+                continue
+            seen.add(key)
+            records.append(
+                make_record(spec, a, declared_inactive=frozenset(s), validate=False)
+            )
+    records.sort(key=lambda rec: rec.bitmask)
+    diags = SolveDiagnostics(
+        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
+    )
+    return records, diags
+
+
+def _ref_family(spec, record):
+    """(applicable, members, skipped) by one auxiliary solve per subset."""
+    active = sorted(record.active_set)
+    report = interior_conditions(submatrix(spec.net, active)) if active else None
+    if active and not report.any_holds():
+        return False, (), ()
+    members, skipped = [], []
+    for r in range(len(active) + 1):
+        for j in itertools.combinations(active, r):
+            recs, _ = _ref_auxiliary_ne(spec, j)
+            full = [rec for rec in recs if rec.active_set == frozenset(j)]
+            if not full:
+                skipped.append((frozenset(j), "no fully active solution"))
+                continue
+            rec = full[0]
+            members.append((rec, analytic_stability(spec, rec)))
+    return True, tuple(members), tuple(skipped)
+
+
+# ------------------------------------------------------------ seeded battery
+
+
+def _battery(games=140, seed=20240611):
+    """Games with n = 1..7 cycling, signed/negative/positive weights, caps
+    on half of them, and on some a unit reciprocal pair z_ij = z_ji = 1
+    whose support {i, j} is singular (continuum when alpha_j = -alpha_i,
+    inconsistent otherwise)."""
+    rng = np.random.default_rng(seed)
+    for t in range(games):
+        n = 1 + t % 7
+        sign = ("signed", "negative", "positive")[(t // 7) % 3]
+        m = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        np.fill_diagonal(m, 0.0)
+        if sign == "signed":
+            m *= rng.choice([-1.0, 1.0], size=(n, n))
+        elif sign == "negative":
+            m = -m
+        top = np.abs(m).sum(axis=1).max()
+        z = m * (rng.uniform(0.2, 1.3) / top) if top > 0 else m
+        alpha = rng.uniform(0.05, 1.0, n)
+        if n > 1 and rng.uniform() < 0.4:
+            i, j = rng.choice(n, size=2, replace=False)
+            z[i, j] = z[j, i] = 1.0
+            if rng.uniform() < 0.5:
+                alpha[j] = -alpha[i]
+        if rng.uniform() < 0.15:
+            alpha[rng.integers(n)] *= -1.0
+        a_max = rng.uniform(0.1, 3.0, n) if t % 2 else np.full(n, 1e6)
+        lo = np.minimum(z, 0.0) @ a_max
+        hi = np.maximum(z, 0.0) @ a_max
+        # about half the agents can justify inactivity (x_lo <= -alpha)
+        x_lo = np.minimum(lo, -alpha) - rng.uniform(0.0, 0.5, n) * (rng.uniform(size=n) < 0.5)
+        x_lo = np.where(rng.uniform(size=n) < 0.5, lo - 0.01, x_lo)
+        yield make_game(WeightedNetwork(z=z), alpha=alpha, a_max=a_max, x_lo=x_lo, x_hi=hi + 0.5)
+
+
+def _same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.bitmask == w.bitmask
+        assert g.kind == w.kind
+        assert g.declared_inactive == w.declared_inactive
+        assert g.actions.tobytes() == w.actions.tobytes()
+        assert g.conjectures.tobytes() == w.conjectures.tobytes()
+
+
+def _same_diags(got, want):
+    assert got.examined == want.examined
+    assert got.singular == want.singular
+    assert got.cap_hits == want.cap_hits
+
+
+def test_engine_matches_reference_loops():
+    seen = {"singular": 0, "cap_hits": 0, "ne": 0, "sce_non_ne": 0, "families": 0, "skips": 0}
+    kinds = set()
+    for spec in _battery():
+        ne, ne_diag = solve_full_ne(spec)
+        ref_ne, ref_ne_diag = _ref_auxiliary_ne(spec, range(spec.n))
+        _same_records(ne, ref_ne)
+        _same_diags(ne_diag, ref_ne_diag)
+
+        half = range(0, spec.n, 2)
+        aux, aux_diag = solve_auxiliary_ne(spec, half)
+        ref_aux, ref_aux_diag = _ref_auxiliary_ne(spec, half)
+        _same_records(aux, ref_aux)
+        _same_diags(aux_diag, ref_aux_diag)
+
+        sce, sce_diag = enumerate_sce(spec)
+        ref_sce, ref_sce_diag = _ref_enumerate_sce(spec)
+        _same_records(sce, ref_sce)
+        _same_diags(sce_diag, ref_sce_diag)
+
+        seen["singular"] += len(ne_diag.singular) + len(sce_diag.singular)
+        kinds.update(why for _, why in ne_diag.singular)
+        seen["cap_hits"] += len(ne_diag.cap_hits) + len(sce_diag.cap_hits)
+        seen["ne"] += len(ne)
+        seen["sce_non_ne"] += sum(rec.kind == "SCE-non-NE" for rec in sce)
+
+        for rec in sce:
+            family = stable_sce_family(spec, rec)
+            applicable, members, skipped = _ref_family(spec, rec)
+            assert family.applicable == applicable
+            _same_records([m for m, _ in family.members], [m for m, _ in members])
+            assert [s for _, s in family.members] == [s for _, s in members]
+            assert family.skipped == skipped
+            seen["families"] += applicable
+            seen["skips"] += len(skipped)
+
+    # the battery must reach every branch it is meant to compare
+    assert all(count > 0 for count in seen.values()), seen
+    assert kinds == {"continuum", "inconsistent"}
+
+
+def test_family_solves_each_subset_once(positive_game, monkeypatch):
+    """2^4 = 16 solves for a four-agent active set, not 3^4 = 81."""
+    ne = by_active(enumerate_sce(positive_game)[0], [0, 1, 2, 3])
+    calls = []
+
+    def counting(spec, k):
+        calls.append(tuple(k))
+        return _solve_active(spec, k)
+
+    monkeypatch.setattr(equilibrium, "_solve_active", counting)
+    family = stable_sce_family(positive_game, ne)
+    assert len(family.members) == 16
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
+
+
+# ------------------------------------------------------------ enumeration limit
+
+
+@pytest.fixture
+def no_solves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(equilibrium, "_solve_active", lambda spec, k: calls.append(k))
+    return calls
+
+
+def _free_game(n):
+    """n independent agents, every one able to justify inactivity."""
+    return make_game(WeightedNetwork(z=np.zeros((n, n))), alpha=0.1, x_lo=-1.0, x_hi=1.0)
+
+
+def test_full_ne_limit_raises_before_solving(no_solves):
+    with pytest.raises(UsageError, match="2\\^21"):
+        solve_full_ne(_free_game(21))
+    assert no_solves == []
+
+
+def test_sce_limit_raises_before_solving(no_solves):
+    spec = _free_game(21)
+    assert len(justifiable_inactivity_set(spec)) == 21
+    with pytest.raises(UsageError, match="2\\^21"):
+        enumerate_sce(spec)
+    assert no_solves == []
+
+
+def test_family_limit_raises_before_solving(no_solves):
+    spec = _free_game(21)
+    rec = make_record(spec, np.full(21, 0.1))
+    assert len(rec.active_set) == 21
+    with pytest.raises(UsageError, match="2\\^21"):
+        stable_sce_family(spec, rec)
+    assert no_solves == []
