@@ -276,18 +276,25 @@ def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
     a = np.asarray(actions, dtype=float)
     xh = np.asarray(conjectures, dtype=float)
     x = aggregate(spec, a)
-    bad = []
-    for i in range(spec.n):
-        if a[i] < -tol or a[i] > spec.a_max[i] + tol:
-            bad.append((i, "range", float(a[i])))
-        if xh[i] < spec.x_lo[i] - tol or xh[i] > spec.x_hi[i] + tol:
-            bad.append((i, "range", float(xh[i])))
-        br = min(max(spec.alpha[i] + xh[i], 0.0), spec.a_max[i])
-        if abs(a[i] - br) > tol:
-            bad.append((i, "rationality", float(abs(a[i] - br))))
-        if a[i] > ACTIVE_TOL and abs(xh[i] - x[i]) > tol:
-            bad.append((i, "confirmation", float(abs(xh[i] - x[i]))))
-    return SceCheck(ok=not bad, violations=tuple(bad))
+    gap = np.abs(a - np.clip(spec.alpha + xh, 0.0, spec.a_max))
+    miss = np.abs(xh - x)
+    bad = _violations(
+        ("range", (a < -tol) | (a > spec.a_max + tol), a),
+        ("range", (xh < spec.x_lo - tol) | (xh > spec.x_hi + tol), xh),
+        ("rationality", gap > tol, gap),
+        ("confirmation", (a > ACTIVE_TOL) & (miss > tol), miss),
+    )
+    return SceCheck(ok=not bad, violations=bad)
+
+
+def _violations(*checks) -> tuple:
+    """(agent, reason, magnitude) for every failed (reason, mask, magnitude)
+    check, by agent and then in the order the checks are given."""
+    failed = np.stack([mask for _, mask, _ in checks], axis=1)
+    agents, which = np.nonzero(failed)  # row-major: agent first
+    return tuple(
+        (int(i), checks[c][0], float(checks[c][2][i])) for i, c in zip(agents, which)
+    )
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,12 @@ def make_game(
 
 
 def aggregate(spec: GameSpec, actions: np.ndarray, i: Optional[int] = None):
-    """Externality aggregates x = Z a (one agent's entry when ``i`` is given)."""
-    x = spec.net.z @ np.asarray(actions, dtype=float)
+    """Externality aggregates x = Z a (one agent's entry when ``i`` is given).
+
+    ``actions`` may also be a stack of profiles (k, n); each row's
+    aggregate is bit-identical to the product for that row alone.
+    """
+    x = np.matvec(spec.net.z, np.asarray(actions, dtype=float))
     if i is None:
         return x
     if not 0 <= i < spec.n:

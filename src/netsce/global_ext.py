@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericError, UsageError
+from .equilibrium import _violations
 from .game import GameSpec, _vec, aggregate, realized_payoff
 from .network import WeightedNetwork
 
@@ -170,27 +171,21 @@ def check_global_sce(
     x = aggregate(g.base, a)
     y = global_spillover(g, a)
     spec = g.base
-    bad = []
-    for i in range(g.n):
-        if a[i] < -tol or a[i] > spec.a_max[i] + tol:
-            bad.append((i, "range", float(a[i])))
-        if xh[i] < spec.x_lo[i] - tol or xh[i] > spec.x_hi[i] + tol:
-            bad.append((i, "range", float(xh[i])))
-        if yh[i] < g.y_lo[i] - tol or yh[i] > g.y_hi[i] + tol:
-            bad.append((i, "range", float(yh[i])))
-        if a[i] > 0:
-            br = min(max(spec.alpha[i] + xh[i], 0.0), spec.a_max[i])
-            if abs(a[i] - br) > tol:
-                bad.append((i, "rationality", float(abs(a[i] - br))))
-            gap = yh[i] - (y[i] + a[i] * (x[i] - xh[i]))
-            if abs(gap) > tol:
-                bad.append((i, "confirmation", float(abs(gap))))
-        else:
-            if spec.alpha[i] + xh[i] > tol:
-                bad.append((i, "rationality", float(spec.alpha[i] + xh[i])))
-            if abs(yh[i] - y[i]) > tol:
-                bad.append((i, "confirmation", float(abs(yh[i] - y[i]))))
-    return GlobalSceCheck(ok=not bad, violations=tuple(bad))
+    active = a > 0
+    # Active agents best-respond to x_hat and must believe the realized
+    # payoff; inactive ones must justify staying out and observe y exactly.
+    rationality = np.where(
+        active, np.abs(a - np.clip(spec.alpha + xh, 0.0, spec.a_max)), spec.alpha + xh
+    )
+    confirmation = np.abs(np.where(active, yh - (y + a * (x - xh)), yh - y))
+    bad = _violations(
+        ("range", (a < -tol) | (a > spec.a_max + tol), a),
+        ("range", (xh < spec.x_lo - tol) | (xh > spec.x_hi + tol), xh),
+        ("range", (yh < g.y_lo - tol) | (yh > g.y_hi + tol), yh),
+        ("rationality", rationality > tol, rationality),
+        ("confirmation", confirmation > tol, confirmation),
+    )
+    return GlobalSceCheck(ok=not bad, violations=bad)
 
 
 @dataclass(frozen=True)

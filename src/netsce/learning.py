@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +52,12 @@ RING = 64
 RECUR_TOL = 1e-9
 #: Margin below the action cap that triggers the cap warning.
 CAP_WARN_MARGIN = 1e-6
+#: Default quiet-window length and divergence threshold of a run.
+WINDOW = 3
+DIVERGENCE_CAP = 1e9
+#: Probe samples advanced together. Bounds the probe's memory whatever the
+#: sample count: two rings of 2 * RING * PROBE_BLOCK * n floats.
+PROBE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,34 +67,52 @@ class StepResult:
     actions: np.ndarray
     payoffs: np.ndarray
     conjectures_next: np.ndarray
-    capped: tuple  # agents whose action pressed the cap
-    clamped: tuple  # agents whose updated conjecture had to be clipped
+    capped: tuple  # agents (or (row, agent) pairs) whose action pressed the cap
+    clamped: tuple  # agents (or pairs) whose updated conjecture had to be clipped
 
 
 def learn_step(spec: GameSpec, conjectures) -> StepResult:
-    """Advance the dynamics one period from the given conjectures."""
+    """Advance the dynamics one period from the given conjectures.
+
+    ``conjectures`` is one profile of shape (n,) or a stack of profiles of
+    shape (k, n), each advanced on its own. For a stack, ``capped`` and
+    ``clamped`` hold (row, agent) pairs instead of agents.
+    """
     xh = np.asarray(conjectures, dtype=float)
     a = best_reply(spec, xh)
     m = realized_payoff(spec, a)
 
-    capped = tuple(int(i) for i in np.flatnonzero(a >= spec.a_max - CAP_WARN_MARGIN))
+    capped = _where(a >= spec.a_max - CAP_WARN_MARGIN)
     if capped:
+        agents = sorted({i if a.ndim == 1 else i[1] for i in capped})
         warnings.warn(
-            f"actions of agents {list(capped)} are within {CAP_WARN_MARGIN:g} of the "
+            f"actions of agents {agents} are within {CAP_WARN_MARGIN:g} of the "
             "action cap; results likely reflect the cap, not the game",
             CapBindingWarning,
             stacklevel=2,
         )
 
     nxt = xh.copy()
-    active = a > 0
-    if np.any(active):
-        nxt[active] = invert_feedback(spec.alpha[active], a[active], m[active])
+    active = np.nonzero(a > 0)  # the last index array names the agents
+    if active[0].size:
+        nxt[active] = invert_feedback(spec.alpha[active[-1]], a[active], m[active])
     clipped = np.clip(nxt, spec.x_lo, spec.x_hi)
-    clamped = tuple(int(i) for i in np.flatnonzero(clipped != nxt))
     return StepResult(
-        actions=a, payoffs=m, conjectures_next=clipped, capped=capped, clamped=clamped
+        actions=a,
+        payoffs=m,
+        conjectures_next=clipped,
+        capped=capped,
+        clamped=_where(clipped != nxt),
     )
+
+
+def _where(mask: np.ndarray) -> tuple:
+    """True entries of a mask: agents for one row, (row, agent) pairs for a stack."""
+    if not np.count_nonzero(mask):
+        return ()
+    if mask.ndim == 1:
+        return tuple(int(i) for i in np.flatnonzero(mask))
+    return tuple((int(r), int(i)) for r, i in np.argwhere(mask))
 
 
 @dataclass(frozen=True)
@@ -124,31 +148,182 @@ def _varying(rows: np.ndarray, tol: float) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(span > tol))
 
 
-def _find_recurrence(recent: list, tol: float) -> Optional[int]:
-    """Smallest lag >= 2 at which the newest entry repeats, else None.
+def _recurrence(win: np.ndarray) -> Optional[np.ndarray]:
+    """Per row, the smallest lag >= 2 at which the newest entry of ``win``
+    repeats (0 where none does), or None when it repeats in no row.
 
+    ``win`` holds up to ``RING`` entries per row, oldest first: (m, k, n).
     A true cycle of this piecewise-linear map is hit exactly once the
     transient dies, so its recurrence defect sits many orders below the
-    cycle amplitude. A geometrically decaying tail also produces small
-    lag differences (alternating modes shrink them below any absolute
-    tolerance while still converging), but there the defect stays a fixed
-    FRACTION of the window amplitude. Hence the two-sided test: the defect
-    must be below ``tol`` absolutely and a millionth of the window span,
-    and the window itself must not be flat (that would be convergence).
+    cycle amplitude. A geometrically decaying tail also produces small lag
+    differences (alternating modes shrink them below any absolute tolerance
+    while still converging), but there the defect stays a fixed FRACTION of
+    the window amplitude. Hence the two-sided test: the defect must be below
+    ``RECUR_TOL`` absolutely and a millionth of the window span, and the
+    window itself must not be flat (that would be convergence).
     """
-    m = len(recent)
-    if m < 3:
+    if win.shape[0] < 3:
         return None
-    arr = np.asarray(recent)
-    # diffs[idx] compares the newest entry against arr[idx]; lag = m - 1 - idx.
-    diffs = np.max(np.abs(arr[: m - 2] - arr[-1]), axis=1)
-    for idx in np.flatnonzero(diffs <= tol)[::-1]:
-        lag = m - 1 - int(idx)
-        window = arr[-lag:]
-        span = float(np.max(window.max(axis=0) - window.min(axis=0)))
-        if span > tol and diffs[idx] <= 1e-6 * span:
-            return lag
-    return None
+    back = win[::-1]  # back[lag] is the entry ``lag`` periods before the newest
+    defect = np.abs(back[2:] - back[0]).max(axis=2)  # row j: lag j + 2
+    near = defect <= RECUR_TOL
+    if not np.count_nonzero(near):
+        return None
+    rows = np.flatnonzero(near.any(axis=0))
+    if len(rows) < near.shape[1]:
+        back, defect, near = back[:, rows], defect[:, rows], near[:, rows]
+    # Running extremes over newest-first entries: the span of the window of
+    # the ``lag`` newest entries, for every lag at once.
+    span = back[:-1]
+    span = (np.maximum.accumulate(span) - np.minimum.accumulate(span)).max(axis=2)[1:]
+    ok = near & (span > RECUR_TOL) & (defect <= 1e-6 * span)
+    found = ok.any(axis=0)
+    if not np.count_nonzero(found):
+        return None
+    lags = np.zeros(win.shape[1], dtype=int)
+    lags[rows[found]] = ok[:, found].argmax(axis=0) + 2
+    return lags
+
+
+class _Ring:
+    """The last ``RING`` entries of a (k, n) stack, readable as one view.
+
+    Each entry is stored twice, RING slots apart, so the newest ``m``
+    entries always sit contiguously, oldest first.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.buf = np.empty((2 * RING, k, n))
+        self.count = 0
+
+    def push(self, entry: np.ndarray) -> None:
+        i = self.count % RING
+        self.buf[i] = self.buf[i + RING] = entry
+        self.count += 1
+
+    def last(self, m: int = RING) -> np.ndarray:
+        m = min(m, self.count)
+        end = (self.count - 1) % RING + RING + 1
+        return self.buf[end - m : end]
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.buf = self.buf[:, rows]
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """Per-row outcome of :func:`_advance`."""
+
+    classification: list
+    steps: list
+    oscillation: list  # (period_kind, period, cycle_agents) where oscillating, else None
+    final: np.ndarray  # last conjectures, (k, n)
+
+
+def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _Runs:
+    """Run the dynamics from every row of ``x0`` (k, n) at once.
+
+    Each period advances all live rows with one :func:`learn_step` call
+    and then applies the stopping rules row by row, in order: ``window``
+    consecutive sup-norm changes below ``tol`` (converged); an action or
+    conjecture beyond ``divergence_cap`` in magnitude (diverged); the same
+    state recurrence, or else increment recurrence while the state still
+    moves, found in two consecutive periods (oscillating). A row leaves the
+    stack the period it stops; rows live after ``max_iter`` periods are
+    max-iter. ``on_step(t, step)`` sees every step of the live stack.
+    """
+    k, n = x0.shape
+    classification = ["max-iter"] * k
+    steps = [max_iter] * k
+    oscillation = [None] * k
+    final = x0.copy()
+    # Actions stay in [0, a_max] and conjectures in [x_lo, x_hi]: when those
+    # bounds are within the cap no run can diverge.
+    can_diverge = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max()) > divergence_cap
+
+    live = np.arange(k)
+    xh = x0.copy()
+    states, incrs = _Ring(k, n), _Ring(k, n)
+    states.push(xh)
+    quiet = np.zeros(k, dtype=int)
+    # Pending recurrence per row: +lag for a state recurrence, -lag for an
+    # increment one, 0 for none, and how many consecutive periods found it.
+    code = np.zeros(k, dtype=int)
+    seen = np.zeros(k, dtype=int)
+
+    for t in range(max_iter):
+        step = learn_step(spec, xh)
+        if on_step is not None:
+            on_step(t, step)
+        new = step.conjectures_next
+        incr = new - xh
+        change = np.abs(incr).max(axis=1)
+        xh = new
+        states.push(new)
+        incrs.push(incr)
+
+        quiet = np.where(change < tol, quiet + 1, 0)
+        converged = quiet >= window
+        stop = converged
+        diverged = None
+        if can_diverge:
+            diverged = ~converged & (
+                (np.abs(step.actions).max(axis=1) > divergence_cap)
+                | (np.abs(new).max(axis=1) > divergence_cap)
+            )
+            stop = stop | diverged
+
+        # Rows stopping anyway need no recurrence test; a frozen state (change
+        # below tol) has no increment pattern.
+        if np.count_nonzero(stop) < len(live):
+            moving = change >= tol
+            state_lag = _recurrence(states.last())
+            incr_lag = _recurrence(incrs.last()) if np.count_nonzero(moving) else None
+            if state_lag is not None or incr_lag is not None:
+                hit = np.zeros_like(code)
+                if incr_lag is not None:
+                    hit = np.where(moving, -incr_lag, 0)
+                if state_lag is not None:
+                    hit = np.where(state_lag > 0, state_lag, hit)
+                seen = (np.where(hit == code, seen, 0) + 1) * (hit != 0)
+                code = hit
+                stop = stop | (seen >= 2)
+            else:
+                seen = np.zeros_like(seen)
+
+        stopped = np.flatnonzero(stop)
+        if not len(stopped):
+            continue
+        for r in stopped:
+            row = int(live[r])
+            steps[row] = t + 1
+            final[row] = xh[r]
+            if converged[r]:
+                classification[row] = "converged"
+            elif diverged is not None and diverged[r]:
+                classification[row] = "diverged"
+            else:
+                classification[row] = "oscillating"
+                period = abs(int(code[r]))
+                ring = states if code[r] > 0 else incrs
+                oscillation[row] = (
+                    "state" if code[r] > 0 else "increment",
+                    period,
+                    _varying(ring.last(period)[:, r], RECUR_TOL),
+                )
+        if len(stopped) == len(live):
+            break
+        keep = ~stop
+        live, xh, quiet = live[keep], xh[keep], quiet[keep]
+        code, seen = code[keep], seen[keep]
+        states.keep(keep)
+        incrs.keep(keep)
+    else:  # rows still live after max_iter periods
+        final[live] = xh
+
+    return _Runs(
+        classification=classification, steps=steps, oscillation=oscillation, final=final
+    )
 
 
 def run_learning(
@@ -156,8 +331,8 @@ def run_learning(
     initial,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    window: int = 3,
-    divergence_cap: float = 1e9,
+    window: int = WINDOW,
+    divergence_cap: float = DIVERGENCE_CAP,
 ) -> Trajectory:
     """Iterate the feedback dynamics from initial conjectures.
 
@@ -185,94 +360,40 @@ def run_learning(
             f"initial conjecture for agent {i} lies outside its admissible range"
         )
 
-    conj_hist = [xh.copy()]
+    conj_hist = [xh]
     act_hist, pay_hist = [], []
     clamp_events, cap_events = [], []
-    recent_states: list = [xh.copy()]
-    recent_incr: list = []
-    quiet = 0
-    classification = "max-iter"
-    period = None
-    period_kind = None
-    cycle_agents = None
-    pending: Optional[Tuple[str, int, int]] = None  # (kind, lag, confirmations)
 
-    for t in range(max_iter):
-        step = learn_step(spec, xh)
-        act_hist.append(step.actions)
-        pay_hist.append(step.payoffs)
-        conj_hist.append(step.conjectures_next)
-        clamp_events.extend((t, i) for i in step.clamped)
-        cap_events.extend((t, i) for i in step.capped)
+    def record(t, step):
+        act_hist.append(step.actions[0])
+        pay_hist.append(step.payoffs[0])
+        conj_hist.append(step.conjectures_next[0])
+        if step.clamped:
+            clamp_events.extend((t, i) for _, i in step.clamped)
+        if step.capped:
+            cap_events.extend((t, i) for _, i in step.capped)
 
-        new = step.conjectures_next
-        incr = new - xh
-        change = float(np.max(np.abs(incr)))
-        xh = new
-
-        recent_states.append(new.copy())
-        del recent_states[:-RING]
-        recent_incr.append(incr.copy())
-        del recent_incr[:-RING]
-
-        if change < tol:
-            quiet += 1
-            if quiet >= window:
-                classification = "converged"
-                break
-        else:
-            quiet = 0
-
-        if (
-            float(np.max(np.abs(step.actions))) > divergence_cap
-            or float(np.max(np.abs(new))) > divergence_cap
-        ):
-            classification = "diverged"
-            break
-
-        hit = None
-        lag = _find_recurrence(recent_states, RECUR_TOL)
-        if lag is not None:
-            hit = ("state", lag)
-        else:
-            lag = _find_recurrence(recent_incr, RECUR_TOL)
-            if lag is not None and change >= tol:
-                hit = ("increment", lag)
-
-        if hit is None:
-            pending = None
-            continue
-        if pending is not None and pending[:2] == hit:
-            pending = (hit[0], hit[1], pending[2] + 1)
-        else:
-            pending = (hit[0], hit[1], 1)
-        if pending[2] >= 2:
-            classification = "oscillating"
-            period_kind, period = pending[0], pending[1]
-            ring = recent_states if period_kind == "state" else recent_incr
-            cycle_agents = _varying(np.asarray(ring[-period:]), RECUR_TOL)
-            break
-
-    conjectures = np.asarray(conj_hist)
-    actions = np.asarray(act_hist)
-    payoffs = np.asarray(pay_hist)
+    runs = _advance(spec, xh[None], tol, max_iter, window, divergence_cap, record)
+    classification = runs.classification[0]
+    period_kind, period, cycle_agents = runs.oscillation[0] or (None, None, None)
 
     limit = None
     limit_is_sce = None
     if classification == "converged":
-        a_inf = best_reply(spec, xh)
+        final = runs.final[0]
+        a_inf = best_reply(spec, final)
         declared = frozenset(
             int(i) for i in np.flatnonzero(a_inf <= ACTIVE_TOL)
         )
         limit = make_record(
-            spec, a_inf, declared_inactive=declared, conjectures=xh, validate=False
+            spec, a_inf, declared_inactive=declared, conjectures=final, validate=False
         )
-        limit_is_sce = is_sce(spec, a_inf, xh, tol=max(1e-9, 100 * tol)).ok
+        limit_is_sce = is_sce(spec, a_inf, final, tol=max(1e-9, 100 * tol)).ok
 
     return Trajectory(
-        conjectures=conjectures,
-        actions=actions,
-        payoffs=payoffs,
+        conjectures=np.asarray(conj_hist),
+        actions=np.asarray(act_hist),
+        payoffs=np.asarray(pay_hist),
         classification=classification,
         period=period,
         period_kind=period_kind,
@@ -350,22 +471,40 @@ def probe_stability(
     tol: float = 1e-10,
     max_iter: int = 20_000,
 ) -> EmpiricalStability:
-    """Perturb witness conjectures and count returns to the record."""
+    """Perturb witness conjectures and count returns to the record.
+
+    Sample k starts from the witnesses plus uniform noise in
+    [-epsilon, epsilon] drawn by ``default_rng((seed, k))``, clipped into
+    the conjecture ranges, and runs as :func:`run_learning` would with the
+    given ``tol`` and ``max_iter``. Samples are advanced together in blocks
+    of ``PROBE_BLOCK`` rows; each one's verdict is that of its own run.
+    """
     if samples < 1:
         raise UsageError("probe needs at least one sample")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise UsageError("epsilon must be a finite positive number")
+    if not tol > 0:
+        raise UsageError("tol must be positive")
+    if max_iter < 1:
+        raise UsageError("max_iter must be at least 1")
     returned = stayed = nonconv = 0
-    for k in range(samples):
-        rng = np.random.default_rng((seed, k))
-        x0 = record.conjectures + rng.uniform(-epsilon, epsilon, spec.n)
-        x0 = np.clip(x0, spec.x_lo, spec.x_hi)
-        traj = run_learning(spec, x0, tol=tol, max_iter=max_iter)
-        if traj.classification != "converged":
-            nonconv += 1
-            continue
-        if float(np.max(np.abs(traj.limit.actions - record.actions))) <= 1e-6:
-            returned += 1
-        if float(np.max(np.abs(traj.limit.conjectures - record.conjectures))) <= epsilon + 1e-6:
-            stayed += 1
+    for lo in range(0, samples, PROBE_BLOCK):
+        noise = [
+            np.random.default_rng((seed, k)).uniform(-epsilon, epsilon, spec.n)
+            for k in range(lo, min(lo + PROBE_BLOCK, samples))
+        ]
+        x0 = np.clip(record.conjectures + np.array(noise), spec.x_lo, spec.x_hi)
+        runs = _advance(spec, x0, tol, max_iter, WINDOW, DIVERGENCE_CAP)
+        converged = np.array([c == "converged" for c in runs.classification])
+        nonconv += int(np.count_nonzero(~converged))
+        final = runs.final[converged]
+        limit = best_reply(spec, final)
+        returned += int(np.count_nonzero(np.abs(limit - record.actions).max(axis=1) <= 1e-6))
+        stayed += int(
+            np.count_nonzero(
+                np.abs(final - record.conjectures).max(axis=1) <= epsilon + 1e-6
+            )
+        )
     return EmpiricalStability(
         epsilon=epsilon,
         samples=samples,
