@@ -35,7 +35,7 @@ from .errors import NumericError, UsageError
 from .global_ext import phi_map, solve_global_sce
 from .learning import probe_stability, analytic_stability, run_learning
 from .network import ASSUMPTIONS, check_assumption
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, normalize_scenario, parse_scenario
 
 __all__ = ["main"]
 
@@ -300,26 +300,11 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    import dataclasses
-
-    updates = {}
-    for field, attr in (
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-        ("seed", "seed"),
-        ("epsilon", "epsilon"),
-        ("samples", "samples"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            if field in ("tol", "epsilon") and value <= 0:
-                raise UsageError(f"--{field.replace('_', '-')} must be positive")
-            if field in ("max_iter", "samples") and value < 1:
-                raise UsageError(f"--{field.replace('_', '-')} must be at least 1")
-            if field == "seed" and value < 0:
-                raise UsageError("--seed must be nonnegative")
-            updates[field] = value
-    return dataclasses.replace(scn, **updates) if updates else scn
+    """Overlay the knob flags on the scenario's normal form and parse it again,
+    so flags pass the same checks as the file's keys."""
+    keys = ("tol", "max_iter", "seed", "epsilon", "samples")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return parse_scenario({**normalize_scenario(scn), **flags}) if flags else scn
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

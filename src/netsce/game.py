@@ -50,6 +50,15 @@ def _vec(value, n, name) -> np.ndarray:
     return arr
 
 
+def _check_stopping(tol, max_iter) -> None:
+    """Reject a stopping tolerance that is not finite and positive, or a
+    step budget below one; shared by every iterative solver."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise UsageError("tol must be a finite positive number")
+    if max_iter < 1:
+        raise UsageError("max_iter must be at least 1")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A fully specified game: network, intercepts, caps, conjecture ranges.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .equilibrium import _violations
-from .game import GameSpec, _vec, aggregate, realized_payoff
+from .game import GameSpec, _check_stopping, _vec, aggregate, realized_payoff
 from .network import WeightedNetwork
 
 __all__ = [
@@ -229,6 +229,18 @@ class GlobalStep:
     y_hat_next: np.ndarray
 
 
+def _resplit(g: GlobalGameSpec, a: np.ndarray) -> tuple:
+    """Aggregate x, total externality e = a x + y, divisor d = 1 + c a and
+    the re-split (c e / d, e / d) of e at actions a.
+
+    Callers check the learning regime first.
+    """
+    x = aggregate(g.base, a)
+    e = a * x + global_spillover(g, a)
+    d = 1.0 + g.c * a
+    return x, e, d, g.c * e / d, e / d
+
+
 def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
     """One update of the split conjectures in the all-active regime.
 
@@ -246,11 +258,7 @@ def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
             f"conjecture x_hat[{i}]={xh[i]:.6g} drives agent {i} inactive; "
             "the updating rule is defined for active profiles only"
         )
-    x = aggregate(g.base, a)
-    y = global_spillover(g, a)
-    e = a * x + y
-    x_next = g.c * e / (1.0 + g.c * a)
-    y_next = e / (1.0 + g.c * a)
+    _, e, _, x_next, y_next = _resplit(g, a)
     v = g.base.alpha * a - 0.5 * a * a + e
     return GlobalStep(actions=a, payoffs=v, x_hat_next=x_next, y_hat_next=y_next)
 
@@ -259,9 +267,7 @@ def residual(g: GlobalGameSpec, actions) -> np.ndarray:
     """Fixed-point defect H(a) of the rest-point system, per agent."""
     alpha = _require_learning_regime(g)
     a = np.asarray(actions, dtype=float)
-    x = aggregate(g.base, a)
-    y = global_spillover(g, a)
-    return alpha + g.c * (a * x + y) / (1.0 + g.c * a) - a
+    return alpha + _resplit(g, a)[3] - a
 
 
 @dataclass(frozen=True)
@@ -301,20 +307,20 @@ class GlobalSolve:
     converged: bool
 
 
-def _iterate(g, damping, tol, max_iter):
+def _iterate(g, alpha, damping, tol, max_iter):
+    # In the learning regime (common alpha > 0, Z >= 0, c > 0) every re-split
+    # c e / d of a positive profile is >= 0, so from x_hat = 0 the averaged
+    # conjectures stay >= 0 and a = alpha + x_hat >= alpha > 0: the profile
+    # never leaves the domain of the update rule.
     xh = np.zeros(g.n)
     for k in range(max_iter):
-        try:
-            step = global_learn_step(g, xh)
-        except UsageError:
-            return xh, k + 1, False
-        new = (1.0 - damping) * xh + damping * step.x_hat_next
+        new = (1.0 - damping) * xh + damping * _resplit(g, alpha + xh)[3]
         if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > 1e12:
-            return xh, k + 1, False
+            return alpha + xh, k + 1, False
         if float(np.max(np.abs(new - xh))) < tol:
-            return new, k + 1, True
+            return alpha + new, k + 1, True
         xh = new
-    return xh, max_iter, False
+    return alpha + xh, max_iter, False
 
 
 def _seidel(g, alpha, tol, max_iter):
@@ -345,19 +351,16 @@ def _newton(g, alpha, tol, max_iter):
     Started at the common base payoff intercept, which keeps it on the
     small-action branch when the rest-point system has several solutions.
     """
-    z = g.base.net.z
     n = g.n
+    coupling = g.beta * (1.0 - np.eye(n))
     a = np.full(n, alpha)
-    h = residual(g, a)
+    x, e, d, x_next, _ = _resplit(g, a)
+    h = alpha + x_next - a
     for k in range(min(max_iter, 200)):
         norm = float(np.max(np.abs(h)))
         if norm < tol * max(1.0, float(np.max(np.abs(a)))):
             return a, k + 1, True
-        x = aggregate(g.base, a)
-        y = global_spillover(g, a)
-        e = a * x + y
-        d = 1.0 + g.c * a
-        jac = (g.c / (d * d))[:, None] * (a[:, None] * z + g.beta * (1.0 - np.eye(n)))
+        jac = (g.c / (d * d))[:, None] * (a[:, None] * g.base.net.z + coupling)
         jac += np.diag(g.c * (x * d - g.c * e) / (d * d) - 1.0)
         try:
             step = np.linalg.solve(jac, -h)
@@ -368,9 +371,10 @@ def _newton(g, alpha, tol, max_iter):
             cand = a + t * step
             # stay in the dynamics' domain: genuine rest points have a > 0
             if np.all(cand > 0.0):
-                h_cand = residual(g, cand)
+                parts = _resplit(g, cand)
+                h_cand = alpha + parts[3] - cand
                 if float(np.max(np.abs(h_cand))) < norm:
-                    a, h = cand, h_cand
+                    a, h, (x, e, d, _, _) = cand, h_cand, parts
                     break
             t *= 0.5
         else:
@@ -396,10 +400,11 @@ def solve_global_sce(
     ``tol`` scaled by the action size and additionally requires a strictly
     positive profile, the domain on which the update rule is defined.
     """
+    _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
     attempts = {
-        "iterate": lambda: _iterate(g, 1.0, tol, max_iter),
-        "damped": lambda: _iterate(g, 0.5, tol, max_iter),
+        "iterate": lambda: _iterate(g, alpha, 1.0, tol, max_iter),
+        "damped": lambda: _iterate(g, alpha, 0.5, tol, max_iter),
         "seidel": lambda: _seidel(g, alpha, tol, max_iter),
         "newton": lambda: _newton(g, alpha, tol, max_iter),
     }
@@ -415,27 +420,20 @@ def solve_global_sce(
     best = None
     for name in order:
         with np.errstate(over="ignore", invalid="ignore"):
-            out, iters, ok = attempts[name]()
+            a, iters, ok = attempts[name]()
         total += iters
-        a = alpha + out if name in ("iterate", "damped") else out
         with np.errstate(invalid="ignore"):
-            res = float(np.max(np.abs(residual(g, a))))
+            _, _, _, x_hat, y_hat = _resplit(g, a)
+            res = float(np.max(np.abs(alpha + x_hat - a)))
         if not np.isfinite(res):
             res = float("inf")
-        if best is None or res < best[1]:
-            best = (a, res, name)
-        if ok and np.all(a > 0.0) and res < tol * max(1.0, float(np.max(np.abs(a)))):
-            best = (a, res, name)
+        accepted = bool(np.all(a > 0.0)) and res < tol * max(1.0, float(np.max(np.abs(a))))
+        if best is None or res < best[3] or (ok and accepted):
+            best = (a, x_hat, y_hat, res, name, accepted)
+        if ok and accepted:
             break
 
-    a, res, name = best
-    x = aggregate(g.base, a)
-    y = global_spillover(g, a)
-    e = a * x + y
-    with np.errstate(invalid="ignore", over="ignore"):
-        x_hat = g.c * e / (1.0 + g.c * a)
-        y_hat = e / (1.0 + g.c * a)
-    good = bool(np.all(a > 0.0)) and res < tol * max(1.0, float(np.max(np.abs(a))))
+    a, x_hat, y_hat, res, name, accepted = best
     return GlobalSolve(
         actions=a,
         x_hat=x_hat,
@@ -443,7 +441,7 @@ def solve_global_sce(
         residual=res,
         iterations=total,
         method=name,
-        converged=good,
+        converged=accepted,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, UsageError
-from .game import GameSpec, best_reply, invert_feedback, realized_payoff
+from .game import GameSpec, _check_stopping, best_reply, invert_feedback, realized_payoff
 from .equilibrium import (
     ACTIVE_TOL,
     _solve_supports,
@@ -347,8 +347,7 @@ def run_learning(
     along the way are preserved. Its selfconfirming check runs at
     ``max(1e-9, 100 * tol)`` to absorb the stopping slack.
     """
-    if max_iter < 1:
-        raise UsageError("max_iter must be at least 1")
+    _check_stopping(tol, max_iter)
     if window < 1:
         raise UsageError("window must be at least 1")
     xh = np.asarray(initial, dtype=float).copy()
@@ -483,10 +482,7 @@ def probe_stability(
         raise UsageError("probe needs at least one sample")
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise UsageError("epsilon must be a finite positive number")
-    if not tol > 0:
-        raise UsageError("tol must be positive")
-    if max_iter < 1:
-        raise UsageError("max_iter must be at least 1")
+    _check_stopping(tol, max_iter)
     returned = stayed = nonconv = 0
     for lo in range(0, samples, PROBE_BLOCK):
         noise = [

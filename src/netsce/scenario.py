@@ -11,6 +11,7 @@ representation and emit(parse(emit(parse(text)))) is byte-identical to it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,19 +39,6 @@ _DEFAULTS = {
     "samples": 100,
 }
 
-_KNOWN_KEYS = {
-    "mode",
-    "n",
-    "alpha",
-    "z",
-    "a_max",
-    "x_bounds",
-    "beta",
-    "c",
-    "initial_conjectures",
-    *_DEFAULTS,
-}
-
 # Canonical key order for the normal form.
 _EMIT_ORDER = (
     "mode",
@@ -70,15 +58,25 @@ _EMIT_ORDER = (
     "samples",
 )
 
+_KNOWN_KEYS = frozenset(_EMIT_ORDER)
+
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _num(obj, key) -> float:
+    # json.loads accepts NaN and Infinity, and an integer can be too large
+    # for a float; neither is a usable game primitive or solver knob.
     if not _is_num(obj):
         raise UsageError(f"{key} must be a number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite")
+    return value
 
 
 def _int(obj, key, minimum) -> int:
@@ -91,15 +89,10 @@ def _int(obj, key, minimum) -> int:
 
 def _num_vector(obj, n, key) -> np.ndarray:
     if _is_num(obj):
-        return np.full(n, float(obj))
+        return np.full(n, _num(obj, key))
     if not isinstance(obj, list) or len(obj) != n:
         raise UsageError(f"{key} must be a number or a list of {n} numbers")
-    out = np.empty(n)
-    for i, v in enumerate(obj):
-        if not _is_num(v):
-            raise UsageError(f"{key}[{i}] must be a number")
-        out[i] = float(v)
-    return out
+    return np.array([_num(v, f"{key}[{i}]") for i, v in enumerate(obj)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -163,9 +156,7 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
         if not isinstance(row, list) or len(row) != n:
             raise UsageError(f"z[{i}] must be a list of {n} numbers")
         for j, v in enumerate(row):
-            if not _is_num(v):
-                raise UsageError(f"z[{i}][{j}] must be a number")
-            z[i, j] = float(v)
+            z[i, j] = _num(v, f"z[{i}][{j}]")
         if z[i, i] != 0.0:
             raise UsageError(f"z[{i}][{i}] must be 0")
 
@@ -184,7 +175,7 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
             and len(xb) == 2
             and all(_is_num(v) for v in xb)
         ):
-            xb = [xb] * n
+            xb = [[_num(xb[0], "x_bounds[0]"), _num(xb[1], "x_bounds[1]")]] * n
         if not isinstance(xb, list) or len(xb) != n:
             raise UsageError(f"x_bounds must be a [lo, hi] pair or a list of {n} pairs")
         x_lo, x_hi = np.empty(n), np.empty(n)
@@ -193,7 +184,8 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
                 isinstance(pair, list) and len(pair) == 2 and all(_is_num(v) for v in pair)
             ):
                 raise UsageError(f"x_bounds[{i}] must be a [lo, hi] pair")
-            x_lo[i], x_hi[i] = float(pair[0]), float(pair[1])
+            x_lo[i] = _num(pair[0], f"x_bounds[{i}][0]")
+            x_hi[i] = _num(pair[1], f"x_bounds[{i}][1]")
             if x_lo[i] > x_hi[i]:
                 raise UsageError(f"x_bounds[{i}]: lo exceeds hi")
 

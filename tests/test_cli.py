@@ -220,3 +220,48 @@ def test_module_entry_point(tmp_path):
     inproc = tmp_path / "inproc.csv"
     assert main(["ne", "-i", str(SCENARIO_DIR / "table1.json"), "-o", str(inproc)]) == 0
     assert out.read_bytes() == inproc.read_bytes()
+
+
+# ---------------------------------------------------------- non-finite input
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+
+    return edit
+
+
+def _set_z01(value):
+    def edit(obj):
+        obj["z"][0][1] = value
+
+    return edit
+
+
+BIG = 10**400  # a 401-digit integer, beyond the float range
+
+
+@pytest.mark.parametrize(
+    "command, scenario, edit, flags",
+    [
+        ("global-sce", "global_line.json", _set("tol", float("inf")), []),
+        ("global-sce", "global_line.json", None, ["--tol", "inf"]),
+        ("learn", "learn_contracting.json", None, ["--tol", "inf"]),
+        ("learn", "learn_contracting.json", None, ["--tol", "nan"]),
+        ("global-sce", "global_line.json", _set("tol", BIG), []),
+        ("sce", "table1.json", _set_z01(BIG), []),
+    ],
+    ids=["file-tol-inf", "flag-tol-inf", "learn-tol-inf", "learn-tol-nan",
+         "file-tol-huge-int", "file-z-huge-int"],
+)
+def test_non_finite_numbers_exit_one(tmp_path, capsys, command, scenario, edit, flags):
+    path = SCENARIO_DIR / scenario
+    if edit is not None:
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path = tmp_path / scenario
+        path.write_text(json.dumps(obj))
+    assert main([command, "-i", str(path), "-o", str(tmp_path / "out.csv"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netsce: error:") and "finite" in err

@@ -1,0 +1,308 @@
+"""The global rest-point solver against its per-step-validated predecessor.
+
+``reference_solve`` is the earlier driver: every learn step and every
+residual re-checks the learning regime, plain and damped iteration catch
+``UsageError`` to stop, and the re-split c e / (1 + c a) is written out
+at each use. ``solve_global_sce``, ``residual`` and ``global_learn_step``
+must reproduce it bit for bit, warnings included, on a seeded battery.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from netsce import (
+    UsageError,
+    WeightedNetwork,
+    check_homeo2,
+    global_learn_step,
+    make_game,
+    make_global_game,
+    residual,
+    solve_global_sce,
+)
+from netsce import global_ext
+from netsce.game import aggregate
+from netsce.global_ext import (
+    GlobalSolve,
+    GlobalStep,
+    _require_learning_regime,
+    _seidel,
+    global_spillover,
+)
+
+METHODS = ("iterate", "damped", "seidel", "newton")
+
+
+# --------------------------------------------------------------- references
+
+
+def reference_learn_step(g, x_hat):
+    alpha = _require_learning_regime(g)
+    xh = np.asarray(x_hat, dtype=float)
+    a = alpha + xh
+    if np.any(a <= 0):
+        i = int(np.flatnonzero(a <= 0)[0])
+        raise UsageError(
+            f"conjecture x_hat[{i}]={xh[i]:.6g} drives agent {i} inactive; "
+            "the updating rule is defined for active profiles only"
+        )
+    x = aggregate(g.base, a)
+    y = global_spillover(g, a)
+    e = a * x + y
+    x_next = g.c * e / (1.0 + g.c * a)
+    y_next = e / (1.0 + g.c * a)
+    v = g.base.alpha * a - 0.5 * a * a + e
+    return GlobalStep(actions=a, payoffs=v, x_hat_next=x_next, y_hat_next=y_next)
+
+
+def reference_residual(g, actions):
+    alpha = _require_learning_regime(g)
+    a = np.asarray(actions, dtype=float)
+    x = aggregate(g.base, a)
+    y = global_spillover(g, a)
+    return alpha + g.c * (a * x + y) / (1.0 + g.c * a) - a
+
+
+def reference_iterate(g, damping, tol, max_iter):
+    xh = np.zeros(g.n)
+    for k in range(max_iter):
+        try:
+            step = reference_learn_step(g, xh)
+        except UsageError:
+            return xh, k + 1, False
+        new = (1.0 - damping) * xh + damping * step.x_hat_next
+        if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > 1e12:
+            return xh, k + 1, False
+        if float(np.max(np.abs(new - xh))) < tol:
+            return new, k + 1, True
+        xh = new
+    return xh, max_iter, False
+
+
+def reference_newton(g, alpha, tol, max_iter):
+    z = g.base.net.z
+    n = g.n
+    a = np.full(n, alpha)
+    h = reference_residual(g, a)
+    for k in range(min(max_iter, 200)):
+        norm = float(np.max(np.abs(h)))
+        if norm < tol * max(1.0, float(np.max(np.abs(a)))):
+            return a, k + 1, True
+        x = aggregate(g.base, a)
+        y = global_spillover(g, a)
+        e = a * x + y
+        d = 1.0 + g.c * a
+        jac = (g.c / (d * d))[:, None] * (a[:, None] * z + g.beta * (1.0 - np.eye(n)))
+        jac += np.diag(g.c * (x * d - g.c * e) / (d * d) - 1.0)
+        try:
+            step = np.linalg.solve(jac, -h)
+        except np.linalg.LinAlgError:
+            return a, k + 1, False
+        t = 1.0
+        while t > 1e-12:
+            cand = a + t * step
+            if np.all(cand > 0.0):
+                h_cand = reference_residual(g, cand)
+                if float(np.max(np.abs(h_cand))) < norm:
+                    a, h = cand, h_cand
+                    break
+            t *= 0.5
+        else:
+            return a, k + 1, False
+    return a, min(max_iter, 200), False
+
+
+def reference_solve(g, tol=1e-10, max_iter=100_000, method="auto"):
+    alpha = _require_learning_regime(g)
+    attempts = {
+        "iterate": lambda: reference_iterate(g, 1.0, tol, max_iter),
+        "damped": lambda: reference_iterate(g, 0.5, tol, max_iter),
+        "seidel": lambda: _seidel(g, alpha, tol, max_iter),
+        "newton": lambda: reference_newton(g, alpha, tol, max_iter),
+    }
+    if method in attempts:
+        order = [method]
+    elif method == "auto":
+        window = check_homeo2(g).holds
+        order = (["iterate"] if window else []) + ["damped", "seidel", "newton"]
+    else:
+        raise UsageError(f"unknown method {method!r}")
+
+    total = 0
+    best = None
+    for name in order:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, iters, ok = attempts[name]()
+        total += iters
+        a = alpha + out if name in ("iterate", "damped") else out
+        with np.errstate(invalid="ignore"):
+            res = float(np.max(np.abs(reference_residual(g, a))))
+        if not np.isfinite(res):
+            res = float("inf")
+        if best is None or res < best[1]:
+            best = (a, res, name)
+        if ok and np.all(a > 0.0) and res < tol * max(1.0, float(np.max(np.abs(a)))):
+            best = (a, res, name)
+            break
+
+    a, res, name = best
+    x = aggregate(g.base, a)
+    y = global_spillover(g, a)
+    e = a * x + y
+    with np.errstate(invalid="ignore", over="ignore"):
+        x_hat = g.c * e / (1.0 + g.c * a)
+        y_hat = e / (1.0 + g.c * a)
+    good = bool(np.all(a > 0.0)) and res < tol * max(1.0, float(np.max(np.abs(a))))
+    return GlobalSolve(
+        actions=a,
+        x_hat=x_hat,
+        y_hat=y_hat,
+        residual=res,
+        iterations=total,
+        method=name,
+        converged=good,
+    )
+
+
+# ------------------------------------------------------------------ battery
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result or error text, warnings as (category, message) pairs)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except UsageError as exc:
+            result = ("UsageError", str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _fields(value):
+    if isinstance(value, GlobalSolve):
+        return (
+            value.actions.tobytes(),
+            value.x_hat.tobytes(),
+            value.y_hat.tobytes(),
+            repr(value.residual),
+            value.iterations,
+            value.method,
+            value.converged,
+        )
+    if isinstance(value, GlobalStep):
+        return tuple(
+            v.tobytes() for v in (value.actions, value.payoffs, value.x_hat_next, value.y_hat_next)
+        )
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return value
+
+
+def _battery_game(rng, heterogeneous):
+    """A nonnegative network of random density and heat with admissible c."""
+    n = int(rng.integers(2, 7))
+    z = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.4, 1.0))
+    np.fill_diagonal(z, 0.0)
+    z[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # every row sum positive
+    z *= rng.uniform(0.1, 2.5) / z.sum(axis=1).max()
+    alpha = float(rng.uniform(0.05, 1.0))
+    if heterogeneous:
+        alpha = alpha * (1.0 + rng.uniform(0.1, 1.0, n))
+    base = make_game(WeightedNetwork(z=z), alpha=alpha, a_max=float(rng.choice([50.0, 1e6])))
+    beta = float(rng.uniform(0.1, 1.5))
+    c = rng.uniform(0.05, 1.0, n) * z.sum(axis=1) / beta
+    return make_global_game(base, beta=beta, c=c)
+
+
+def test_solver_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(20240605)
+    winners, nonconverged, exhausted, errors = set(), 0, 0, 0
+    for k in range(240):
+        g = _battery_game(rng, heterogeneous=k % 12 == 0)
+        max_iter = (1, 3, 50, 1000)[k % 4]
+        tol = (1e-10, 1e-6)[(k // 4) % 2]
+        for method in ("auto",) + METHODS:
+            got, got_warn = _outcome(solve_global_sce, g, tol=tol, max_iter=max_iter, method=method)
+            ref, ref_warn = _outcome(reference_solve, g, tol=tol, max_iter=max_iter, method=method)
+            assert _fields(got) == _fields(ref), (k, method)
+            assert got_warn == ref_warn, (k, method)
+            if not isinstance(ref, GlobalSolve):
+                errors += 1
+                assert "common intercept" in ref[1]
+                continue
+            if method == "auto" and ref.converged:
+                winners.add(ref.method)
+            if method != "auto" and not ref.converged:
+                budget = min(max_iter, 200) if method == "newton" else max_iter
+                if ref.iterations == budget:
+                    exhausted += 1
+                else:
+                    nonconverged += 1
+        # the public per-step operations, at random profiles of both signs
+        for _ in range(3):
+            x_hat = rng.uniform(-0.5 * g.base.alpha[0] - 0.2, 2.0, g.n)
+            for fn, ref_fn, arg in (
+                (global_learn_step, reference_learn_step, x_hat),
+                (residual, reference_residual, g.base.alpha[0] + x_hat),
+            ):
+                got, got_warn = _outcome(fn, g, arg)
+                ref, ref_warn = _outcome(ref_fn, g, arg)
+                assert _fields(got) == _fields(ref)
+                assert got_warn == ref_warn
+    assert winners == set(METHODS)
+    assert nonconverged > 0 and exhausted > 0
+    assert errors == 20 * (1 + len(METHODS))
+
+
+def test_regime_is_checked_at_most_twice_per_solve(monkeypatch):
+    # the game of test_solver_rejects_nonpositive_rest_points: every method
+    # runs and none converges, so the solve takes hundreds of steps
+    z = np.array(
+        [
+            [0.0, 0.62, 0.55, 0.48],
+            [0.33, 0.0, 0.29, 0.24],
+            [0.5, 0.45, 0.0, 0.55],
+            [0.38, 0.34, 0.41, 0.0],
+        ]
+    )
+    base = make_game(WeightedNetwork(z=z), alpha=np.full(4, 0.25), a_max=50.0)
+    g = make_global_game(base, beta=1.0, c=0.42)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return _require_learning_regime(spec)
+
+    monkeypatch.setattr(global_ext, "_require_learning_regime", counted)
+    out = solve_global_sce(g, max_iter=1000)
+    assert not out.converged
+    assert out.iterations > 100
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"max_iter": 0},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
+    base = make_game(WeightedNetwork(z=0.2 * (np.ones((3, 3)) - np.eye(3))), alpha=0.1)
+    g = make_global_game(base, beta=1.0, c=0.1)
+
+    def no_work(*args, **kw):
+        raise AssertionError("the solver started before its arguments were checked")
+
+    monkeypatch.setattr(global_ext, "_resplit", no_work)
+    monkeypatch.setattr(global_ext, "_seidel", no_work)
+    with pytest.raises(UsageError):
+        solve_global_sce(g, **kwargs)
+    with pytest.raises(UsageError):
+        global_ext.phi_map(base, beta=1.0, c_grid=[0.1], **kwargs)

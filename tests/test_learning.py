@@ -135,6 +135,34 @@ def test_run_learning_validations(positive_game):
         run_learning(positive_game, np.zeros(4), window=0)
 
 
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": float("inf")}, {"tol": float("nan")}, {"tol": 0.0}, {"max_iter": 0}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_run_learning_checks_stopping_rule_before_any_step(positive_game, kwargs, monkeypatch):
+    from netsce import learning
+
+    def no_steps(*args, **kw):
+        raise AssertionError("a step ran before the arguments were checked")
+
+    monkeypatch.setattr(learning, "learn_step", no_steps)
+    with pytest.raises(UsageError, match="tol must be a finite|max_iter must be"):
+        run_learning(positive_game, np.zeros(4), **kwargs)
+
+
+def test_probe_rejects_infinite_tol(positive_game, monkeypatch):
+    from netsce import learning
+
+    def no_steps(*args, **kw):
+        raise AssertionError("a step ran before the arguments were checked")
+
+    monkeypatch.setattr(learning, "learn_step", no_steps)
+    rec = enumerate_sce(positive_game)[0][0]
+    with pytest.raises(UsageError, match="tol must be a finite positive number"):
+        probe_stability(positive_game, rec, tol=float("inf"))
+
 def test_cap_events_recorded():
     game = make_game(
         WeightedNetwork(z=np.array([[0.0, 0.5], [0.5, 0.0]])), alpha=0.9, a_max=1.0
