@@ -44,16 +44,13 @@ from .equilibrium import (
     EquilibriumRecord,
     InteriorReport,
     SceCheck,
-    SocialOptimum,
     SolveDiagnostics,
     enumerate_sce,
     interior_conditions,
     is_sce,
     make_record,
-    social_optimum,
     solve_auxiliary_ne,
     solve_full_ne,
-    welfare,
 )
 from .learning import (
     AnalyticStability,

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotSymmetrizableError, NumericError, UsageError
-from .game import GameSpec, aggregate, justifiable_inactivity_set, realized_payoff
+from .errors import NotSymmetrizableError, UsageError
+from .game import GameSpec, aggregate, justifiable_inactivity_set
 from .network import WeightedNetwork, check_assumption, spectral_radius, symmetrize_decompose
 
 __all__ = [
@@ -31,16 +31,13 @@ __all__ = [
     "EquilibriumRecord",
     "InteriorReport",
     "SceCheck",
-    "SocialOptimum",
     "SolveDiagnostics",
     "enumerate_sce",
     "interior_conditions",
     "is_sce",
     "make_record",
-    "social_optimum",
     "solve_auxiliary_ne",
     "solve_full_ne",
-    "welfare",
 ]
 
 #: An action counts as active only strictly above this.
@@ -51,6 +48,8 @@ CAP_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-9
 
 _MAX_ENUM_BITS = 20
+#: Supports solved per stacked LAPACK call (bounds the stack to a few MB).
+_SOLVE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,35 @@ def _subsets(agents: Sequence[int]):
     )
 
 
+def _blocks(supports: Iterable[Sequence[int]]):
+    """Runs of equal-size supports, in the order given, cut into lists of
+    at most _SOLVE_BLOCK supports."""
+    for _, run in itertools.groupby(supports, key=len):
+        while block := list(itertools.islice(run, _SOLVE_BLOCK)):
+            yield block
+
+
+def _solve_block(spec: GameSpec, idx: np.ndarray):
+    """Interior solutions on the sorted supports in the rows of ``idx`` (s, m).
+
+    One stacked LAPACK call solves all s systems. Returns (sol, bad): each
+    row of ``sol`` is bit-identical to that support's ``_solve_active``
+    solution, and ``bad`` marks the rows it calls "inconsistent"
+    (non-finite, or failing the residual guard). Raises LinAlgError when
+    any member is exactly singular.
+    """
+    m = idx.shape[1]
+    sub = np.eye(m) - spec.net.z[idx[:, :, None], idx[:, None, :]]
+    rhs = spec.alpha[idx]
+    sol = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+    bad = ~np.isfinite(sol).all(axis=1)
+    # The residual guard runs on finite rows only, as in _solve_active.
+    ok = ~bad
+    resid = np.abs(np.matvec(sub[ok], sol[ok]) - rhs[ok]).max(axis=1, initial=0.0)
+    bad[ok] = resid > 1e-7 * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
+    return sol, bad
+
+
 def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
     """Interior solutions on each sorted active set, in the order given.
 
@@ -178,24 +206,32 @@ def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
     (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so every kept
     profile's active set is exactly its support. Singular supports and
     cap-bound solutions are reported in the returned diagnostics.
+    Supports of one size are solved as one stack per block.
     """
     found, singular, cap_hits = [], [], []
     examined = 0
-    for k in supports:
-        examined += 1
-        sol, fail = _solve_active(spec, k)
-        if fail is not None:
-            singular.append((frozenset(k), fail))
-            continue
-        if np.any(sol <= ACTIVE_TOL):
-            continue
-        idx = np.array(k, dtype=int)
-        if np.any(sol > spec.a_max[idx] - CAP_MARGIN):
-            cap_hits.append(frozenset(k))
-            continue
-        a = np.zeros(spec.n)
-        a[idx] = sol
-        found.append((k, a))
+    for block in _blocks(supports):
+        examined += len(block)
+        idx = np.array(block, dtype=int).reshape(len(block), -1)
+        try:
+            sol, bad = _solve_block(spec, idx)
+            why = itertools.repeat("inconsistent")
+        except np.linalg.LinAlgError:
+            # One exactly singular member fails the whole stack: solve this
+            # block one support at a time to label each singular support.
+            each = [_solve_active(spec, k) for k in block]
+            why = [fail for _, fail in each if fail is not None]
+            bad = np.array([fail is not None for _, fail in each])
+            sol = np.array([np.zeros(idx.shape[1]) if fail else s for s, fail in each])
+            sol = sol.reshape(idx.shape)
+        low = (sol <= ACTIVE_TOL).any(axis=1)
+        cap = (sol > spec.a_max[idx] - CAP_MARGIN).any(axis=1)
+        singular.extend((frozenset(block[r]), w) for r, w in zip(np.flatnonzero(bad), why))
+        cap_hits.extend(frozenset(block[r]) for r in np.flatnonzero(cap & ~low & ~bad))
+        kept = np.flatnonzero(~(bad | low | cap))
+        acts = np.zeros((len(kept), spec.n))
+        acts[np.arange(len(kept))[:, None], idx[kept]] = sol[kept]
+        found.extend(zip((block[r] for r in kept), acts))
     diags = SolveDiagnostics(
         examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
     )
@@ -207,10 +243,10 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     clamped to zero.
 
     Enumerates active subsets K of the candidate set: the interior solution
-    on K is accepted when strictly positive (> 1e-9), clear of the caps (by
-    1e-6), and no candidate outside K has a positive incentive at the
-    profile. Returns (records, diagnostics), records sorted by active-set
-    bitmask.
+    on K is accepted when strictly positive (> ACTIVE_TOL), clear of the
+    caps (by CAP_MARGIN), and no candidate outside K has a positive
+    incentive (> ACTIVE_TOL) at the profile. Returns (records,
+    diagnostics), records sorted by active-set bitmask.
     """
     j = sorted(set(int(i) for i in candidates))
     for i in j:
@@ -218,12 +254,15 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
             raise UsageError(f"agent index {i} out of range")
     found, diags = _solve_supports(spec, _subsets(j))
     declared = frozenset(range(spec.n)) - frozenset(j)
-    records = []
-    for k, a in found:
-        x = aggregate(spec, a)
-        if any(spec.alpha[i] + x[i] > ACTIVE_TOL for i in j if i not in k):
-            continue
-        records.append(make_record(spec, a, declared_inactive=declared, validate=False))
+    acts = np.array([a for _, a in found]).reshape(len(found), spec.n)
+    # A kept profile is zero exactly off its support.
+    outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
+    wants_in = ((spec.alpha + aggregate(spec, acts) > ACTIVE_TOL) & outside).any(axis=1)
+    records = [
+        make_record(spec, a, declared_inactive=declared, validate=False)
+        for (_, a), out in zip(found, wants_in)
+        if not out
+    ]
     records.sort(key=lambda rec: rec.bitmask)
     return records, diags
 
@@ -394,43 +433,4 @@ def interior_conditions(net: WeightedNetwork, alpha=None) -> InteriorReport:
         solution=sol,
         positive=positive,
         degenerate=degenerate,
-    )
-
-
-def welfare(spec: GameSpec, beta: float, actions) -> float:
-    """Total payoffs plus uniform global spillovers beta per other agent."""
-    a = np.asarray(actions, dtype=float)
-    return float(realized_payoff(spec, a).sum() + beta * (spec.n - 1) * a.sum())
-
-
-@dataclass(frozen=True)
-class SocialOptimum:
-    """Unconstrained welfare maximizer and its feasibility report."""
-
-    actions: np.ndarray
-    welfare: float
-    clamped: bool
-    actions_clamped: np.ndarray
-
-
-def social_optimum(spec: GameSpec, beta: float) -> SocialOptimum:
-    """Maximize total welfare; first-order system (I - Z - Z^T) a = rhs.
-
-    The planner internalizes both directions of every externality, hence
-    the symmetrized coefficient z_ij + z_ji. The raw stationary point is
-    returned even when infeasible, with a clamped copy and a flag.
-    """
-    n = spec.n
-    m = np.eye(n) - spec.net.z - spec.net.z.T
-    rhs = spec.alpha + beta * (n - 1)
-    try:
-        sol = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"welfare first-order system is singular: {exc}") from exc
-    clamped = bool(np.any(sol < 0) or np.any(sol > spec.a_max))
-    return SocialOptimum(
-        actions=sol,
-        welfare=welfare(spec, beta, sol),
-        clamped=clamped,
-        actions_clamped=np.clip(sol, 0.0, spec.a_max),
     )

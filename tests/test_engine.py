@@ -227,20 +227,153 @@ def test_engine_matches_reference_loops():
     assert kinds == {"continuum", "inconsistent"}
 
 
-def test_family_solves_each_subset_once(positive_game, monkeypatch):
-    """2^4 = 16 solves for a four-agent active set, not 3^4 = 81."""
-    ne = by_active(enumerate_sce(positive_game)[0], [0, 1, 2, 3])
+def _count_solves(monkeypatch):
+    """Every support that reaches a solver: each row of a stacked kernel
+    call, and each support of a block re-run one at a time."""
     calls = []
+    kernel = equilibrium._solve_block
 
-    def counting(spec, k):
+    def stacked(spec, idx):
+        calls.extend(tuple(int(i) for i in row) for row in idx)
+        return kernel(spec, idx)
+
+    def each(spec, k):
         calls.append(tuple(k))
         return _solve_active(spec, k)
 
-    monkeypatch.setattr(equilibrium, "_solve_active", counting)
+    monkeypatch.setattr(equilibrium, "_solve_block", stacked)
+    monkeypatch.setattr(equilibrium, "_solve_active", each)
+    return calls
+
+
+def test_family_solves_each_subset_once(positive_game, monkeypatch):
+    """2^4 = 16 solves for a four-agent active set, not 3^4 = 81."""
+    ne = by_active(enumerate_sce(positive_game)[0], [0, 1, 2, 3])
+    calls = _count_solves(monkeypatch)
     family = stable_sce_family(positive_game, ne)
     assert len(family.members) == 16
     assert len(calls) == 16
     assert len(set(calls)) == 16
+
+
+# ------------------------------------------------------------ stacked kernel
+
+
+def _ref_solve_supports(spec, supports):
+    """One _solve_active per support, then the positivity and cap filters."""
+    found, singular, cap_hits = [], [], []
+    examined = 0
+    for k in supports:
+        examined += 1
+        sol, fail = _solve_active(spec, k)
+        if fail is not None:
+            singular.append((frozenset(k), fail))
+            continue
+        if np.any(sol <= ACTIVE_TOL):
+            continue
+        idx = np.array(k, dtype=int)
+        if np.any(sol > spec.a_max[idx] - CAP_MARGIN):
+            cap_hits.append(frozenset(k))
+            continue
+        a = np.zeros(spec.n)
+        a[idx] = sol
+        found.append((k, a))
+    diags = SolveDiagnostics(
+        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
+    )
+    return found, diags
+
+
+def _kernel_battery(games=40, seed=20261018):
+    """Games with n = 1..14 once, then n = 1..9 cycling; signed, negative or
+    positive weights; caps on half of them. Some games with n <= 9 carry
+    unit reciprocal pairs, whose support is exactly singular (continuum
+    when alpha_j = -alpha_i, inconsistent otherwise; on game 8k+3 one of
+    each), or a pair at 1 - 1e-12, which LAPACK solves but the residual
+    guard rejects."""
+    rng = np.random.default_rng(seed)
+    for t in range(games):
+        n = 1 + t if t < 14 else 1 + t % 9
+        m = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        np.fill_diagonal(m, 0.0)
+        sign = ("signed", "negative", "positive")[t % 3]
+        if sign == "signed":
+            m *= rng.choice([-1.0, 1.0], size=(n, n))
+        elif sign == "negative":
+            m = -m
+        top = np.abs(m).sum(axis=1).max()
+        z = m * (rng.uniform(0.2, 1.3) / top) if top > 0 else m
+        alpha = rng.uniform(0.05, 1.0, n)
+        if rng.uniform() < 0.15:
+            alpha[rng.integers(n)] *= -1.0
+        pairs = rng.permutation(n)
+        if t % 8 == 3 and 4 <= n <= 9:
+            (i, j), (k, l) = pairs[:2], pairs[2:4]
+            z[i, j] = z[j, i] = z[k, l] = z[l, k] = 1.0
+            alpha[j] = -alpha[i]
+        elif 2 <= n <= 9 and t % 4 == 1:
+            i, j = pairs[:2]
+            z[i, j] = z[j, i] = 1.0
+            if rng.uniform() < 0.5:
+                alpha[j] = -alpha[i]
+        elif 2 <= n <= 9 and t % 4 == 2:
+            i, j = pairs[:2]
+            z[i, j] = z[j, i] = 1.0 - 1e-12
+        a_max = rng.uniform(0.1, 3.0, n) if t % 2 else np.full(n, 1e6)
+        yield make_game(WeightedNetwork(z=z), alpha=alpha, a_max=a_max)
+
+
+def test_stacked_kernel_matches_per_support_loop(monkeypatch):
+    """found and diagnostics bit for bit against one solve per support, at
+    the default block size and, up to n = 10, at blocks of 3, fed subsets
+    as the NE path does and, up to n = 10, complements as enumerate_sce
+    does."""
+    rows = []  # rows per kernel call
+    fallbacks = []  # singular labels of each block re-run one support at a time
+    kernel = equilibrium._solve_block
+
+    def stacked(spec, idx):
+        rows.append(len(idx))
+        try:
+            return kernel(spec, idx)
+        except np.linalg.LinAlgError:
+            fallbacks.append([])
+            raise
+
+    def each(spec, k):
+        sol, fail = _solve_active(spec, k)
+        if fail is not None:
+            fallbacks[-1].append(fail)
+        return sol, fail
+
+    monkeypatch.setattr(equilibrium, "_solve_block", stacked)
+    monkeypatch.setattr(equilibrium, "_solve_active", each)
+    seen = {"guarded": 0, "cap_hits": 0, "empty": 0, "split": 0}
+    default = equilibrium._SOLVE_BLOCK
+    for spec in _kernel_battery():
+        orders = [list(equilibrium._subsets(range(spec.n)))]
+        blocks = [default]
+        if spec.n <= 10:
+            everyone = frozenset(range(spec.n))
+            orders.append([tuple(sorted(everyone - frozenset(s))) for s in orders[0]])
+            blocks.append(3)
+        for supports in orders:
+            ref_found, ref_diags = _ref_solve_supports(spec, supports)
+            for block in blocks:
+                monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
+                start, labels = len(rows), sum(map(len, fallbacks))
+                found, diags = equilibrium._solve_supports(spec, iter(supports))
+                assert [k for k, _ in found] == [k for k, _ in ref_found]
+                for (_, a), (_, b) in zip(found, ref_found):
+                    assert a.tobytes() == b.tobytes()
+                _same_diags(diags, ref_diags)
+                assert max(rows[start:]) <= block
+                seen["split"] += len(rows) - start > len({len(k) for k in supports})
+                seen["guarded"] += len(diags.singular) - (sum(map(len, fallbacks)) - labels)
+                seen["cap_hits"] += len(diags.cap_hits)
+                seen["empty"] += () in dict(found)
+    assert all(count > 0 for count in seen.values()), seen
+    assert any(set(labels) == {"continuum", "inconsistent"} for labels in fallbacks)
 
 
 # ------------------------------------------------------------ enumeration limit
@@ -248,9 +381,7 @@ def test_family_solves_each_subset_once(positive_game, monkeypatch):
 
 @pytest.fixture
 def no_solves(monkeypatch):
-    calls = []
-    monkeypatch.setattr(equilibrium, "_solve_active", lambda spec, k: calls.append(k))
-    return calls
+    return _count_solves(monkeypatch)
 
 
 def _free_game(n):

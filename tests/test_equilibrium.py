@@ -10,13 +10,11 @@ from netsce import (
     is_sce,
     make_game,
     make_record,
-    social_optimum,
     solve_auxiliary_ne,
     solve_full_ne,
-    welfare,
 )
 
-from conftest import ADJ4, LINE3, by_active
+from conftest import ADJ4, by_active
 
 
 def profiles(records):
@@ -279,35 +277,3 @@ def test_interior_conditions_negative_limited_needs_common_intercept():
     skewed = interior_conditions(WeightedNetwork(z=z), alpha=(1.0, 100.0))
     assert skewed.solution[0] < 0
     assert skewed.positive is False
-
-
-# ------------------------------------------------------------------- welfare
-
-
-def test_welfare_zero_profile(positive_game):
-    assert welfare(positive_game, beta=1.0, actions=np.zeros(4)) == 0.0
-
-
-def test_social_optimum_decoupled():
-    game = make_game(WeightedNetwork(z=np.zeros((2, 2))), alpha=np.array([0.3, 0.7]))
-    opt = social_optimum(game, beta=0.0)
-    assert np.allclose(opt.actions, [0.3, 0.7], atol=1e-12)
-    assert not opt.clamped
-
-
-def test_social_optimum_line():
-    game = make_game(WeightedNetwork(z=LINE3), alpha=0.1)
-    opt = social_optimum(game, beta=1.0)
-    assert np.allclose(opt.actions, [4.32352941, 5.55882353, 4.32352941], atol=1e-6)
-    # the welfare gradient vanishes at the optimum
-    h = 1e-5
-    for i in range(3):
-        up, dn = opt.actions.copy(), opt.actions.copy()
-        up[i] += h
-        dn[i] -= h
-        grad = (welfare(game, 1.0, up) - welfare(game, 1.0, dn)) / (2 * h)
-        assert abs(grad) < 1e-6
-    assert opt.welfare == pytest.approx(welfare(game, 1.0, opt.actions), rel=1e-12)
-    # and it beats the best-reply rest point by a wide margin
-    records, _ = solve_full_ne(game)
-    assert opt.welfare > welfare(game, 1.0, records[0].actions)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from netsce import (
     WeightedNetwork,
@@ -17,9 +16,7 @@ from netsce import (
     invert_feedback,
     make_game,
     run_learning,
-    social_optimum,
     solve_full_ne,
-    welfare,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -60,20 +57,6 @@ def test_best_reply_monotone_and_nonexpansive(x1, x2):
     else:
         assert b1 >= b2
     assert abs(b1 - b2) <= abs(x1 - x2) + 1e-12
-
-
-@seed(13)
-@settings(max_examples=40, deadline=None)
-@given(
-    alpha=arrays(np.float64, (3,), elements=st.floats(min_value=0.1, max_value=1.0, **finite)),
-    dev=arrays(np.float64, (3,), elements=st.floats(min_value=0.0, max_value=2.0, **finite)),
-)
-def test_planner_dominates_any_profile(alpha, dev):
-    z = 0.1 * (np.ones((3, 3)) - np.eye(3))
-    spec = make_game(WeightedNetwork(z=z), alpha=alpha, a_max=10.0)
-    opt = social_optimum(spec, beta=0.5)
-    assert not opt.clamped
-    assert opt.welfare >= welfare(spec, 0.5, dev) - 1e-9
 
 
 # ------------------------------------------------------- seeded game batteries
