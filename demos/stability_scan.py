@@ -11,10 +11,11 @@ import numpy as np
 
 from netsce import (
     WeightedNetwork,
+    analytic_stability,
     make_game,
+    probe_stability,
     solve_full_ne,
     spectral_radius,
-    stability_report,
 )
 
 ADJ = np.array(
@@ -39,9 +40,7 @@ if __name__ == "__main__":
         if not nes:
             print(f"{gamma:7.2f}  no interior Nash point at this weight")
             continue
-        rep = stability_report(
-            game, nes[0], epsilon=1e-3, samples=SAMPLES, seed=SEED
-        )
-        frac = rep.empirical.return_fraction
-        print(f"{gamma:7.2f} {rep.analytic.rho_active:12.4f} "
-              f"{rep.analytic.verdict:>13} {frac:8.0%}")
+        ana = analytic_stability(game, nes[0])
+        emp = probe_stability(game, nes[0], epsilon=1e-3, samples=SAMPLES, seed=SEED)
+        print(f"{gamma:7.2f} {ana.rho_active:12.4f} "
+              f"{ana.verdict:>13} {emp.return_fraction:8.0%}")

@@ -55,14 +55,12 @@ from .equilibrium import (
 from .learning import (
     AnalyticStability,
     EmpiricalStability,
-    StabilityReport,
     StableFamily,
     Trajectory,
     analytic_stability,
     learn_step,
     probe_stability,
     run_learning,
-    stability_report,
     stable_sce_family,
 )
 from .global_ext import (

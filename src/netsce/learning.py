@@ -20,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, UsageError
-from .game import GameSpec, _check_stopping, best_reply, invert_feedback, realized_payoff
+# invert_feedback and realized_payoff are not called here; perfbench's span
+# tracer wraps them under this module's names.
+from .game import GameSpec, _check_stopping, best_reply, invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
     _solve_supports,
@@ -34,7 +36,6 @@ from .network import spectral_radius, submatrix
 __all__ = [
     "AnalyticStability",
     "EmpiricalStability",
-    "StabilityReport",
     "StableFamily",
     "StepResult",
     "Trajectory",
@@ -42,7 +43,6 @@ __all__ = [
     "learn_step",
     "probe_stability",
     "run_learning",
-    "stability_report",
     "stable_sce_family",
 ]
 
@@ -56,7 +56,7 @@ CAP_WARN_MARGIN = 1e-6
 WINDOW = 3
 DIVERGENCE_CAP = 1e9
 #: Probe samples advanced together. Bounds the probe's memory whatever the
-#: sample count: two rings of 2 * RING * PROBE_BLOCK * n floats.
+#: sample count: a ring of 4 * RING * PROBE_BLOCK * n floats.
 PROBE_BLOCK = 128
 
 
@@ -71,6 +71,38 @@ class StepResult:
     clamped: tuple  # agents (or pairs) whose updated conjecture had to be clipped
 
 
+def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray) -> tuple:
+    """One period from conjectures ``xh``, one profile or a (k, n) stack.
+
+    Returns the actions, payoffs and clipped next conjectures, and the masks
+    of entries whose action reached ``cap_at`` (capped) and whose updated
+    conjecture had to be clipped (clamped). Inactive entries keep their
+    conjecture; active ones take ``invert_feedback``'s ``m/a - alpha + a/2``.
+    """
+    a = (spec.alpha + xh).clip(0.0, spec.a_max)
+    m = spec.alpha * a - 0.5 * a * a + a * np.matvec(spec.net.z, a)
+    active = a > 0
+    # The placeholder divisor 1 only feeds entries np.where discards.
+    learned = m / np.where(active, a, 1.0) - spec.alpha + a / 2.0
+    nxt = np.where(active, learned, xh)
+    clipped = nxt.clip(spec.x_lo, spec.x_hi)
+    return a, m, clipped, a >= cap_at, clipped != nxt
+
+
+def _warn_cap(capped: np.ndarray, stacklevel: int) -> None:
+    """Warn that the agents with a true entry in ``capped`` press the cap.
+
+    ``stacklevel`` counts from the caller, as in :func:`warnings.warn`.
+    """
+    agents = np.flatnonzero(np.atleast_2d(capped).any(axis=0)).tolist()
+    warnings.warn(
+        f"actions of agents {agents} are within {CAP_WARN_MARGIN:g} of the "
+        "action cap; results likely reflect the cap, not the game",
+        CapBindingWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 def learn_step(spec: GameSpec, conjectures) -> StepResult:
     """Advance the dynamics one period from the given conjectures.
 
@@ -79,30 +111,15 @@ def learn_step(spec: GameSpec, conjectures) -> StepResult:
     ``clamped`` hold (row, agent) pairs instead of agents.
     """
     xh = np.asarray(conjectures, dtype=float)
-    a = best_reply(spec, xh)
-    m = realized_payoff(spec, a)
-
-    capped = _where(a >= spec.a_max - CAP_WARN_MARGIN)
-    if capped:
-        agents = sorted({i if a.ndim == 1 else i[1] for i in capped})
-        warnings.warn(
-            f"actions of agents {agents} are within {CAP_WARN_MARGIN:g} of the "
-            "action cap; results likely reflect the cap, not the game",
-            CapBindingWarning,
-            stacklevel=2,
-        )
-
-    nxt = xh.copy()
-    active = np.nonzero(a > 0)  # the last index array names the agents
-    if active[0].size:
-        nxt[active] = invert_feedback(spec.alpha[active[-1]], a[active], m[active])
-    clipped = np.clip(nxt, spec.x_lo, spec.x_hi)
+    a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN)
+    if np.count_nonzero(capped):
+        _warn_cap(capped, stacklevel=2)
     return StepResult(
         actions=a,
         payoffs=m,
         conjectures_next=clipped,
-        capped=capped,
-        clamped=_where(clipped != nxt),
+        capped=_where(capped),
+        clamped=_where(clamped),
     )
 
 
@@ -142,9 +159,9 @@ class Trajectory:
         return self.actions.shape[0]
 
 
-def _varying(rows: np.ndarray, tol: float) -> tuple:
-    """Indices of columns that are not constant across ``rows``."""
-    span = rows.max(axis=0) - rows.min(axis=0)
+def _varying(hist: np.ndarray, tol: float) -> tuple:
+    """Agents whose entries in ``hist`` (n, m), one column per period, vary."""
+    span = hist.max(axis=1) - hist.min(axis=1)
     return tuple(int(i) for i in np.flatnonzero(span > tol))
 
 
@@ -152,7 +169,8 @@ def _recurrence(win: np.ndarray) -> Optional[np.ndarray]:
     """Per row, the smallest lag >= 2 at which the newest entry of ``win``
     repeats (0 where none does), or None when it repeats in no row.
 
-    ``win`` holds up to ``RING`` entries per row, oldest first: (m, k, n).
+    ``win`` holds up to ``RING`` entries per row and agent, oldest first
+    along the last axis: (k, n, m). An entry holding NaN never matches.
     A true cycle of this piecewise-linear map is hit exactly once the
     transient dies, so its recurrence defect sits many orders below the
     cycle amplitude. A geometrically decaying tail also produces small lag
@@ -162,52 +180,68 @@ def _recurrence(win: np.ndarray) -> Optional[np.ndarray]:
     ``RECUR_TOL`` absolutely and a millionth of the window span, and the
     window itself must not be flat (that would be convergence).
     """
-    if win.shape[0] < 3:
+    m = win.shape[2]
+    if m < 3:
         return None
-    back = win[::-1]  # back[lag] is the entry ``lag`` periods before the newest
-    defect = np.abs(back[2:] - back[0]).max(axis=2)  # row j: lag j + 2
+    # Column j of the (k, m - 2) tables below is lag j + 2.
+    defect = np.abs(win[:, :, :-2] - win[:, :, -1:]).max(axis=1)[:, ::-1]
     near = defect <= RECUR_TOL
     if not np.count_nonzero(near):
         return None
-    rows = np.flatnonzero(near.any(axis=0))
-    if len(rows) < near.shape[1]:
-        back, defect, near = back[:, rows], defect[:, rows], near[:, rows]
-    # Running extremes over newest-first entries: the span of the window of
-    # the ``lag`` newest entries, for every lag at once.
-    span = back[:-1]
-    span = (np.maximum.accumulate(span) - np.minimum.accumulate(span)).max(axis=2)[1:]
+    k = len(near)
+    rows = np.flatnonzero(near.any(axis=1))
+    if len(rows) < k:
+        win, defect, near = win[rows], defect[rows], near[rows]
+    # Lag j's window is the j newest entries, so no window reaches past the
+    # m - 1 newest: when those are flat in every row, no lag passes the span
+    # test. Their running extremes, newest first, give every window's span.
+    back = win[:, :, :0:-1]
+    if (back.max(axis=2) - back.min(axis=2)).max() <= RECUR_TOL:
+        return None
+    span = np.maximum.accumulate(back, axis=2) - np.minimum.accumulate(back, axis=2)
+    span = span.max(axis=1)[:, 1:]
     ok = near & (span > RECUR_TOL) & (defect <= 1e-6 * span)
-    found = ok.any(axis=0)
+    found = ok.any(axis=1)
     if not np.count_nonzero(found):
         return None
-    lags = np.zeros(win.shape[1], dtype=int)
-    lags[rows[found]] = ok[:, found].argmax(axis=0) + 2
+    lags = np.zeros(k, dtype=int)
+    lags[rows[found]] = ok[found].argmax(axis=1) + 2
     return lags
 
 
 class _Ring:
-    """The last ``RING`` entries of a (k, n) stack, readable as one view.
+    """The last ``RING`` states and increments of a (k, n) stack.
 
-    Each entry is stored twice, RING slots apart, so the newest ``m``
-    entries always sit contiguously, oldest first.
+    The buffer is (2k, n, 2 * RING): rows [0, k) hold the states, rows
+    [k, 2k) the increments that led to them, so one recurrence scan covers
+    both, and periods run along the last axis. Each entry is stored twice,
+    RING slots apart, so the newest ``m`` entries always sit contiguously,
+    oldest first.
     """
 
-    def __init__(self, k: int, n: int):
-        self.buf = np.empty((2 * RING, k, n))
-        self.count = 0
+    def __init__(self, x0: np.ndarray):
+        k, n = x0.shape
+        self.buf = np.empty((2 * k, n, 2 * RING))
+        # The first state has no increment: NaN never matches, as if the
+        # increment window were one entry shorter.
+        self.buf[:k, :, 0] = self.buf[:k, :, RING] = x0
+        self.buf[k:, :, 0] = self.buf[k:, :, RING] = np.nan
+        self.count = 1
 
-    def push(self, entry: np.ndarray) -> None:
+    def push(self, state: np.ndarray, incr: np.ndarray) -> None:
         i = self.count % RING
-        self.buf[i] = self.buf[i + RING] = entry
+        k = len(state)
+        self.buf[:k, :, i] = self.buf[:k, :, i + RING] = state
+        self.buf[k:, :, i] = self.buf[k:, :, i + RING] = incr
         self.count += 1
 
     def last(self, m: int = RING) -> np.ndarray:
         m = min(m, self.count)
         end = (self.count - 1) % RING + RING + 1
-        return self.buf[end - m : end]
+        return self.buf[:, :, end - m : end]
 
     def keep(self, rows: np.ndarray) -> None:
-        self.buf = self.buf[:, rows]
+        self.buf = self.buf[np.concatenate((rows, rows))]
 
 
 @dataclass(frozen=True)
@@ -223,28 +257,30 @@ class _Runs:
 def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _Runs:
     """Run the dynamics from every row of ``x0`` (k, n) at once.
 
-    Each period advances all live rows with one :func:`learn_step` call
-    and then applies the stopping rules row by row, in order: ``window``
-    consecutive sup-norm changes below ``tol`` (converged); an action or
-    conjecture beyond ``divergence_cap`` in magnitude (diverged); the same
-    state recurrence, or else increment recurrence while the state still
-    moves, found in two consecutive periods (oscillating). A row leaves the
-    stack the period it stops; rows live after ``max_iter`` periods are
-    max-iter. ``on_step(t, step)`` sees every step of the live stack.
+    Each period advances all live rows with one :func:`_step` call, warns
+    once if any action presses its cap, and then applies the stopping rules
+    row by row, in order: ``window`` consecutive sup-norm changes below
+    ``tol`` (converged); an action or conjecture beyond ``divergence_cap``
+    in magnitude (diverged); the same state recurrence, or else increment
+    recurrence while the state still moves, found in two consecutive
+    periods (oscillating). A row leaves the stack the period it stops; rows
+    live after ``max_iter`` periods are max-iter. ``on_step(t, actions,
+    payoffs, conjectures_next, capped, clamped)`` sees every step of the
+    live stack, the last two as masks.
     """
     k, n = x0.shape
     classification = ["max-iter"] * k
     steps = [max_iter] * k
     oscillation = [None] * k
     final = x0.copy()
+    cap_at = spec.a_max - CAP_WARN_MARGIN
     # Actions stay in [0, a_max] and conjectures in [x_lo, x_hi]: when those
     # bounds are within the cap no run can diverge.
     can_diverge = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max()) > divergence_cap
 
     live = np.arange(k)
     xh = x0.copy()
-    states, incrs = _Ring(k, n), _Ring(k, n)
-    states.push(xh)
+    ring = _Ring(xh)
     quiet = np.zeros(k, dtype=int)
     # Pending recurrence per row: +lag for a state recurrence, -lag for an
     # increment one, 0 for none, and how many consecutive periods found it.
@@ -252,49 +288,51 @@ def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _
     seen = np.zeros(k, dtype=int)
 
     for t in range(max_iter):
-        step = learn_step(spec, xh)
+        a, m, new, capped, clamped = _step(spec, xh, cap_at)
+        if np.count_nonzero(capped):
+            _warn_cap(capped, stacklevel=1)
         if on_step is not None:
-            on_step(t, step)
-        new = step.conjectures_next
+            on_step(t, a, m, new, capped, clamped)
         incr = new - xh
         change = np.abs(incr).max(axis=1)
         xh = new
-        states.push(new)
-        incrs.push(incr)
+        ring.push(new, incr)
 
-        quiet = np.where(change < tol, quiet + 1, 0)
+        moving = change >= tol
+        quiet += 1
+        quiet[moving] = 0
         converged = quiet >= window
         stop = converged
         diverged = None
         if can_diverge:
             diverged = ~converged & (
-                (np.abs(step.actions).max(axis=1) > divergence_cap)
+                (np.abs(a).max(axis=1) > divergence_cap)
                 | (np.abs(new).max(axis=1) > divergence_cap)
             )
             stop = stop | diverged
+        stopping = np.count_nonzero(stop)
 
         # Rows stopping anyway need no recurrence test; a frozen state (change
-        # below tol) has no increment pattern.
-        if np.count_nonzero(stop) < len(live):
-            moving = change >= tol
-            state_lag = _recurrence(states.last())
-            incr_lag = _recurrence(incrs.last()) if np.count_nonzero(moving) else None
-            if state_lag is not None or incr_lag is not None:
-                hit = np.zeros_like(code)
-                if incr_lag is not None:
-                    hit = np.where(moving, -incr_lag, 0)
-                if state_lag is not None:
-                    hit = np.where(state_lag > 0, state_lag, hit)
+        # below tol) has no increment pattern, so without a moving row the
+        # scan covers the states alone.
+        live_k = len(live)
+        if stopping < live_k:
+            win = ring.last()
+            lags = _recurrence(win if np.count_nonzero(moving) else win[:live_k])
+            if lags is not None:
+                hit = lags[:live_k]
+                if len(lags) > live_k:
+                    hit = np.where(hit > 0, hit, np.where(moving, -lags[live_k:], 0))
                 seen = (np.where(hit == code, seen, 0) + 1) * (hit != 0)
                 code = hit
                 stop = stop | (seen >= 2)
+                stopping = np.count_nonzero(stop)
             else:
-                seen = np.zeros_like(seen)
+                seen.fill(0)
 
-        stopped = np.flatnonzero(stop)
-        if not len(stopped):
+        if not stopping:
             continue
-        for r in stopped:
+        for r in np.flatnonzero(stop):
             row = int(live[r])
             steps[row] = t + 1
             final[row] = xh[r]
@@ -305,19 +343,18 @@ def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _
             else:
                 classification[row] = "oscillating"
                 period = abs(int(code[r]))
-                ring = states if code[r] > 0 else incrs
+                is_state = code[r] > 0
                 oscillation[row] = (
-                    "state" if code[r] > 0 else "increment",
+                    "state" if is_state else "increment",
                     period,
-                    _varying(ring.last(period)[:, r], RECUR_TOL),
+                    _varying(ring.last(period)[r if is_state else live_k + r], RECUR_TOL),
                 )
-        if len(stopped) == len(live):
+        if stopping == live_k:
             break
         keep = ~stop
         live, xh, quiet = live[keep], xh[keep], quiet[keep]
         code, seen = code[keep], seen[keep]
-        states.keep(keep)
-        incrs.keep(keep)
+        ring.keep(keep)
     else:  # rows still live after max_iter periods
         final[live] = xh
 
@@ -363,14 +400,14 @@ def run_learning(
     act_hist, pay_hist = [], []
     clamp_events, cap_events = [], []
 
-    def record(t, step):
-        act_hist.append(step.actions[0])
-        pay_hist.append(step.payoffs[0])
-        conj_hist.append(step.conjectures_next[0])
-        if step.clamped:
-            clamp_events.extend((t, i) for _, i in step.clamped)
-        if step.capped:
-            cap_events.extend((t, i) for _, i in step.capped)
+    def record(t, a, m, new, capped, clamped):
+        act_hist.append(a[0])
+        pay_hist.append(m[0])
+        conj_hist.append(new[0])
+        if np.count_nonzero(clamped):
+            clamp_events.extend((t, i) for i in np.flatnonzero(clamped).tolist())
+        if np.count_nonzero(capped):
+            cap_events.extend((t, i) for i in np.flatnonzero(capped).tolist())
 
     runs = _advance(spec, xh[None], tol, max_iter, window, divergence_cap, record)
     classification = runs.classification[0]
@@ -509,30 +546,6 @@ def probe_stability(
         belief_stay_fraction=stayed / samples,
         nonconverged=nonconv,
     )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    analytic: AnalyticStability
-    empirical: Optional[EmpiricalStability]
-
-
-def stability_report(
-    spec: GameSpec,
-    record,
-    probe: bool = True,
-    epsilon: float = 1e-3,
-    samples: int = 100,
-    seed: int = 0,
-) -> StabilityReport:
-    """Run the spectral test and, optionally, the Monte-Carlo probe."""
-    ana = analytic_stability(spec, record)
-    emp = (
-        probe_stability(spec, record, epsilon=epsilon, samples=samples, seed=seed)
-        if probe
-        else None
-    )
-    return StabilityReport(analytic=ana, empirical=emp)
 
 
 @dataclass(frozen=True)

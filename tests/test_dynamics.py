@@ -5,6 +5,8 @@ engine replaced: one learn step per period on one conjecture vector, a
 Python scan over lags for recurrences, and one full run per probe sample.
 Every trajectory field, event list, limit record and probe statistic must
 come out bit for bit the same from ``run_learning`` and ``probe_stability``.
+The engine's private step kernel is held to ``reference_step`` the same
+way, row by row, on single rows and stacks.
 """
 
 import warnings
@@ -19,6 +21,7 @@ from netsce import (
     WeightedNetwork,
     enumerate_sce,
     is_sce,
+    learn_step,
     make_game,
     make_record,
     probe_stability,
@@ -26,7 +29,7 @@ from netsce import (
 )
 from netsce.equilibrium import ACTIVE_TOL
 from netsce.game import best_reply, invert_feedback
-from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING
+from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING, _step
 
 from conftest import ADJ4, MIXED4
 
@@ -298,6 +301,125 @@ def test_probe_matches_per_sample_loop():
     assert (True, False) in fractions and any(nonconv for _, nonconv in fractions)
 
 
+# -------------------------------------------------------------- step kernel
+
+
+def _kernel_cases(seed=77):
+    """Games n = 1..12 with stacks of 1 to PROBE_BLOCK conjecture rows.
+
+    Conjectures are drawn past both ends of each range, so inactive agents
+    keep out-of-range beliefs that the clip must pull back; some sit at the
+    indifference point -alpha exactly, some put the action on the cap
+    warning margin. Caps are small often enough to bind.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in range(1, 13):
+        for rows in (1, 2, 7, PROBE_BLOCK):
+            z = rng.uniform(-1.0, 1.0, (n, n)) * rng.choice([0.2, 1.0])
+            np.fill_diagonal(z, 0.0)
+            alpha = rng.uniform(-0.3, 0.6, n)
+            a_max = None if rng.random() < 0.3 else rng.uniform(0.05, 1.0, n)
+            game = make_game(WeightedNetwork(z=z), alpha=alpha, a_max=a_max)
+            lo, hi = game.x_lo, game.x_hi
+            if rng.random() < 0.5:  # beliefs at the scale of the game, not of the range
+                lo, hi = np.maximum(lo, -2.0), np.minimum(hi, 2.0)
+            xh = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (rows, n))
+            tie = rng.random((rows, n))
+            indifferent = np.broadcast_to(-game.alpha, (rows, n))
+            on_margin = np.broadcast_to(game.a_max - CAP_WARN_MARGIN - game.alpha, (rows, n))
+            xh[tie < 0.1] = indifferent[tie < 0.1]
+            xh[tie > 0.9] = on_margin[tie > 0.9]
+            cases.append((game, xh))
+    return cases
+
+
+def test_step_kernel_matches_reference_step():
+    seen = set()
+    for game, xh in _kernel_cases():
+        a, m, new, capped, clamped = _step(game, xh, game.a_max - CAP_WARN_MARGIN)
+        assert a.shape == m.shape == new.shape == capped.shape == clamped.shape == xh.shape
+        # On a stack of one-agent rows np.clip sees its (1,) bounds broadcast
+        # along the rows, and its zero results can then differ from a single
+        # row's in sign alone; learn_step has always clipped stacks this way.
+        # Adding +0.0 maps -0.0 to 0.0 and leaves every other float as is.
+        unsign = 0.0 if game.n == 1 and len(xh) > 1 else -0.0
+        for r in range(len(xh)):
+            ra, rm, rnew, rcapped, rclamped = reference_step(game, xh[r])
+            assert a[r].tobytes() == ra.tobytes()
+            assert m[r].tobytes() == rm.tobytes()
+            assert (new[r] + unsign).tobytes() == (rnew + unsign).tobytes()
+            assert tuple(np.flatnonzero(capped[r]).tolist()) == rcapped
+            assert tuple(np.flatnonzero(clamped[r]).tolist()) == rclamped
+            on_margin = np.any(ra == game.a_max - CAP_WARN_MARGIN)
+            seen.update(name for name, hit in (("zero", np.any(ra == 0)), ("capped", rcapped),
+                                               ("clamped", rclamped), ("margin", on_margin)) if hit)
+        seen.add(f"rows={len(xh)}")
+    assert seen >= {"zero", "capped", "clamped", "margin", "rows=1", f"rows={PROBE_BLOCK}"}, seen
+
+
+def _cap_message(agents):
+    return (f"actions of agents {sorted(agents)} are within {CAP_WARN_MARGIN:g} of the "
+            "action cap; results likely reflect the cap, not the game")
+
+
+def test_learn_step_events_match_reference_step():
+    warned = 0
+    for game, xh in _kernel_cases(seed=78)[::3]:
+        refs = [reference_step(game, row) for row in xh]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            one = learn_step(game, xh[0])
+            stack = learn_step(game, xh)
+        assert one.capped == refs[0][3] and one.clamped == refs[0][4]
+        assert one.conjectures_next.tobytes() == refs[0][2].tobytes()
+        assert stack.capped == tuple((r, i) for r, ref in enumerate(refs) for i in ref[3])
+        assert stack.clamped == tuple((r, i) for r, ref in enumerate(refs) for i in ref[4])
+        expected = [_cap_message(agents) for agents in
+                    (refs[0][3], {i for ref in refs for i in ref[3]}) if agents]
+        assert [str(w.message) for w in caught] == expected
+        warned += len(expected)
+    assert warned
+
+
+def test_run_learning_warns_like_reference_loop():
+    cases = 0
+    for game, x0, max_iter in BATTERY:
+        ref = reference_run_learning(game, x0, max_iter=max_iter)
+        if not ref["cap_events"]:
+            continue
+        cases += 1
+        by_period = {}
+        for t, i in ref["cap_events"]:
+            by_period.setdefault(t, []).append(i)
+        expected = [_cap_message(agents) for _, agents in sorted(by_period.items())]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_learning(game, np.asarray(x0, dtype=float), max_iter=max_iter)
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is CapBindingWarning for w in caught)
+    assert cases
+
+
+def test_small_cycles_are_caught_like_reference_loop():
+    # The recurrence scan skips windows whose span is within RECUR_TOL; a
+    # cycle a millionth of the usual scale is far wider than that and must
+    # still be found, with the period the scalar loop finds.
+    two = WeightedNetwork(z=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    kinds = set()
+    for scale in (1e-3, 1e-6):
+        for game, x0 in (
+            (make_game(two, alpha=scale), np.array([-0.3, -0.3]) * scale),
+            (make_game(WeightedNetwork(z=1.0 * ADJ4), alpha=0.1 * scale),
+             np.array([0.01, 0.02, 0.03, 0.04]) * scale),
+        ):
+            new, ref = _run_both(game, x0, 2000)
+            for name in ("classification", "period", "period_kind", "cycle_agents", "steps"):
+                assert getattr(new, name) == ref[name], name
+            kinds.add(ref["period_kind"])
+    assert kinds == {"state", "increment"}
+
+
 # ----------------------------------------------------------- probe arguments
 
 
@@ -321,7 +443,7 @@ def test_probe_rejects_bad_arguments_before_any_run(positive_game, kwargs, monke
     def no_runs(*args, **kw):
         raise AssertionError("a run started before the arguments were checked")
 
-    monkeypatch.setattr(learning, "learn_step", no_runs)
+    monkeypatch.setattr(learning, "_step", no_runs)
     rec = enumerate_sce(positive_game)[0][0]
     with pytest.raises(UsageError):
         probe_stability(positive_game, rec, **kwargs)

@@ -15,7 +15,6 @@ from netsce import (
     make_record,
     probe_stability,
     run_learning,
-    stability_report,
     stable_sce_family,
 )
 
@@ -147,7 +146,7 @@ def test_run_learning_checks_stopping_rule_before_any_step(positive_game, kwargs
     def no_steps(*args, **kw):
         raise AssertionError("a step ran before the arguments were checked")
 
-    monkeypatch.setattr(learning, "learn_step", no_steps)
+    monkeypatch.setattr(learning, "_step", no_steps)
     with pytest.raises(UsageError, match="tol must be a finite|max_iter must be"):
         run_learning(positive_game, np.zeros(4), **kwargs)
 
@@ -158,7 +157,7 @@ def test_probe_rejects_infinite_tol(positive_game, monkeypatch):
     def no_steps(*args, **kw):
         raise AssertionError("a step ran before the arguments were checked")
 
-    monkeypatch.setattr(learning, "learn_step", no_steps)
+    monkeypatch.setattr(learning, "_step", no_steps)
     rec = enumerate_sce(positive_game)[0][0]
     with pytest.raises(UsageError, match="tol must be a finite positive number"):
         probe_stability(positive_game, rec, tol=float("inf"))
@@ -238,16 +237,6 @@ def test_probe_detects_knife_edge():
     again = probe_stability(game, zero, epsilon=1e-3, samples=30, seed=7,
                             max_iter=2000)
     assert again == probe
-
-
-def test_stability_report_bundles_both(positive_game):
-    records, _ = enumerate_sce(positive_game)
-    ne = by_active(records, [0, 1, 2, 3])
-    report = stability_report(positive_game, ne, probe=True, samples=5, seed=3)
-    assert report.analytic.verdict == "stable"
-    assert report.empirical.samples == 5
-    skipped = stability_report(positive_game, ne, probe=False)
-    assert skipped.empirical is None
 
 
 # ------------------------------------------------------------ stable family
