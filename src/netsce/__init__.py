@@ -16,11 +16,9 @@ from .network import (
     ASSUMPTIONS,
     AssumptionReport,
     Decomposition,
-    NeighborSets,
     RandomNetSpec,
     WeightedNetwork,
     check_assumption,
-    neighbor_sets,
     random_symmetrizable,
     spectral_radius,
     submatrix,
@@ -29,11 +27,8 @@ from .network import (
 from .game import (
     DEFAULT_ACTION_CAP,
     GameSpec,
-    InfoSet,
     aggregate,
     best_reply,
-    expost_info_set,
-    feedback_message,
     invert_feedback,
     justifiable_inactivity_set,
     make_game,
@@ -71,7 +66,6 @@ from .global_ext import (
     check_global_sce,
     check_homeo2,
     global_learn_step,
-    global_payoff,
     global_spillover,
     make_global_game,
     phi_map,

@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,15 +53,11 @@ def _fmt(v) -> str:
 
 def _write_csv(path: Optional[str], header, rows):
     rendered = [[_fmt(v) for v in row] for row in rows]
-    if path is None:
-        w = csv.writer(sys.stdout, lineterminator="\n")
+    out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+    with out as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rendered)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rendered)
 
 
 def _agents_str(agents) -> str:
@@ -113,14 +110,9 @@ def _cmd_check(scn: Scenario, args) -> int:
     return 0
 
 
-def _cmd_ne(scn: Scenario, args) -> int:
-    records, _ = solve_full_ne(scn.game)
-    _write_csv(args.output, _equilibrium_header(scn.n), _equilibrium_rows(records, scn.n))
-    return 0
-
-
-def _cmd_sce(scn: Scenario, args) -> int:
-    records, _ = enumerate_sce(scn.game)
+def _cmd_equilibria(scn: Scenario, args) -> int:
+    solve = solve_full_ne if args.command == "ne" else enumerate_sce
+    records, _ = solve(scn.game)
     _write_csv(args.output, _equilibrium_header(scn.n), _equilibrium_rows(records, scn.n))
     return 0
 
@@ -237,7 +229,6 @@ def _cmd_global_sce(scn: Scenario, args) -> int:
 
 
 def _cmd_phi_map(scn: Scenario, args) -> int:
-    g = scn.global_game()  # validates mode and the endpoint c
     m = scn.samples
     grid = [(k / m) * scn.c for k in range(1, m + 1)]
     entries = phi_map(scn.game, scn.beta, grid, tol=scn.tol, max_iter=scn.max_iter)
@@ -264,18 +255,16 @@ def _cmd_phi_map(scn: Scenario, args) -> int:
     return 0 if all_ok else 2
 
 
+# name: (handler, scenario mode it requires or None for either, help text)
 _COMMANDS = {
-    "check": (_cmd_check, "test structural assumptions of the weight matrix"),
-    "ne": (_cmd_ne, "compute Nash equilibria"),
-    "sce": (_cmd_sce, "enumerate selfconfirming equilibria"),
-    "learn": (_cmd_learn, "run the conjecture dynamics"),
-    "stability": (_cmd_stability, "stability tests for every equilibrium"),
-    "global-sce": (_cmd_global_sce, "solve the global-spillover rest point"),
-    "phi-map": (_cmd_phi_map, "sweep the centrality-to-action map"),
+    "check": (_cmd_check, None, "test structural assumptions of the weight matrix"),
+    "ne": (_cmd_equilibria, "local", "compute Nash equilibria"),
+    "sce": (_cmd_equilibria, "local", "enumerate selfconfirming equilibria"),
+    "learn": (_cmd_learn, "local", "run the conjecture dynamics"),
+    "stability": (_cmd_stability, "local", "stability tests for every equilibrium"),
+    "global-sce": (_cmd_global_sce, "global", "solve the global-spillover rest point"),
+    "phi-map": (_cmd_phi_map, "global", "sweep the centrality-to-action map"),
 }
-
-_LOCAL_ONLY = {"ne", "sce", "learn", "stability"}
-_GLOBAL_ONLY = {"global-sce", "phi-map"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,7 +276,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="netsce", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="scenario JSON file")
         p.add_argument("--output", "-o", default=None, help="output CSV file (default stdout)")
@@ -314,13 +303,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        handler, mode, _ = _COMMANDS[args.command]
         scn = load_scenario(args.input)
-        if args.command in _LOCAL_ONLY and scn.mode != "local":
-            raise UsageError(f"{args.command} requires a local-mode scenario")
-        if args.command in _GLOBAL_ONLY and scn.mode != "global":
-            raise UsageError(f"{args.command} requires a global-mode scenario")
-        scn = _apply_overrides(scn, args)
-        return _COMMANDS[args.command][0](scn, args)
+        if mode is not None and scn.mode != mode:
+            raise UsageError(f"{args.command} requires a {mode}-mode scenario")
+        return handler(_apply_overrides(scn, args), args)
     except UsageError as exc:
         print(f"netsce: error: {exc}", file=sys.stderr)
         return 1

@@ -245,7 +245,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     Enumerates active subsets K of the candidate set: the interior solution
     on K is accepted when strictly positive (> ACTIVE_TOL), clear of the
     caps (by CAP_MARGIN), and no candidate outside K has a positive
-    incentive (> ACTIVE_TOL) at the profile. Returns (records,
+    incentive (> BOUNDARY_TOL) at the profile. Returns (records,
     diagnostics), records sorted by active-set bitmask.
     """
     j = sorted(set(int(i) for i in candidates))
@@ -257,7 +257,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     acts = np.array([a for _, a in found]).reshape(len(found), spec.n)
     # A kept profile is zero exactly off its support.
     outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
-    wants_in = ((spec.alpha + aggregate(spec, acts) > ACTIVE_TOL) & outside).any(axis=1)
+    wants_in = ((spec.alpha + aggregate(spec, acts) > BOUNDARY_TOL) & outside).any(axis=1)
     records = [
         make_record(spec, a, declared_inactive=declared, validate=False)
         for (_, a), out in zip(found, wants_in)

@@ -12,7 +12,6 @@ payoff to the exact aggregate, an inactive agent learns nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -22,11 +21,8 @@ from .network import WeightedNetwork
 __all__ = [
     "DEFAULT_ACTION_CAP",
     "GameSpec",
-    "InfoSet",
     "aggregate",
     "best_reply",
-    "expost_info_set",
-    "feedback_message",
     "invert_feedback",
     "justifiable_inactivity_set",
     "make_game",
@@ -35,6 +31,10 @@ __all__ = [
 ]
 
 DEFAULT_ACTION_CAP = 1e6
+
+#: Slack allowed when checking that a value lies in an admissible range
+#: (conjecture and spillover ranges, perceived centralities, start beliefs).
+_RANGE_SLACK = 1e-12
 
 
 def _vec(value, n, name) -> np.ndarray:
@@ -89,8 +89,8 @@ class GameSpec:
         z = self.net.z
         attain_lo = np.minimum(z, 0.0) @ self.a_max
         attain_hi = np.maximum(z, 0.0) @ self.a_max
-        ok_lo = self.x_lo <= attain_lo + 1e-12
-        ok_hi = self.x_hi >= attain_hi - 1e-12
+        ok_lo = self.x_lo <= attain_lo + _RANGE_SLACK
+        ok_hi = self.x_hi >= attain_hi - _RANGE_SLACK
         if not np.all(ok_lo & ok_hi):
             i = int(np.flatnonzero(~(ok_lo & ok_hi))[0])
             raise UsageError(
@@ -127,22 +127,19 @@ def make_game(
             b = float(max(w * (a_cap.sum() - a_cap[i]) for i in range(n)))
         else:
             b = 2.0 * float(np.max(np.abs(net.z) @ a_cap))
-        x_lo, x_hi = -b, b
+        # 0.0 - b, not -b: a zero bound stays +0.0, so conjectures clipped
+        # to it do not turn into -0.0.
+        x_lo, x_hi = 0.0 - b, b
     return GameSpec(net=net, alpha=alpha, a_max=a_cap, x_lo=x_lo, x_hi=x_hi)
 
 
-def aggregate(spec: GameSpec, actions: np.ndarray, i: Optional[int] = None):
-    """Externality aggregates x = Z a (one agent's entry when ``i`` is given).
+def aggregate(spec: GameSpec, actions: np.ndarray) -> np.ndarray:
+    """Externality aggregates x = Z a.
 
     ``actions`` may also be a stack of profiles (k, n); each row's
     aggregate is bit-identical to the product for that row alone.
     """
-    x = np.matvec(spec.net.z, np.asarray(actions, dtype=float))
-    if i is None:
-        return x
-    if not 0 <= i < spec.n:
-        raise UsageError(f"agent index {i} out of range")
-    return float(x[i])
+    return np.matvec(spec.net.z, np.asarray(actions, dtype=float))
 
 
 def best_reply(spec: GameSpec, conjectures: np.ndarray) -> np.ndarray:
@@ -161,12 +158,8 @@ def payoff(spec: GameSpec, actions, aggregates) -> np.ndarray:
 
 
 def realized_payoff(spec: GameSpec, actions) -> np.ndarray:
-    return payoff(spec, actions, aggregate(spec, actions))
-
-
-def feedback_message(spec: GameSpec, actions) -> np.ndarray:
     """The post-play message each agent receives: its own realized payoff."""
-    return realized_payoff(spec, actions)
+    return payoff(spec, actions, aggregate(spec, actions))
 
 
 def invert_feedback(alpha, actions, messages):
@@ -179,25 +172,6 @@ def invert_feedback(alpha, actions, messages):
     if np.any(a <= 0):
         raise UsageError("feedback inversion needs strictly positive actions")
     return np.asarray(messages, dtype=float) / a - np.asarray(alpha, dtype=float) + a / 2.0
-
-
-@dataclass(frozen=True)
-class InfoSet:
-    """What one agent can infer about its aggregate after one play."""
-
-    kind: str  # "point" or "interval"
-    point: Optional[float] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-
-def expost_info_set(spec: GameSpec, i: int, a_i: float, x_i: float) -> InfoSet:
-    """Ex-post information about x_i: exact if active, vacuous if not."""
-    if not 0 <= i < spec.n:
-        raise UsageError(f"agent index {i} out of range")
-    if a_i > 0:
-        return InfoSet(kind="point", point=float(x_i))
-    return InfoSet(kind="interval", lo=float(spec.x_lo[i]), hi=float(spec.x_hi[i]))
 
 
 def justifiable_inactivity_set(spec: GameSpec) -> frozenset:

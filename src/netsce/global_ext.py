@@ -24,14 +24,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .equilibrium import _violations
-from .game import GameSpec, _check_stopping, _vec, aggregate, realized_payoff
+from .equilibrium import SceCheck, _violations
+from .game import _RANGE_SLACK, GameSpec, _check_stopping, _vec, aggregate
 from .network import WeightedNetwork
 
 __all__ = [
     "GlobalConjecture",
     "GlobalGameSpec",
-    "GlobalSceCheck",
     "GlobalSolve",
     "GlobalStep",
     "Homeo2Report",
@@ -41,7 +40,6 @@ __all__ = [
     "check_global_sce",
     "check_homeo2",
     "global_learn_step",
-    "global_payoff",
     "global_spillover",
     "make_global_game",
     "phi_map",
@@ -80,19 +78,16 @@ class GlobalGameSpec:
             i = int(np.flatnonzero(self.c <= 0)[0])
             raise UsageError(f"c[{i}] must be strictly positive")
         bound = self.base.net.z.sum(axis=1) / beta
-        if np.any(self.c > bound + 1e-12):
-            i = int(np.flatnonzero(self.c > bound + 1e-12)[0])
+        if np.any(self.c > bound + _RANGE_SLACK):
+            i = int(np.flatnonzero(self.c > bound + _RANGE_SLACK)[0])
             raise UsageError(
                 f"c[{i}]={self.c[i]:.6g} exceeds the admissible bound "
                 f"{bound[i]:.6g} (row weight sum over beta)"
             )
         attain_hi = beta * (self.base.a_max.sum() - self.base.a_max)
-        if np.any(self.y_lo > 0.0 + 1e-12) or np.any(self.y_hi < attain_hi - 1e-12):
-            i = int(
-                np.flatnonzero(
-                    (self.y_lo > 1e-12) | (self.y_hi < attain_hi - 1e-12)
-                )[0]
-            )
+        bad = (self.y_lo > _RANGE_SLACK) | (self.y_hi < attain_hi - _RANGE_SLACK)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
             raise UsageError(
                 f"spillover range for agent {i} does not contain attainable "
                 f"values [0, {attain_hi[i]:.6g}]"
@@ -123,11 +118,6 @@ def global_spillover(g: GlobalGameSpec, actions) -> np.ndarray:
     return g.beta * (a.sum() - a)
 
 
-def global_payoff(g: GlobalGameSpec, actions) -> np.ndarray:
-    """Realized payoffs including the global spillover term."""
-    return realized_payoff(g.base, actions) + global_spillover(g, actions)
-
-
 def _require_learning_regime(g: GlobalGameSpec) -> float:
     """The belief-update ops assume a common positive intercept and
     nonnegative weights; returns the scalar intercept."""
@@ -149,15 +139,9 @@ class GlobalConjecture:
     y_hat: np.ndarray
 
 
-@dataclass(frozen=True)
-class GlobalSceCheck:
-    ok: bool
-    violations: tuple = ()  # (agent, reason, magnitude)
-
-
 def check_global_sce(
     g: GlobalGameSpec, actions, conjecture: GlobalConjecture, tol: float = 1e-9
-) -> GlobalSceCheck:
+) -> SceCheck:
     """Selfconfirming test with the two-channel conjecture.
 
     Active agents must best-respond to x_hat and believe a payoff equal to
@@ -185,7 +169,7 @@ def check_global_sce(
         ("rationality", rationality > tol, rationality),
         ("confirmation", confirmation > tol, confirmation),
     )
-    return GlobalSceCheck(ok=not bad, violations=bad)
+    return SceCheck(ok=not bad, violations=bad)
 
 
 @dataclass(frozen=True)
@@ -205,7 +189,7 @@ def true_centrality(g: GlobalGameSpec, actions) -> TrueCentrality:
     values = np.full(g.n, np.nan)
     np.divide(x, y, out=values, where=defined)
     bound = g.base.net.z.sum(axis=1) / g.beta
-    admissible = defined & (values > 0) & (values <= bound + 1e-12)
+    admissible = defined & (values > 0) & (values <= bound + _RANGE_SLACK)
     return TrueCentrality(values=values, defined=defined, admissible=admissible)
 
 

@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, UsageError
+from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
 # invert_feedback and realized_payoff are not called here; perfbench's span
 # tracer wraps them under this module's names.
-from .game import GameSpec, _check_stopping, best_reply, invert_feedback, realized_payoff  # noqa: F401
+from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
     _solve_supports,
@@ -390,8 +391,9 @@ def run_learning(
     xh = np.asarray(initial, dtype=float).copy()
     if xh.shape != (spec.n,):
         raise UsageError(f"initial conjectures must have length {spec.n}")
-    if np.any(xh < spec.x_lo - 1e-12) or np.any(xh > spec.x_hi + 1e-12):
-        i = int(np.flatnonzero((xh < spec.x_lo - 1e-12) | (xh > spec.x_hi + 1e-12))[0])
+    outside = (xh < spec.x_lo - _RANGE_SLACK) | (xh > spec.x_hi + _RANGE_SLACK)
+    if np.any(outside):
+        i = int(np.flatnonzero(outside)[0])
         raise UsageError(
             f"initial conjecture for agent {i} lies outside its admissible range"
         )

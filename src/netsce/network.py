@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -20,11 +20,9 @@ __all__ = [
     "ASSUMPTIONS",
     "AssumptionReport",
     "Decomposition",
-    "NeighborSets",
     "RandomNetSpec",
     "WeightedNetwork",
     "check_assumption",
-    "neighbor_sets",
     "random_symmetrizable",
     "spectral_radius",
     "submatrix",
@@ -63,16 +61,11 @@ class WeightedNetwork:
         A priori bounds on individual weights, if known. When provided they
         must bracket every entry and are used to size default conjecture
         ranges downstream.
-    labels : tuple of int, optional
-        Original agent labels; defaults to ``0..n-1``. Kept through
-        :func:`submatrix` so sub-network results can be reported in the
-        parent's indexing.
     """
 
     z: np.ndarray
     w_lo: Optional[float] = None
     w_hi: Optional[float] = None
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -85,13 +78,6 @@ class WeightedNetwork:
             raise UsageError(f"z[{i}][{i}] must be 0")
         object.__setattr__(self, "z", _as_readonly(z))
         n = z.shape[0]
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(n)))
-        else:
-            labels = tuple(int(l) for l in self.labels)
-            if len(labels) != n:
-                raise UsageError("labels length must match matrix size")
-            object.__setattr__(self, "labels", labels)
         if (self.w_lo is None) != (self.w_hi is None):
             raise UsageError("weight bounds must be given as a pair or not at all")
         if self.w_lo is not None:
@@ -104,23 +90,6 @@ class WeightedNetwork:
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-
-class NeighborSets(NamedTuple):
-    """In-neighborhood of one agent, split by externality sign."""
-
-    members: frozenset
-    positive: frozenset
-    negative: frozenset
-
-
-def neighbor_sets(net: WeightedNetwork, i: int) -> NeighborSets:
-    """Agents whose actions enter agent ``i``'s aggregate, split by sign."""
-    row = net.z[i]
-    members = frozenset(int(j) for j in np.flatnonzero(row) if j != i)
-    pos = frozenset(j for j in members if row[j] > 0)
-    neg = frozenset(j for j in members if row[j] < 0)
-    return NeighborSets(members, pos, neg)
 
 
 def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> float:
@@ -137,42 +106,33 @@ def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A factorization Z = scale * Z0 with positive diagonal scaling.
+    """A factorization Z = diag(gamma) @ z0 with a strictly positive vector
+    gamma and symmetric z0.
 
-    ``kind`` is one of:
-
-    - ``"uniform"``: Z = gamma * z0 with a scalar gamma and symmetric z0;
-    - ``"diagonal"``: Z = diag(gamma) @ z0 with a positive vector gamma and
-      symmetric z0.
+    :attr:`kind` is ``"uniform"`` when every gamma is 1, so that z0 is Z
+    itself, and ``"diagonal"`` otherwise.
     """
 
-    kind: str
     z0: np.ndarray
-    gamma: Union[float, np.ndarray, None] = None
+    gamma: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "z0", _as_readonly(self.z0))
-        if self.kind not in ("uniform", "diagonal"):
-            raise UsageError(f"unknown decomposition kind {self.kind!r}")
+        g = np.asarray(self.gamma, dtype=float)
+        if g.ndim != 1 or g.shape[0] != self.z0.shape[0]:
+            raise UsageError("decomposition needs one gamma per agent")
+        if np.any(g <= 0):
+            raise UsageError("diagonal scaling must be strictly positive")
+        object.__setattr__(self, "gamma", _as_readonly(g))
         if not np.allclose(self.z0, self.z0.T, rtol=1e-9, atol=0.0):
             raise UsageError(f"{self.kind} decomposition needs a symmetric z0")
-        if self.kind == "uniform":
-            g = float(self.gamma)
-            if g == 0:
-                raise UsageError("uniform scale must be nonzero")
-            object.__setattr__(self, "gamma", g)
-        else:
-            g = np.asarray(self.gamma, dtype=float)
-            if g.ndim != 1 or g.shape[0] != self.z0.shape[0]:
-                raise UsageError("diagonal decomposition needs one gamma per agent")
-            if np.any(g <= 0):
-                raise UsageError("diagonal scaling must be strictly positive")
-            object.__setattr__(self, "gamma", _as_readonly(g))
+
+    @property
+    def kind(self) -> str:
+        return "uniform" if np.all(self.gamma == 1.0) else "diagonal"
 
     def recompose(self) -> np.ndarray:
         """The matrix this decomposition denotes."""
-        if self.kind == "uniform":
-            return self.gamma * self.z0
         return self.gamma[:, None] * self.z0
 
     def symmetrized(self) -> np.ndarray:
@@ -181,10 +141,6 @@ class Decomposition:
         Entry (i, j) equals z0_ij * sqrt(gamma_i * gamma_j). Invariant under
         the rescaling (c*Gamma, Z0/c), so it is a property of Z itself.
         """
-        if self.kind == "uniform":
-            if self.gamma < 0:
-                raise UsageError("symmetrized form needs a positive scaling")
-            return self.gamma * np.array(self.z0)
         d = np.sqrt(self.gamma)
         return d[:, None] * self.z0 * d[None, :]
 
@@ -238,8 +194,8 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
     z0 = (z0 + z0.T) / 2.0
 
     if np.allclose(gamma, gamma[0], rtol=_REL_TOL, atol=0.0):
-        return Decomposition(kind="uniform", z0=z0 * gamma[0], gamma=1.0)
-    return Decomposition(kind="diagonal", z0=z0, gamma=gamma)
+        return Decomposition(z0=z0 * gamma[0], gamma=np.ones(n))
+    return Decomposition(z0=z0, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -339,18 +295,12 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
 
 
 def submatrix(net: WeightedNetwork, agents: Iterable[int]) -> WeightedNetwork:
-    """Restriction of the network to ``agents``, keeping their labels."""
+    """Restriction of the network to ``agents``."""
     idx = sorted(set(int(a) for a in agents))
     for a in idx:
         if not 0 <= a < net.n:
             raise UsageError(f"agent index {a} out of range for n={net.n}")
-    sel = np.ix_(idx, idx)
-    return WeightedNetwork(
-        z=net.z[sel],
-        w_lo=net.w_lo,
-        w_hi=net.w_hi,
-        labels=tuple(net.labels[a] for a in idx),
-    )
+    return WeightedNetwork(z=net.z[np.ix_(idx, idx)], w_lo=net.w_lo, w_hi=net.w_hi)
 
 
 @dataclass(frozen=True)
@@ -402,5 +352,5 @@ def random_symmetrizable(spec: RandomNetSpec) -> WeightedNetwork:
         m = math.log(spec.mu) - s2 / 2.0
         gamma = rng.lognormal(mean=m, sigma=math.sqrt(s2), size=n)
 
-    dec = Decomposition(kind="diagonal", z0=a, gamma=gamma)
+    dec = Decomposition(z0=a, gamma=gamma)
     return WeightedNetwork(z=dec.recompose())

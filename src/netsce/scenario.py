@@ -2,8 +2,8 @@
 
 A scenario fixes the mode ("local" for pure network games, "global" when the
 uniform spillover channel is present), the primitives, and the solver knobs.
-Parsing is strict by default: unknown keys, wrong types, nonzero diagonals,
-and mode/key mismatches are rejected with path-qualified messages. The
+Parsing is strict: unknown keys, wrong types, nonzero diagonals, and
+mode/key mismatches are rejected with path-qualified messages. The
 normal form materializes every default, so emit(parse(text)) is a canonical
 representation and emit(parse(emit(parse(text)))) is byte-identical to it.
 """
@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import UsageError
-from .game import GameSpec, make_game
+from .game import _RANGE_SLACK, GameSpec, make_game
 from .global_ext import GlobalGameSpec, make_global_game
 from .network import WeightedNetwork
 
@@ -121,7 +121,7 @@ class Scenario:
         return make_global_game(self.game, self.beta, self.c)
 
 
-def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
+def parse_scenario(source: Union[str, dict]) -> Scenario:
     """Parse a scenario from a JSON string or an already-decoded dict."""
     if isinstance(source, str):
         try:
@@ -133,10 +133,9 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
     if not isinstance(obj, dict):
         raise UsageError("scenario must be a JSON object")
 
-    if strict:
-        unknown = sorted(set(obj) - _KNOWN_KEYS)
-        if unknown:
-            raise UsageError(f"unknown key {unknown[0]!r}")
+    unknown = sorted(set(obj) - _KNOWN_KEYS)
+    if unknown:
+        raise UsageError(f"unknown key {unknown[0]!r}")
 
     mode = obj.get("mode")
     if mode not in ("local", "global"):
@@ -157,15 +156,8 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
             raise UsageError(f"z[{i}] must be a list of {n} numbers")
         for j, v in enumerate(row):
             z[i, j] = _num(v, f"z[{i}][{j}]")
-        if z[i, i] != 0.0:
-            raise UsageError(f"z[{i}][{i}] must be 0")
 
-    a_max = None
-    if "a_max" in obj:
-        a_max = _num_vector(obj["a_max"], n, "a_max")
-        if np.any(a_max <= 0):
-            i = int(np.flatnonzero(a_max <= 0)[0])
-            raise UsageError(f"a_max[{i}] must be positive")
+    a_max = _num_vector(obj["a_max"], n, "a_max") if "a_max" in obj else None
 
     x_lo = x_hi = None
     if "x_bounds" in obj:
@@ -239,22 +231,21 @@ def parse_scenario(source: Union[str, dict], strict: bool = True) -> Scenario:
     if mode == "global":
         scn.global_game()  # validate beta/c admissibility eagerly
     # Initial conjectures must be admissible for the learning commands.
-    if np.any(initial < game.x_lo - 1e-12) or np.any(initial > game.x_hi + 1e-12):
-        i = int(
-            np.flatnonzero((initial < game.x_lo - 1e-12) | (initial > game.x_hi + 1e-12))[0]
-        )
+    outside = (initial < game.x_lo - _RANGE_SLACK) | (initial > game.x_hi + _RANGE_SLACK)
+    if np.any(outside):
+        i = int(np.flatnonzero(outside)[0])
         raise UsageError(f"initial_conjectures[{i}] lies outside x_bounds")
     return scn
 
 
-def load_scenario(path, strict: bool = True) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Read and parse a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(text, strict=strict)
+    return parse_scenario(text)
 
 
 def normalize_scenario(scn: Scenario) -> dict:

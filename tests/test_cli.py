@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from netsce.cli import main
+from netsce.cli import _COMMANDS, main
 
 from conftest import SCENARIO_DIR
 
@@ -41,12 +41,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_mode_guards(tmp_path, capsys):
-    code = main(["sce", "-i", str(SCENARIO_DIR / "global_line.json")])
-    assert code == 1
-    assert "requires a local-mode scenario" in capsys.readouterr().err
-    code = main(["phi-map", "-i", str(SCENARIO_DIR / "table1.json")])
-    assert code == 1
-    assert "requires a global-mode scenario" in capsys.readouterr().err
+    required = {"ne": "local", "sce": "local", "learn": "local", "stability": "local",
+                "global-sce": "global", "phi-map": "global"}
+    assert set(_COMMANDS) == set(required) | {"check"}
+    wrong = {"local": "global_line.json", "global": "table1.json"}
+    for command, mode in required.items():
+        code = main([command, "-i", str(SCENARIO_DIR / wrong[mode])])
+        assert code == 1, command
+        assert f"requires a {mode}-mode scenario" in capsys.readouterr().err, command
+    for scenario in wrong.values():  # check takes either mode
+        out = str(tmp_path / "check.csv")
+        assert main(["check", "-i", str(SCENARIO_DIR / scenario), "-o", out]) == 0, scenario
 
 
 def test_flag_validation(tmp_path):

@@ -217,7 +217,19 @@ def _random_cases(count=120, seed=2024):
     return cases
 
 
-BATTERY = _hand_cases() + _random_cases()
+def _zero_network_cases(count=300, seed=0):
+    """Games without links: the default conjecture range is [0, 0], whose
+    lower end must be +0.0 for the engine's clip to match the scalar loop."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        game = make_game(WeightedNetwork(z=np.zeros((n, n))), alpha=rng.uniform(-0.5, 0.5, n))
+        cases.append((game, np.zeros(n), 400))
+    return cases
+
+
+BATTERY = _hand_cases() + _random_cases() + _zero_network_cases()
 
 
 def _run_both(game, x0, max_iter):

@@ -7,8 +7,6 @@ from netsce import (
     WeightedNetwork,
     aggregate,
     best_reply,
-    expost_info_set,
-    feedback_message,
     invert_feedback,
     justifiable_inactivity_set,
     make_game,
@@ -59,9 +57,6 @@ def test_aggregate_values(positive_game):
     x = aggregate(positive_game, a)
     assert x[1] == pytest.approx(0.075, abs=1e-12)
     assert x[2] == 0.0  # no incoming links
-    assert aggregate(positive_game, a, 1) == pytest.approx(0.075, abs=1e-12)
-    with pytest.raises(UsageError):
-        aggregate(positive_game, a, 9)
 
 
 def test_best_reply_branches(positive_game):
@@ -114,17 +109,11 @@ def test_payoff_concave_in_own_action(positive_game):
         assert second < 0
 
 
-def test_feedback_message_is_payoff(positive_game):
-    a = np.array([0.2, 0.0, 0.4, 0.1])
-    assert np.array_equal(feedback_message(positive_game, a), realized_payoff(positive_game, a))
-    assert feedback_message(positive_game, np.zeros(4))[1] == 0.0
-
-
 def test_feedback_inversion_identity(positive_game):
     rng = np.random.default_rng(17)
     for _ in range(100):
         a = rng.uniform(0.01, 2.0, size=4)
-        m = feedback_message(positive_game, a)
+        m = realized_payoff(positive_game, a)
         x = invert_feedback(positive_game.alpha, a, m)
         assert np.allclose(x, aggregate(positive_game, a), atol=1e-12)
 
@@ -132,16 +121,6 @@ def test_feedback_inversion_identity(positive_game):
 def test_feedback_inversion_rejects_inactive(positive_game):
     with pytest.raises(UsageError):
         invert_feedback(positive_game.alpha, np.array([0.0, 1, 1, 1]), np.zeros(4))
-
-
-def test_expost_info_set(positive_game):
-    info = expost_info_set(positive_game, 0, 0.2, 0.3)
-    assert info.kind == "point" and info.point == 0.3
-    info = expost_info_set(positive_game, 0, 0.0, 0.3)
-    assert info.kind == "interval"
-    assert info.lo == positive_game.x_lo[0] and info.hi == positive_game.x_hi[0]
-    cap = float(positive_game.a_max[0])
-    assert expost_info_set(positive_game, 0, cap, 0.3).kind == "point"
 
 
 def test_justifiable_inactivity():

@@ -11,7 +11,6 @@ from netsce import (
     check_global_sce,
     check_homeo2,
     global_learn_step,
-    global_payoff,
     global_spillover,
     make_game,
     make_global_game,
@@ -58,7 +57,6 @@ def test_spillover_and_payoff():
     g = make_global_game(base, beta=0.5, c=0.2)
     a = np.array([1.0, 2.0, 3.0])
     assert np.allclose(global_spillover(g, a), [2.5, 2.0, 1.5])
-    assert np.allclose(global_payoff(g, a), [2.6, 1.0, -1.8])
 
 
 def test_updating_regime_is_guarded(line_game):

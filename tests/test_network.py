@@ -9,7 +9,6 @@ from netsce import (
     UsageError,
     WeightedNetwork,
     check_assumption,
-    neighbor_sets,
     random_symmetrizable,
     spectral_radius,
     submatrix,
@@ -69,26 +68,7 @@ def test_spectral_radius_empty_submatrix_is_zero():
 def test_submatrix_keeps_labels():
     net = WeightedNetwork(z=MIXED4)
     sub = submatrix(net, [1, 3])
-    assert sub.labels == (1, 3)
     assert sub.z[0, 1] == pytest.approx(0.2)  # weight 1 <- 3 survives
-    subsub = submatrix(sub, [1])
-    assert subsub.labels == (3,)
-
-
-def test_neighbor_sets_positive_net():
-    net = WeightedNetwork(z=0.2 * ADJ4)
-    ns = neighbor_sets(net, 1)
-    assert ns.members == frozenset({0, 2, 3})
-    assert ns.positive == frozenset({0, 2, 3})
-    assert ns.negative == frozenset()
-    assert neighbor_sets(net, 2).members == frozenset()
-
-
-def test_neighbor_sets_mixed_net():
-    net = WeightedNetwork(z=MIXED4)
-    ns = neighbor_sets(net, 2)
-    assert ns.negative == frozenset({1, 3})
-    assert ns.positive == frozenset()
 
 
 def test_decompose_two_agent_example():
@@ -150,9 +130,9 @@ def test_symmetrized_form_is_similar():
 
 def test_decomposition_validation():
     with pytest.raises(UsageError):
-        Decomposition(kind="diagonal", z0=np.array([[0.0, 1.0], [2.0, 0.0]]), gamma=np.ones(2))
+        Decomposition(z0=np.array([[0.0, 1.0], [2.0, 0.0]]), gamma=np.ones(2))
     with pytest.raises(UsageError):
-        Decomposition(kind="diagonal", z0=np.zeros((2, 2)), gamma=np.array([1.0, -1.0]))
+        Decomposition(z0=np.zeros((2, 2)), gamma=np.array([1.0, -1.0]))
 
 
 def test_check_assumption_bounded():

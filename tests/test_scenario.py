@@ -100,11 +100,6 @@ def test_broken_json_and_wrong_root():
         parse_scenario("[1, 2]")
 
 
-def test_lenient_mode_ignores_unknown_keys():
-    scn = parse_scenario(json.dumps(make(comment="for the demo")), strict=False)
-    assert scn.n == 2
-
-
 def test_inadmissible_centrality_caught_at_parse_time():
     obj = make(mode="global", beta=1.0, c=2.0)
     with pytest.raises(UsageError, match="exceeds the admissible bound"):
@@ -131,6 +126,14 @@ def test_normal_form_is_idempotent():
         again = emit_scenario(parse_scenario(canonical))
         assert again == canonical, path.name
         assert canonical.endswith("\n")
+
+
+def test_zero_network_default_bounds_are_positive_zero():
+    # make_game's default range is [0 - b, b]; with b = 0 it must emit 0.0, not -0.0
+    for n in (1, 3):
+        text = emit_scenario(parse_scenario(json.dumps(make(n=n, z=[[0.0] * n] * n))))
+        assert json.loads(text)["x_bounds"] == [[0.0, 0.0]] * n
+        assert "-0.0" not in text
 
 
 def test_normal_form_materializes_defaults():
