@@ -18,6 +18,7 @@ positive root of c a^2 + (1 - c(alpha + x)) a - (alpha + c y) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,7 +123,7 @@ def _require_learning_regime(g: GlobalGameSpec) -> float:
     """The belief-update ops assume a common positive intercept and
     nonnegative weights; returns the scalar intercept."""
     alpha = g.base.alpha
-    if not np.allclose(alpha, alpha[0], rtol=0, atol=1e-12):
+    if not (np.abs(alpha - alpha[0]) <= 1e-12).all():
         raise UsageError("conjecture updating requires a common intercept alpha")
     if alpha[0] <= 0:
         raise UsageError("conjecture updating requires a positive intercept")
@@ -213,16 +214,20 @@ class GlobalStep:
     y_hat_next: np.ndarray
 
 
-def _resplit(g: GlobalGameSpec, a: np.ndarray) -> tuple:
-    """Aggregate x, total externality e = a x + y, divisor d = 1 + c a and
-    the re-split (c e / d, e / d) of e at actions a.
+def _resplit(g: GlobalGameSpec):
+    """The re-split map of g, its arrays bound once: at actions a it returns
+    x = Z a, the total externality e = a x + y, the divisor d = 1 + c a and
+    the local share c e / d. Callers check the learning regime first."""
+    z, c, beta, matvec, total = g.base.net.z, g.c, g.beta, np.matvec, np.add.reduce
 
-    Callers check the learning regime first.
-    """
-    x = aggregate(g.base, a)
-    e = a * x + global_spillover(g, a)
-    d = 1.0 + g.c * a
-    return x, e, d, g.c * e / d, e / d
+    def at(a):
+        # axis None sums the whole array, as ndarray.sum did, for any shape
+        x = matvec(z, a)
+        e = a * x + beta * (total(a, None) - a)
+        d = 1.0 + c * a
+        return x, e, d, c * e / d
+
+    return at
 
 
 def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
@@ -242,7 +247,8 @@ def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
             f"conjecture x_hat[{i}]={xh[i]:.6g} drives agent {i} inactive; "
             "the updating rule is defined for active profiles only"
         )
-    _, e, _, x_next, y_next = _resplit(g, a)
+    _, e, d, x_next = _resplit(g)(a)
+    y_next = e / d
     v = g.base.alpha * a - 0.5 * a * a + e
     return GlobalStep(actions=a, payoffs=v, x_hat_next=x_next, y_hat_next=y_next)
 
@@ -251,7 +257,7 @@ def residual(g: GlobalGameSpec, actions) -> np.ndarray:
     """Fixed-point defect H(a) of the rest-point system, per agent."""
     alpha = _require_learning_regime(g)
     a = np.asarray(actions, dtype=float)
-    return alpha + _resplit(g, a)[3] - a
+    return alpha + _resplit(g)(a)[3] - a
 
 
 @dataclass(frozen=True)
@@ -267,12 +273,16 @@ class Homeo2Report:
     holds: bool
 
 
+def _homeo2(g: GlobalGameSpec) -> tuple:
+    """c beta (n - 1), row sums and per-agent window; regime checked by callers."""
+    lhs = g.c * g.beta * (g.n - 1)
+    row_sums = g.base.net.z.sum(axis=1)
+    return lhs, row_sums, (lhs > 0) & (lhs < row_sums) & (row_sums < 2.0)
+
+
 def check_homeo2(g: GlobalGameSpec) -> Homeo2Report:
     _require_learning_regime(g)
-    n = g.n
-    lhs = g.c * g.beta * (n - 1)
-    row_sums = g.base.net.z.sum(axis=1)
-    per_agent = (lhs > 0) & (lhs < row_sums) & (row_sums < 2.0)
+    lhs, row_sums, per_agent = _homeo2(g)
     return Homeo2Report(
         lhs=lhs, row_sums=row_sums, per_agent=per_agent, holds=bool(per_agent.all())
     )
@@ -293,56 +303,60 @@ class GlobalSolve:
 
 def _iterate(g, alpha, damping, tol, max_iter):
     # In the learning regime (common alpha > 0, Z >= 0, c > 0) every re-split
-    # c e / d of a positive profile is >= 0, so from x_hat = 0 the averaged
+    # c e / d of a positive profile is >= +0.0, so from x_hat = 0 the averaged
     # conjectures stay >= 0 and a = alpha + x_hat >= alpha > 0: the profile
-    # never leaves the domain of the update rule.
+    # never leaves the domain of the update rule. It also makes the undamped
+    # step 0 * x_hat + 1 * v equal to v bit for bit.
+    resplit, top = _resplit(g), np.maximum.reduce
     xh = np.zeros(g.n)
     for k in range(max_iter):
-        new = (1.0 - damping) * xh + damping * _resplit(g, alpha + xh)[3]
-        if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > 1e12:
+        v = resplit(alpha + xh)[3]
+        new = v if damping == 1.0 else (1.0 - damping) * xh + damping * v
+        if not top(np.abs(new)) <= 1e12:  # also true for inf and nan
             return alpha + xh, k + 1, False
-        if float(np.max(np.abs(new - xh))) < tol:
+        if top(np.abs(new - xh)) < tol:
             return alpha + new, k + 1, True
         xh = new
     return alpha + xh, max_iter, False
 
 
 def _seidel(g, alpha, tol, max_iter):
-    z = g.base.net.z
+    # Scalars are Python floats; a running sum of a would change bits, so
+    # each agent sums the whole profile again.
+    rows, cs, beta = list(g.base.net.z), g.c.tolist(), g.beta
+    total, top, inf = np.add.reduce, np.maximum.reduce, math.inf
     a = np.full(g.n, alpha)
     for k in range(max_iter):
         prev = a.copy()
-        for i in range(g.n):
-            x_i = float(z[i] @ a)
-            y_i = g.beta * (a.sum() - a[i])
-            ci = g.c[i]
-            b2 = 1.0 - ci * (alpha + x_i)
-            const = alpha + ci * y_i
-            disc = b2 * b2 + 4.0 * ci * const
-            if not np.isfinite(disc) or disc < 0.0:
+        for i, ci in enumerate(cs):
+            b2 = 1.0 - ci * (alpha + float(rows[i] @ a))
+            disc = b2 * b2 + 4.0 * ci * (alpha + ci * (beta * float(total(a) - a[i])))
+            if not (disc >= 0.0 and disc != inf):
                 return prev, k + 1, False
-            a[i] = (-b2 + np.sqrt(disc)) / (2.0 * ci)
-        if float(np.max(np.abs(a))) > 1e12:
+            a[i] = (-b2 + math.sqrt(disc)) / (2.0 * ci)
+        if top(np.abs(a)) > 1e12:
             return a, k + 1, False
-        if float(np.max(np.abs(a - prev))) < tol:
+        if top(np.abs(a - prev)) < tol:
             return a, k + 1, True
     return a, max_iter, False
 
 
 def _newton(g, alpha, tol, max_iter):
-    """Damped Newton on H(a) = 0 with the analytic Jacobian.
-
-    Started at the common base payoff intercept, which keeps it on the
-    small-action branch when the rest-point system has several solutions.
+    """Damped Newton on H(a) = 0 from the common base payoff intercept,
+    which keeps it on the small-action branch when the system has several
+    solutions. Only the diagonal of its matrix is the analytic Jacobian: the
+    off-diagonal entries c_i (a_i z_ij + beta) / d_i^2 carry an extra factor
+    1 / d_i, so it is a quasi-Newton method and converges only linearly.
     """
     n = g.n
+    resplit, top, least = _resplit(g), np.maximum.reduce, np.minimum.reduce
     coupling = g.beta * (1.0 - np.eye(n))
     a = np.full(n, alpha)
-    x, e, d, x_next, _ = _resplit(g, a)
+    x, e, d, x_next = resplit(a)
     h = alpha + x_next - a
     for k in range(min(max_iter, 200)):
-        norm = float(np.max(np.abs(h)))
-        if norm < tol * max(1.0, float(np.max(np.abs(a)))):
+        norm = top(np.abs(h))
+        if norm < tol * max(1.0, top(np.abs(a))):
             return a, k + 1, True
         jac = (g.c / (d * d))[:, None] * (a[:, None] * g.base.net.z + coupling)
         jac += np.diag(g.c * (x * d - g.c * e) / (d * d) - 1.0)
@@ -354,11 +368,11 @@ def _newton(g, alpha, tol, max_iter):
         while t > 1e-12:
             cand = a + t * step
             # stay in the dynamics' domain: genuine rest points have a > 0
-            if np.all(cand > 0.0):
-                parts = _resplit(g, cand)
+            if least(cand) > 0.0:
+                parts = resplit(cand)
                 h_cand = alpha + parts[3] - cand
-                if float(np.max(np.abs(h_cand))) < norm:
-                    a, h, (x, e, d, _, _) = cand, h_cand, parts
+                if top(np.abs(h_cand)) < norm:
+                    a, h, (x, e, d, _) = cand, h_cand, parts
                     break
             t *= 0.5
         else:
@@ -386,6 +400,7 @@ def solve_global_sce(
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
+    resplit = _resplit(g)
     attempts = {
         "iterate": lambda: _iterate(g, alpha, 1.0, tol, max_iter),
         "damped": lambda: _iterate(g, alpha, 0.5, tol, max_iter),
@@ -395,7 +410,7 @@ def solve_global_sce(
     if method in attempts:
         order = [method]
     elif method == "auto":
-        window = check_homeo2(g).holds
+        window = _homeo2(g)[2].all()
         order = (["iterate"] if window else []) + ["damped", "seidel", "newton"]
     else:
         raise UsageError(f"unknown method {method!r}")
@@ -407,7 +422,8 @@ def solve_global_sce(
             a, iters, ok = attempts[name]()
         total += iters
         with np.errstate(invalid="ignore"):
-            _, _, _, x_hat, y_hat = _resplit(g, a)
+            _, e, d, x_hat = resplit(a)
+            y_hat = e / d
             res = float(np.max(np.abs(alpha + x_hat - a)))
         if not np.isfinite(res):
             res = float("inf")

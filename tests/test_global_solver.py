@@ -2,9 +2,10 @@
 
 ``reference_solve`` is the earlier driver: every learn step and every
 residual re-checks the learning regime, plain and damped iteration catch
-``UsageError`` to stop, and the re-split c e / (1 + c a) is written out
-at each use. ``solve_global_sce``, ``residual`` and ``global_learn_step``
-must reproduce it bit for bit, warnings included, on a seeded battery.
+``UsageError`` to stop, the re-split c e / (1 + c a) is written out at each
+use, and ``reference_seidel`` sweeps with NumPy scalars. ``solve_global_sce``,
+``residual`` and ``global_learn_step`` must reproduce it bit for bit,
+warnings included, on a seeded battery and through the CLI.
 """
 
 import warnings
@@ -22,15 +23,17 @@ from netsce import (
     residual,
     solve_global_sce,
 )
-from netsce import global_ext
+from netsce import cli, global_ext
+from netsce.cli import main
 from netsce.game import aggregate
 from netsce.global_ext import (
     GlobalSolve,
     GlobalStep,
     _require_learning_regime,
-    _seidel,
     global_spillover,
 )
+
+from conftest import SCENARIO_DIR
 
 METHODS = ("iterate", "damped", "seidel", "newton")
 
@@ -81,6 +84,28 @@ def reference_iterate(g, damping, tol, max_iter):
     return xh, max_iter, False
 
 
+def reference_seidel(g, alpha, tol, max_iter):
+    z = g.base.net.z
+    a = np.full(g.n, alpha)
+    for k in range(max_iter):
+        prev = a.copy()
+        for i in range(g.n):
+            x_i = float(z[i] @ a)
+            y_i = g.beta * (a.sum() - a[i])
+            ci = g.c[i]
+            b2 = 1.0 - ci * (alpha + x_i)
+            const = alpha + ci * y_i
+            disc = b2 * b2 + 4.0 * ci * const
+            if not np.isfinite(disc) or disc < 0.0:
+                return prev, k + 1, False
+            a[i] = (-b2 + np.sqrt(disc)) / (2.0 * ci)
+        if float(np.max(np.abs(a))) > 1e12:
+            return a, k + 1, False
+        if float(np.max(np.abs(a - prev))) < tol:
+            return a, k + 1, True
+    return a, max_iter, False
+
+
 def reference_newton(g, alpha, tol, max_iter):
     z = g.base.net.z
     n = g.n
@@ -119,7 +144,7 @@ def reference_solve(g, tol=1e-10, max_iter=100_000, method="auto"):
     attempts = {
         "iterate": lambda: reference_iterate(g, 1.0, tol, max_iter),
         "damped": lambda: reference_iterate(g, 0.5, tol, max_iter),
-        "seidel": lambda: _seidel(g, alpha, tol, max_iter),
+        "seidel": lambda: reference_seidel(g, alpha, tol, max_iter),
         "newton": lambda: reference_newton(g, alpha, tol, max_iter),
     }
     if method in attempts:
@@ -200,9 +225,9 @@ def _fields(value):
     return value
 
 
-def _battery_game(rng, heterogeneous):
+def _battery_game(rng, heterogeneous, n=None):
     """A nonnegative network of random density and heat with admissible c."""
-    n = int(rng.integers(2, 7))
+    n = int(rng.integers(2, 7)) if n is None else n
     z = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.4, 1.0))
     np.fill_diagonal(z, 0.0)
     z[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # every row sum positive
@@ -216,6 +241,50 @@ def _battery_game(rng, heterogeneous):
     return make_global_game(base, beta=beta, c=c)
 
 
+def _hot_corner_game(rng):
+    """A hot grid point of perfbench's global_sweep: n = 3..5, row sums in
+    [0.8, 1.8] and c = u r / (n - 1) with u in [0.85, 0.98], where the
+    rest-point branch folds and every method fails."""
+    n = int(rng.integers(3, 6))
+    r = rng.uniform(0.8, 1.8, n)
+    w = rng.uniform(0.2, 1.0, (n, n))
+    np.fill_diagonal(w, 0.0)
+    z = w / w.sum(axis=1, keepdims=True) * r[:, None]
+    base = make_game(WeightedNetwork(z=z), alpha=float(rng.uniform(0.05, 0.5)), a_max=50.0)
+    return make_global_game(base, beta=1.0, c=rng.uniform(0.85, 0.98, n) * r / (n - 1))
+
+
+def _compare(g, tol, max_iter):
+    """Every method's solve of g against the reference; returns the
+    reference outcomes by method."""
+    refs = {}
+    for method in ("auto",) + METHODS:
+        got, got_warn = _outcome(solve_global_sce, g, tol=tol, max_iter=max_iter, method=method)
+        ref, ref_warn = _outcome(reference_solve, g, tol=tol, max_iter=max_iter, method=method)
+        assert _fields(got) == _fields(ref), method
+        assert got_warn == ref_warn, method
+        refs[method] = ref
+    return refs
+
+
+def _compare_steps(g, rng):
+    """The public per-step operations, at random profiles of both signs."""
+    for _ in range(3):
+        x_hat = rng.uniform(-0.5 * g.base.alpha[0] - 0.2, 2.0, g.n)
+        for fn, ref_fn, arg in (
+            (global_learn_step, reference_learn_step, x_hat),
+            (residual, reference_residual, g.base.alpha[0] + x_hat),
+        ):
+            got, got_warn = _outcome(fn, g, arg)
+            ref, ref_warn = _outcome(ref_fn, g, arg)
+            assert _fields(got) == _fields(ref)
+            assert got_warn == ref_warn
+
+
+def _budget(method, max_iter):
+    return min(max_iter, 200) if method == "newton" else max_iter
+
+
 def test_solver_matches_reference_bit_for_bit():
     rng = np.random.default_rng(20240605)
     winners, nonconverged, exhausted, errors = set(), 0, 0, 0
@@ -223,11 +292,7 @@ def test_solver_matches_reference_bit_for_bit():
         g = _battery_game(rng, heterogeneous=k % 12 == 0)
         max_iter = (1, 3, 50, 1000)[k % 4]
         tol = (1e-10, 1e-6)[(k // 4) % 2]
-        for method in ("auto",) + METHODS:
-            got, got_warn = _outcome(solve_global_sce, g, tol=tol, max_iter=max_iter, method=method)
-            ref, ref_warn = _outcome(reference_solve, g, tol=tol, max_iter=max_iter, method=method)
-            assert _fields(got) == _fields(ref), (k, method)
-            assert got_warn == ref_warn, (k, method)
+        for method, ref in _compare(g, tol, max_iter).items():
             if not isinstance(ref, GlobalSolve):
                 errors += 1
                 assert "common intercept" in ref[1]
@@ -235,28 +300,51 @@ def test_solver_matches_reference_bit_for_bit():
             if method == "auto" and ref.converged:
                 winners.add(ref.method)
             if method != "auto" and not ref.converged:
-                budget = min(max_iter, 200) if method == "newton" else max_iter
-                if ref.iterations == budget:
+                if ref.iterations == _budget(method, max_iter):
                     exhausted += 1
                 else:
                     nonconverged += 1
-        # the public per-step operations, at random profiles of both signs
-        for _ in range(3):
-            x_hat = rng.uniform(-0.5 * g.base.alpha[0] - 0.2, 2.0, g.n)
-            for fn, ref_fn, arg in (
-                (global_learn_step, reference_learn_step, x_hat),
-                (residual, reference_residual, g.base.alpha[0] + x_hat),
-            ):
-                got, got_warn = _outcome(fn, g, arg)
-                ref, ref_warn = _outcome(ref_fn, g, arg)
-                assert _fields(got) == _fields(ref)
-                assert got_warn == ref_warn
+        _compare_steps(g, rng)
     assert winners == set(METHODS)
     assert nonconverged > 0 and exhausted > 0
     assert errors == 20 * (1 + len(METHODS))
 
+    # Hot corners: every method fails, and each one also stops early
+    # (blow-up, a bad discriminant, an exhausted line search) on some game.
+    early = set()
+    for k in range(24):
+        g = _hot_corner_game(rng)
+        max_iter = (50, 300)[k % 2]
+        for method, ref in _compare(g, (1e-10, 1e-6)[(k // 2) % 2], max_iter).items():
+            assert not ref.converged, (k, method)
+            if ref.iterations < _budget(method, max_iter):
+                early.add(method)
+    assert early >= set(METHODS)
 
-def test_regime_is_checked_at_most_twice_per_solve(monkeypatch):
+    # n = 20 and 50: the profile sums run NumPy's blocked pairwise summation.
+    for k in range(6):
+        g = _battery_game(rng, heterogeneous=False, n=(20, 50)[k % 2])
+        _compare(g, 1e-10, (3, 50)[(k // 2) % 2])
+
+    # Weights near the float limit: the first step overflows to inf, or to
+    # nan through inf / inf, and every method must stop on it. The reference
+    # computes some overflowing terms twice (1 + c a in its learn step, the
+    # winning re-split after its solve), so it warns more often than the
+    # library; here values are compared with warnings silenced.
+    for k in range(8):
+        g = _battery_game(rng, heterogeneous=False)
+        scale = (1e150, 1e300)[k % 2]
+        alpha = (1.0, 1e10, 1e100, 1e200)[k // 2]
+        base = make_game(WeightedNetwork(z=g.base.net.z * scale), alpha=alpha, a_max=1.0)
+        g = make_global_game(base, beta=g.beta, c=g.c * scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = _compare(g, 1e-10, 50)
+            _compare_steps(g, rng)
+        for method in METHODS:
+            assert refs[method].iterations == 1 and not refs[method].converged
+
+
+def test_regime_is_checked_once_per_solve(monkeypatch):
     # the game of test_solver_rejects_nonpositive_rest_points: every method
     # runs and none converges, so the solve takes hundreds of steps
     z = np.array(
@@ -279,7 +367,7 @@ def test_regime_is_checked_at_most_twice_per_solve(monkeypatch):
     out = solve_global_sce(g, max_iter=1000)
     assert not out.converged
     assert out.iterations > 100
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -300,9 +388,24 @@ def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("the solver started before its arguments were checked")
 
-    monkeypatch.setattr(global_ext, "_resplit", no_work)
-    monkeypatch.setattr(global_ext, "_seidel", no_work)
+    for name in ("_resplit", "_iterate", "_seidel", "_newton"):
+        monkeypatch.setattr(global_ext, name, no_work)
     with pytest.raises(UsageError):
         solve_global_sce(g, **kwargs)
     with pytest.raises(UsageError):
         global_ext.phi_map(base, beta=1.0, c_grid=[0.1], **kwargs)
+
+
+@pytest.mark.parametrize("scenario", ["global_line.json", "global_complete.json"])
+@pytest.mark.parametrize("command", ["global-sce", "phi-map"])
+def test_cli_output_matches_reference_driver(command, scenario, tmp_path, monkeypatch, capsys):
+    def run(name):
+        out = tmp_path / name
+        code = main([command, "-i", str(SCENARIO_DIR / scenario), "-o", str(out)])
+        return code, out.read_bytes(), capsys.readouterr()
+
+    got = run("got.csv")
+    monkeypatch.setattr(cli, "solve_global_sce", reference_solve)
+    monkeypatch.setattr(global_ext, "solve_global_sce", reference_solve)
+    ref = run("ref.csv")
+    assert got[1] and got == ref
