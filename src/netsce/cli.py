@@ -12,6 +12,12 @@ stability   spectral test plus Monte-Carlo return probe per equilibrium
 global-sce  rest point of the split-belief dynamics (global mode)
 phi-map     sweep the centrality-to-action map along t * c, t in (0, 1]
 
+``stability`` probes every record with the same samples, seed and tol.
+It checks max_iter (from the file or --max-iter) but does not use it: each
+probe run stops after at most 20 000 periods. A cap warning on stderr
+covers one period of a probe block, whose rows may belong to several
+records.
+
 Exit codes: 0 success; 1 usage error (bad flags, malformed scenario, wrong
 mode); 2 numeric failure (divergence, max-iter, non-convergence) — partial
 diagnostics are still written in that case.
@@ -34,7 +40,10 @@ import numpy as np
 from .equilibrium import enumerate_sce, solve_full_ne
 from .errors import NumericError, UsageError
 from .global_ext import phi_map, solve_global_sce
-from .learning import probe_stability, analytic_stability, run_learning
+from .learning import _probe, analytic_stability, run_learning
+# The stability command probes all records through _probe; perfbench's span
+# tracer still wraps probe_stability under this module's name.
+from .learning import probe_stability  # noqa: F401
 from .network import ASSUMPTIONS, check_assumption
 from .scenario import Scenario, load_scenario, normalize_scenario, parse_scenario
 
@@ -161,17 +170,10 @@ def _cmd_learn(scn: Scenario, args) -> int:
 
 def _cmd_stability(scn: Scenario, args) -> int:
     records, _ = enumerate_sce(scn.game)
+    probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, 20_000)
     rows = []
-    for rec in records:
+    for rec, emp in zip(records, probes):
         ana = analytic_stability(scn.game, rec)
-        emp = probe_stability(
-            scn.game,
-            rec,
-            epsilon=scn.epsilon,
-            samples=scn.samples,
-            seed=scn.seed,
-            tol=scn.tol,
-        )
         rows.append(
             [
                 rec.bitmask,

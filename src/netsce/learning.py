@@ -56,8 +56,9 @@ CAP_WARN_MARGIN = 1e-6
 #: Default quiet-window length and divergence threshold of a run.
 WINDOW = 3
 DIVERGENCE_CAP = 1e9
-#: Probe samples advanced together. Bounds the probe's memory whatever the
-#: sample count: a ring of 4 * RING * PROBE_BLOCK * n floats.
+#: Probe rows, (sample, record) pairs, advanced together. Bounds the probe's
+#: memory whatever the sample and record counts: a ring of
+#: 4 * RING * PROBE_BLOCK * n floats.
 PROBE_BLOCK = 128
 
 
@@ -517,37 +518,60 @@ def probe_stability(
     given ``tol`` and ``max_iter``. Samples are advanced together in blocks
     of ``PROBE_BLOCK`` rows; each one's verdict is that of its own run.
     """
+    return _probe(spec, [record], epsilon, samples, seed, tol, max_iter)[0]
+
+
+def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
+    """:func:`probe_stability` for every record of ``records`` at once.
+
+    Rows are (sample, record) pairs in sample-major order, advanced by
+    :func:`_advance` in blocks of at most ``PROBE_BLOCK`` rows. Sample k's
+    noise does not depend on the record: each block draws it once for the
+    samples it covers and row (k, r) starts from
+    ``clip(witness_r + noise_k, x_lo, x_hi)``, the start probe_stability
+    gives sample k of record r on its own. A sample whose rows a block
+    boundary splits is drawn once in each of the two blocks.
+    """
     if samples < 1:
         raise UsageError("probe needs at least one sample")
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise UsageError("epsilon must be a finite positive number")
     _check_stopping(tol, max_iter)
-    returned = stayed = nonconv = 0
-    for lo in range(0, samples, PROBE_BLOCK):
+    count = len(records)
+    witnesses = np.array([rec.conjectures for rec in records]).reshape(count, spec.n)
+    targets = np.array([rec.actions for rec in records]).reshape(count, spec.n)
+    returned = np.zeros(count, dtype=int)
+    stayed = np.zeros(count, dtype=int)
+    nonconv = np.zeros(count, dtype=int)
+    total = samples * count
+    for lo in range(0, total, PROBE_BLOCK):
+        sample, rec = np.divmod(np.arange(lo, min(lo + PROBE_BLOCK, total)), count)
+        first = int(sample[0])
         noise = [
             np.random.default_rng((seed, k)).uniform(-epsilon, epsilon, spec.n)
-            for k in range(lo, min(lo + PROBE_BLOCK, samples))
+            for k in range(first, int(sample[-1]) + 1)
         ]
-        x0 = np.clip(record.conjectures + np.array(noise), spec.x_lo, spec.x_hi)
+        x0 = np.clip(witnesses[rec] + np.array(noise)[sample - first], spec.x_lo, spec.x_hi)
         runs = _advance(spec, x0, tol, max_iter, WINDOW, DIVERGENCE_CAP)
         converged = np.array([c == "converged" for c in runs.classification])
-        nonconv += int(np.count_nonzero(~converged))
-        final = runs.final[converged]
+        nonconv += np.bincount(rec[~converged], minlength=count)
+        final, rec = runs.final[converged], rec[converged]
         limit = best_reply(spec, final)
-        returned += int(np.count_nonzero(np.abs(limit - record.actions).max(axis=1) <= 1e-6))
-        stayed += int(
-            np.count_nonzero(
-                np.abs(final - record.conjectures).max(axis=1) <= epsilon + 1e-6
-            )
+        back = np.abs(limit - targets[rec]).max(axis=1) <= 1e-6
+        stay = np.abs(final - witnesses[rec]).max(axis=1) <= epsilon + 1e-6
+        returned += np.bincount(rec[back], minlength=count)
+        stayed += np.bincount(rec[stay], minlength=count)
+    return [
+        EmpiricalStability(
+            epsilon=epsilon,
+            samples=samples,
+            seed=seed,
+            return_fraction=int(returned[r]) / samples,
+            belief_stay_fraction=int(stayed[r]) / samples,
+            nonconverged=int(nonconv[r]),
         )
-    return EmpiricalStability(
-        epsilon=epsilon,
-        samples=samples,
-        seed=seed,
-        return_fraction=returned / samples,
-        belief_stay_fraction=stayed / samples,
-        nonconverged=nonconv,
-    )
+        for r in range(count)
+    ]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,18 @@ MIXED4 = np.array(
     ]
 )
 
+# Signed 4-agent weights; with CAPPED4's caps and intercepts, probes of
+# width 0.1 press the cap and return to only some records.
+SIGNED4 = np.array(
+    [
+        [0.0, 0.3, -0.2, 0.1],
+        [0.25, 0.0, 0.2, -0.3],
+        [-0.2, 0.3, 0.0, 0.2],
+        [0.2, -0.25, 0.3, 0.0],
+    ]
+)
+CAPPED4 = {"alpha": [0.1, 0.05, 0.12, 0.08], "a_max": 0.13}
+
 LINE3 = 0.2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 COMPLETE3 = 0.2 * (np.ones((3, 3)) - np.eye(3))
 
@@ -48,6 +60,20 @@ def negative_game():
 @pytest.fixture
 def mixed_game():
     return make_game(WeightedNetwork(z=MIXED4), alpha=0.1)
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """A one-item list counting the calls to ``np.random.default_rng``."""
+    calls = [0]
+    real = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return calls
 
 
 def by_active(records, active):

@@ -1,16 +1,25 @@
 """End-to-end command-line runs against the bundled scenarios."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from netsce import (
+    CapBindingWarning,
+    analytic_stability,
+    enumerate_sce,
+    load_scenario,
+    probe_stability,
+)
 from netsce.cli import _COMMANDS, main
 
-from conftest import SCENARIO_DIR
+from conftest import CAPPED4, SCENARIO_DIR, SIGNED4
 
 
 def run(tmp_path, command, scenario, *flags, out="out.csv"):
@@ -175,6 +184,72 @@ def test_stability_table(tmp_path):
     full = [r for r in rows if r["bitmask"] == "15"][0]
     assert full["margin"] == ""  # no inactive agent, no margin
     assert float(full["rho_active"]) == pytest.approx(0.2)
+
+
+def _per_record_stability_csv(path) -> bytes:
+    """The stability CSV of one ``probe_stability`` call per record."""
+    scn = load_scenario(path)
+    fmt = "{:.12g}".format
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["bitmask", "active_set", "kind", "verdict", "rho_active", "margin",
+                "return_fraction", "belief_stay_fraction", "nonconverged"])
+    for rec in enumerate_sce(scn.game)[0]:
+        ana = analytic_stability(scn.game, rec)
+        emp = probe_stability(scn.game, rec, epsilon=scn.epsilon, samples=scn.samples,
+                              seed=scn.seed, tol=scn.tol)
+        w.writerow([rec.bitmask, "|".join(str(i) for i in sorted(rec.active_set)), rec.kind,
+                    ana.verdict, fmt(ana.rho_active),
+                    "" if ana.margin is None else fmt(ana.margin),
+                    fmt(emp.return_fraction), fmt(emp.belief_stay_fraction), emp.nonconverged])
+    return buf.getvalue().encode()
+
+
+def _capped_signed_scenario(tmp_path):
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"mode": "local", "n": 4, "z": SIGNED4.tolist(), **CAPPED4,
+                                "epsilon": 0.1, "samples": 30, "seed": 5}))
+    return path
+
+
+@pytest.mark.parametrize("scenario", ["table1.json", "table2.json", "table3.json", "capped"])
+def test_stability_csv_matches_per_record_probes(tmp_path, scenario):
+    path = (_capped_signed_scenario(tmp_path) if scenario == "capped"
+            else SCENARIO_DIR / scenario)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapBindingWarning)
+        assert main(["stability", "-i", str(path), "-o", str(out)]) == 0
+        expected = _per_record_stability_csv(path)
+    assert out.read_bytes() == expected
+    if scenario == "capped":  # some records see every probe return, some not
+        assert len({line.split(b",")[6] for line in expected.splitlines()[1:]}) > 1
+
+
+def test_stability_checks_max_iter_but_does_not_use_it(tmp_path):
+    _, _, default = run(tmp_path, "stability", "table2.json", "--samples", "5", out="a.csv")
+    _, _, short = run(tmp_path, "stability", "table2.json", "--samples", "5",
+                      "--max-iter", "1", out="b.csv")
+    assert short.read_bytes() == default.read_bytes()
+    assert main(["stability", "-i", str(SCENARIO_DIR / "table2.json"), "--max-iter", "0"]) == 1
+
+
+def test_stability_draws_each_sample_once(tmp_path, rng_calls):
+    code, rows, _ = run(tmp_path, "stability", "table1.json")
+    assert code == 0 and len(rows) == 16
+    assert rng_calls[0] == 100  # the scenario's samples, not 16 records x 100
+
+
+def test_stability_without_records_writes_header(tmp_path):
+    path = tmp_path / "none.json"
+    # a lone agent whose reply always exceeds its cap and who cannot justify
+    # inactivity: no selfconfirming equilibrium
+    path.write_text(json.dumps({"mode": "local", "n": 1, "alpha": 2.0, "a_max": 1.0,
+                                "z": [[0.0]], "x_bounds": [-1.0, 5.0]}))
+    out = tmp_path / "out.csv"
+    assert main(["stability", "-i", str(path), "-o", str(out)]) == 0
+    assert out.read_bytes() == _per_record_stability_csv(path)
+    assert out.read_text().count("\n") == 1
 
 
 # ------------------------------------------------------------- global & maps

@@ -29,9 +29,9 @@ from netsce import (
 )
 from netsce.equilibrium import ACTIVE_TOL
 from netsce.game import best_reply, invert_feedback
-from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING, _step
+from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING, _probe, _step
 
-from conftest import ADJ4, MIXED4
+from conftest import ADJ4, CAPPED4, MIXED4, SIGNED4
 
 
 # --------------------------------------------------------------- references
@@ -311,6 +311,64 @@ def test_probe_matches_per_sample_loop():
     # runs; some return only partly, some have runs that never settle
     assert any(blocks) and mixed
     assert (True, False) in fractions and any(nonconv for _, nonconv in fractions)
+
+
+def _probe_groups():
+    """The games of ``_probe_cases`` with several records probed at once.
+
+    Each game keeps the records ``_probe_cases`` probes on it, then two of
+    its own SCE records; the random games are also probed with 60 samples.
+    A capped game with signed weights adds all eleven of its records.
+    """
+    groups = {}
+    for game, rec, eps, samples, seed, max_iter in _probe_cases():
+        groups.setdefault(id(game), (game, [], eps, samples, seed, max_iter))[1].append(rec)
+    cases = []
+    for game, recs, eps, samples, seed, max_iter in groups.values():
+        recs = recs + enumerate_sce(game)[0][:2]
+        cases.append((game, recs, eps, samples, seed, max_iter))
+        if len(recs) == 5:
+            cases.append((game, recs, eps, 60, seed, max_iter))
+    capped = make_game(WeightedNetwork(z=SIGNED4), **CAPPED4)
+    cases.append((capped, enumerate_sce(capped)[0], 0.1, 30, 5, 2000))
+    return cases
+
+
+def test_shared_probe_matches_per_record_loop(rng_calls):
+    seen = set()
+    for game, recs, eps, samples, seed, max_iter in _probe_groups():
+        before = rng_calls[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CapBindingWarning)
+            new = _probe(game, recs, eps, samples, seed, 1e-10, max_iter)
+        draws = rng_calls[0] - before
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapBindingWarning)
+            refs = [reference_probe(game, rec, eps, samples, seed, max_iter=max_iter)
+                    for rec in recs]
+        assert len(new) == len(recs)
+        for emp, ref in zip(new, refs):
+            assert (emp.epsilon, emp.samples, emp.seed) == (eps, samples, seed)
+            assert (emp.return_fraction, emp.belief_stay_fraction, emp.nonconverged) == ref
+        # each block draws every sample it covers once
+        total = samples * len(recs)
+        blocks = -(-total // PROBE_BLOCK)
+        assert samples <= draws <= samples + blocks
+        edges = range(PROBE_BLOCK, total, PROBE_BLOCK)
+        seen.update(name for name, hit in (
+            ("several", len(recs) > 1),
+            ("capped", any(w.category is CapBindingWarning for w in caught)),
+            ("uneven", PROBE_BLOCK % len(recs)),
+            ("split", any(edge % len(recs) for edge in edges)),
+            ("long", samples > PROBE_BLOCK),
+            ("mixed", len(set(refs)) > 1),
+        ) if hit)
+    assert seen == {"several", "capped", "uneven", "split", "long", "mixed"}, seen
+
+    game = _probe_cases()[0][0]
+    before = rng_calls[0]
+    assert _probe(game, [], 1e-3, 10, 0, 1e-10, 100) == []
+    assert rng_calls[0] == before
 
 
 # -------------------------------------------------------------- step kernel
