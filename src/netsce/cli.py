@@ -60,9 +60,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_csv(path: Optional[str], header, rows):
     rendered = [[_fmt(v) for v in row] for row in rows]
-    out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+    out = nullcontext(sys.stdout) if path is None else _open_output(path)
     with out as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -163,7 +170,7 @@ def _cmd_learn(scn: Scenario, args) -> int:
     if args.output is None:
         sys.stderr.write(text)
     else:
-        with open(args.output + ".summary.json", "w", encoding="utf-8") as fh:
+        with _open_output(args.output + ".summary.json") as fh:
             fh.write(text)
     return 0 if traj.classification == "converged" else 2
 

@@ -19,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotSymmetrizableError, UsageError
+from .errors import UsageError
 from .game import GameSpec, aggregate, justifiable_inactivity_set
-from .network import WeightedNetwork, check_assumption, spectral_radius, symmetrize_decompose
+from .network import WeightedNetwork, _try_symmetrize, check_assumption, spectral_radius
 
 __all__ = [
     "ACTIVE_TOL",
@@ -406,19 +406,15 @@ def interior_conditions(net: WeightedNetwork, alpha=None) -> InteriorReport:
         witness={"max_offdiag": max_off, "row_sum": row_sum, "rho": spectral_radius(z)},
     )
 
-    try:
-        dec = symmetrize_decompose(net)
+    dec, failure = _try_symmetrize(net)
+    if dec is None:
+        cond_sym = ConditionEntry("symmetrizable-limited", holds=False, witness=failure)
+    else:
         lam = dec.lambda_max()
         cond_sym = ConditionEntry(
             "symmetrizable-limited",
             holds=bool(nonnegative and abs(lam) < 1.0),
             witness={"lambda_max": lam, "min_offdiag": min_off},
-        )
-    except NotSymmetrizableError as exc:
-        cond_sym = ConditionEntry(
-            "symmetrizable-limited",
-            holds=False,
-            witness={"reason": exc.reason, "detail": exc.detail},
         )
 
     try:

@@ -112,21 +112,17 @@ def make_game(
 ) -> GameSpec:
     """Build a :class:`GameSpec`, filling defaults.
 
-    Action caps default to ``DEFAULT_ACTION_CAP``. Conjecture ranges default
-    to the symmetric interval [-B, B] with ``B = max_i sum_j w * a_max_j``
-    when the network carries weight bounds (w the larger bound magnitude),
-    and twice the max attainable aggregate magnitude otherwise.
+    Action caps default to ``DEFAULT_ACTION_CAP``. Conjecture ranges are
+    given as a pair or not at all; they default to the symmetric interval
+    [-B, B] with B twice the largest attainable aggregate magnitude,
+    ``2 * max_i sum_j |z_ij| * a_max_j``.
     """
     n = net.n
     a_cap = _vec(DEFAULT_ACTION_CAP if a_max is None else a_max, n, "a_max")
     if (x_lo is None) != (x_hi is None):
         raise UsageError("give both conjecture bounds or neither")
     if x_lo is None:
-        if net.w_lo is not None:
-            w = max(abs(net.w_lo), abs(net.w_hi))
-            b = float(max(w * (a_cap.sum() - a_cap[i]) for i in range(n)))
-        else:
-            b = 2.0 * float(np.max(np.abs(net.z) @ a_cap))
+        b = 2.0 * float(np.max(np.abs(net.z) @ a_cap))
         # 0.0 - b, not -b: a zero bound stays +0.0, so conjectures clipped
         # to it do not turn into -0.0.
         x_lo, x_hi = 0.0 - b, b

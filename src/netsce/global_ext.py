@@ -19,7 +19,7 @@ positive root of c a^2 + (1 - c(alpha + x)) a - (alpha + c y) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -58,13 +58,15 @@ class GlobalGameSpec:
     where rowsum_i is agent i's total incoming weight. (A correct belief
     lies in that range whenever others' actions are nondecreasing in index
     order of magnitude; the upper end is the all-equal-actions ratio.)
+
+    ``y_lo``/``y_hi``, derived and read-only: [0, beta * sum_{j!=i} a_max_j].
     """
 
     base: GameSpec
     beta: float
     c: np.ndarray
-    y_lo: np.ndarray
-    y_hi: np.ndarray
+    y_lo: np.ndarray = field(init=False)
+    y_hi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.base.n
@@ -73,8 +75,9 @@ class GlobalGameSpec:
             raise UsageError("beta must be positive and finite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", _vec(self.c, n, "c"))
-        object.__setattr__(self, "y_lo", _vec(self.y_lo, n, "y_lo"))
-        object.__setattr__(self, "y_hi", _vec(self.y_hi, n, "y_hi"))
+        y_hi = beta * (self.base.a_max.sum() - self.base.a_max)
+        object.__setattr__(self, "y_lo", _vec(0.0, n, "y_lo"))
+        object.__setattr__(self, "y_hi", _vec(y_hi, n, "y_hi"))
         if np.any(self.c <= 0):
             i = int(np.flatnonzero(self.c <= 0)[0])
             raise UsageError(f"c[{i}] must be strictly positive")
@@ -85,32 +88,15 @@ class GlobalGameSpec:
                 f"c[{i}]={self.c[i]:.6g} exceeds the admissible bound "
                 f"{bound[i]:.6g} (row weight sum over beta)"
             )
-        attain_hi = beta * (self.base.a_max.sum() - self.base.a_max)
-        bad = (self.y_lo > _RANGE_SLACK) | (self.y_hi < attain_hi - _RANGE_SLACK)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise UsageError(
-                f"spillover range for agent {i} does not contain attainable "
-                f"values [0, {attain_hi[i]:.6g}]"
-            )
 
     @property
     def n(self) -> int:
         return self.base.n
 
 
-def make_global_game(
-    base: GameSpec, beta: float, c, y_lo=None, y_hi=None
-) -> GlobalGameSpec:
-    """Build a :class:`GlobalGameSpec`; spillover bounds default to the
-    attainable range [0, beta * sum_{j!=i} a_max_j]."""
-    n = base.n
-    if (y_lo is None) != (y_hi is None):
-        raise UsageError("give both spillover bounds or neither")
-    if y_lo is None:
-        y_lo = np.zeros(n)
-        y_hi = beta * (base.a_max.sum() - base.a_max)
-    return GlobalGameSpec(base=base, beta=beta, c=c, y_lo=y_lo, y_hi=y_hi)
+def make_global_game(base: GameSpec, beta: float, c) -> GlobalGameSpec:
+    """Build a :class:`GlobalGameSpec`, whose spillover range is derived."""
+    return GlobalGameSpec(base=base, beta=beta, c=c)
 
 
 def global_spillover(g: GlobalGameSpec, actions) -> np.ndarray:

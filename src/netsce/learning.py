@@ -53,8 +53,9 @@ RING = 64
 RECUR_TOL = 1e-9
 #: Margin below the action cap that triggers the cap warning.
 CAP_WARN_MARGIN = 1e-6
-#: Default quiet-window length and divergence threshold of a run.
+#: Default quiet-window length of a run.
 WINDOW = 3
+#: A run whose action or conjecture exceeds this in magnitude has diverged.
 DIVERGENCE_CAP = 1e9
 #: Probe rows, (sample, record) pairs, advanced together. Bounds the probe's
 #: memory whatever the sample and record counts: a ring of
@@ -256,13 +257,13 @@ class _Runs:
     final: np.ndarray  # last conjectures, (k, n)
 
 
-def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _Runs:
+def _advance(spec, x0, tol, max_iter, window, on_step=None) -> _Runs:
     """Run the dynamics from every row of ``x0`` (k, n) at once.
 
     Each period advances all live rows with one :func:`_step` call, warns
     once if any action presses its cap, and then applies the stopping rules
     row by row, in order: ``window`` consecutive sup-norm changes below
-    ``tol`` (converged); an action or conjecture beyond ``divergence_cap``
+    ``tol`` (converged); an action or conjecture beyond ``DIVERGENCE_CAP``
     in magnitude (diverged); the same state recurrence, or else increment
     recurrence while the state still moves, found in two consecutive
     periods (oscillating). A row leaves the stack the period it stops; rows
@@ -278,7 +279,7 @@ def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _
     cap_at = spec.a_max - CAP_WARN_MARGIN
     # Actions stay in [0, a_max] and conjectures in [x_lo, x_hi]: when those
     # bounds are within the cap no run can diverge.
-    can_diverge = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max()) > divergence_cap
+    can_diverge = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max()) > DIVERGENCE_CAP
 
     live = np.arange(k)
     xh = x0.copy()
@@ -308,8 +309,8 @@ def _advance(spec, x0, tol, max_iter, window, divergence_cap, on_step=None) -> _
         diverged = None
         if can_diverge:
             diverged = ~converged & (
-                (np.abs(a).max(axis=1) > divergence_cap)
-                | (np.abs(new).max(axis=1) > divergence_cap)
+                (np.abs(a).max(axis=1) > DIVERGENCE_CAP)
+                | (np.abs(new).max(axis=1) > DIVERGENCE_CAP)
             )
             stop = stop | diverged
         stopping = np.count_nonzero(stop)
@@ -371,13 +372,12 @@ def run_learning(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     window: int = WINDOW,
-    divergence_cap: float = DIVERGENCE_CAP,
 ) -> Trajectory:
     """Iterate the feedback dynamics from initial conjectures.
 
     Stops on the first of: ``window`` consecutive sup-norm conjecture
     changes below ``tol`` (converged); an action or conjecture beyond
-    ``divergence_cap`` in magnitude (diverged); a state recurring within the
+    ``DIVERGENCE_CAP`` in magnitude (diverged); a state recurring within the
     last 64 periods, or a conjecture increment recurring while the state
     drifts (oscillating, smallest period at least 2); ``max_iter`` periods.
 
@@ -412,7 +412,7 @@ def run_learning(
         if np.count_nonzero(capped):
             cap_events.extend((t, i) for i in np.flatnonzero(capped).tolist())
 
-    runs = _advance(spec, xh[None], tol, max_iter, window, divergence_cap, record)
+    runs = _advance(spec, xh[None], tol, max_iter, window, record)
     classification = runs.classification[0]
     period_kind, period, cycle_agents = runs.oscillation[0] or (None, None, None)
 
@@ -552,7 +552,7 @@ def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
             for k in range(first, int(sample[-1]) + 1)
         ]
         x0 = np.clip(witnesses[rec] + np.array(noise)[sample - first], spec.x_lo, spec.x_hi)
-        runs = _advance(spec, x0, tol, max_iter, WINDOW, DIVERGENCE_CAP)
+        runs = _advance(spec, x0, tol, max_iter, WINDOW)
         converged = np.array([c == "converged" for c in runs.classification])
         nonconv += np.bincount(rec[~converged], minlength=count)
         final, rec = runs.final[converged], rec[converged]

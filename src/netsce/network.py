@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -55,17 +55,11 @@ class WeightedNetwork:
     Parameters
     ----------
     z : (n, n) array_like
-        Weight matrix, zero diagonal. ``z[i, j]`` multiplies agent j's
-        action in agent i's aggregate.
-    w_lo, w_hi : float, optional
-        A priori bounds on individual weights, if known. When provided they
-        must bracket every entry and are used to size default conjecture
-        ranges downstream.
+        Weight matrix, zero diagonal, finite entries. ``z[i, j]`` multiplies
+        agent j's action in agent i's aggregate.
     """
 
     z: np.ndarray
-    w_lo: Optional[float] = None
-    w_hi: Optional[float] = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -77,15 +71,6 @@ class WeightedNetwork:
             i = int(np.flatnonzero(np.diag(z))[0])
             raise UsageError(f"z[{i}][{i}] must be 0")
         object.__setattr__(self, "z", _as_readonly(z))
-        n = z.shape[0]
-        if (self.w_lo is None) != (self.w_hi is None):
-            raise UsageError("weight bounds must be given as a pair or not at all")
-        if self.w_lo is not None:
-            if not (self.w_lo <= self.w_hi):
-                raise UsageError("w_lo must not exceed w_hi")
-            off = z[~np.eye(n, dtype=bool)]
-            if off.size and (off.min() < self.w_lo or off.max() > self.w_hi):
-                raise UsageError("weight bounds do not bracket the matrix entries")
 
     @property
     def n(self) -> int:
@@ -198,6 +183,15 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
     return Decomposition(z0=z0, gamma=gamma)
 
 
+def _try_symmetrize(net: WeightedNetwork) -> tuple:
+    """``(decomposition, None)``, or ``(None, witness)`` when Z is not
+    symmetrizable, with the failure's ``{"reason", "detail"}`` as witness."""
+    try:
+        return symmetrize_decompose(net), None
+    except NotSymmetrizableError as exc:
+        return None, {"reason": exc.reason, "detail": exc.detail}
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of one structural test, with its numeric witness."""
@@ -257,29 +251,15 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
         rho = spectral_radius(z)
         return AssumptionReport(assumption, holds=bool(rho < 1.0), witness={"rho": rho})
 
-    if assumption == "symmetrizable":
-        try:
-            dec = symmetrize_decompose(net)
-        except NotSymmetrizableError as exc:
+    if assumption in ("symmetrizable", "symmetrizable-limited"):
+        dec, failure = _try_symmetrize(net)
+        if dec is None:
+            return AssumptionReport(assumption, holds=False, witness=failure)
+        if assumption == "symmetrizable":
             return AssumptionReport(
                 assumption,
-                holds=False,
-                witness={"reason": exc.reason, "detail": exc.detail},
-            )
-        return AssumptionReport(
-            assumption,
-            holds=True,
-            witness={"kind": dec.kind, "decomposition": dec},
-        )
-
-    if assumption == "symmetrizable-limited":
-        try:
-            dec = symmetrize_decompose(net)
-        except NotSymmetrizableError as exc:
-            return AssumptionReport(
-                assumption,
-                holds=False,
-                witness={"reason": exc.reason, "detail": exc.detail},
+                holds=True,
+                witness={"kind": dec.kind, "decomposition": dec},
             )
         lam = dec.lambda_max()
         rho = spectral_radius(dec.symmetrized())
@@ -300,7 +280,7 @@ def submatrix(net: WeightedNetwork, agents: Iterable[int]) -> WeightedNetwork:
     for a in idx:
         if not 0 <= a < net.n:
             raise UsageError(f"agent index {a} out of range for n={net.n}")
-    return WeightedNetwork(z=net.z[np.ix_(idx, idx)], w_lo=net.w_lo, w_hi=net.w_hi)
+    return WeightedNetwork(z=net.z[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)

@@ -239,13 +239,13 @@ def parse_scenario(source: Union[str, dict]) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file."""
+    """Read and parse a scenario file. A file that cannot be opened, is not
+    UTF-8 or nests too deeply to decode is a usage error naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse_scenario(fh.read())
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(text)
 
 
 def normalize_scenario(scn: Scenario) -> dict:

@@ -49,6 +49,49 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "netsce: error:" in err
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"mode": "local", "n": 1, "alpha": 0.5, "z": [[0]]} \xe9'.encode("latin-1"))
+    return ["sce", "-i", str(path)], path
+
+
+def _too_deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return ["sce", "-i", str(path)], path
+
+
+def _unwritable(command):
+    def case(tmp_path):
+        path = tmp_path / "missing-dir" / "out.csv"
+        return [command, "-i", str(SCENARIO_DIR / "table1.json"), "-o", str(path)], path
+    return case
+
+
+def _summary_unwritable(tmp_path):
+    out = tmp_path / "out.csv"
+    path = tmp_path / "out.csv.summary.json"
+    path.mkdir()  # learn writes the CSV, then cannot open its summary
+    return ["learn", "-i", str(SCENARIO_DIR / "learn_contracting.json"), "-o", str(out)], path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_not_utf8, _too_deep, _unwritable("sce"), _unwritable("learn"), _summary_unwritable],
+    ids=["input-not-utf8", "input-nested-too-deep", "sce-output-unwritable",
+         "learn-output-unwritable", "learn-summary-unwritable"],
+)
+def test_unreadable_input_and_unwritable_output_exit_one(tmp_path, case):
+    argv, path = case(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "netsce", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("netsce: error:")
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr
+
+
 def test_mode_guards(tmp_path, capsys):
     required = {"ne": "local", "sce": "local", "learn": "local", "stability": "local",
                 "global-sce": "global", "phi-map": "global"}

@@ -27,14 +27,6 @@ def test_game_defaults():
     assert np.all(game.x_hi == 2 * 0.6 * DEFAULT_ACTION_CAP)
 
 
-def test_game_default_range_uses_weight_bounds():
-    net = WeightedNetwork(z=0.2 * ADJ4, w_lo=-0.5, w_hi=0.3)
-    game = make_game(net, alpha=0.1, a_max=2.0)
-    # three potential neighbors, each worth at most 0.5 * 2.0 in magnitude
-    assert np.all(game.x_lo == -3.0)
-    assert np.all(game.x_hi == 3.0)
-
-
 def test_game_rejects_uncontained_range():
     net = WeightedNetwork(z=0.2 * ADJ4)
     with pytest.raises(UsageError, match="does not contain"):

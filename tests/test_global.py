@@ -44,10 +44,22 @@ def test_spec_validation(line_game):
     # the end agents' weight row sums to 0.2, so 0.25 is not a believable split
     with pytest.raises(UsageError):
         make_global_game(line_game, beta=1.0, c=0.25)
-    with pytest.raises(UsageError):
-        make_global_game(line_game, beta=1.0, c=0.1, y_lo=np.zeros(3))
-    with pytest.raises(UsageError):
-        make_global_game(line_game, beta=1.0, c=0.1, y_lo=np.zeros(3), y_hi=np.ones(3))
+
+
+def test_spillover_range_is_derived_and_read_only():
+    base = make_game(WeightedNetwork(z=LINE3), alpha=0.1, a_max=[1.0, 2.5, 4.0])
+    beta = 0.3
+    g = make_global_game(base, beta=beta, c=0.1)
+    assert np.array_equal(g.y_lo, np.zeros(3))
+    assert np.array_equal(g.y_hi, beta * (base.a_max.sum() - base.a_max))
+    with pytest.raises(ValueError):
+        g.y_hi[0] = 0.0
+    with pytest.raises(ValueError):
+        g.y_lo[0] = -1.0
+    with pytest.raises(AttributeError):
+        g.y_hi = np.ones(3)
+    with pytest.raises(TypeError):
+        make_global_game(base, beta, 0.1, y_lo=np.zeros(3), y_hi=np.ones(3))
 
 
 def test_spillover_and_payoff():

@@ -29,14 +29,6 @@ def test_network_rejects_nonsquare():
         WeightedNetwork(z=np.zeros((2, 3)))
 
 
-def test_network_bounds_must_bracket_weights():
-    z = np.array([[0.0, 0.5], [0.1, 0.0]])
-    with pytest.raises(UsageError):
-        WeightedNetwork(z=z, w_lo=-0.2, w_hi=0.2)
-    net = WeightedNetwork(z=z, w_lo=-1.0, w_hi=1.0)
-    assert net.w_lo == -1.0 and net.w_hi == 1.0
-
-
 def test_network_arrays_are_read_only():
     net = WeightedNetwork(z=np.zeros((2, 2)))
     with pytest.raises(ValueError):
