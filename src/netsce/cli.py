@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -282,7 +283,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args leaves it
+    as it was."""
     parser = _Parser(prog="netsce", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, _, help_text) in _COMMANDS.items():

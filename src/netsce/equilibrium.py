@@ -9,6 +9,8 @@ Candidate equilibria are found by active-set enumeration: for an active set
 K the interior first-order conditions are the linear system
 (I - Z_KK) a_K = alpha_K, and a candidate is kept when the solution is
 strictly positive, clears the action caps, and no agent outside K wants in.
+Records are built from the kept profiles as one stack per call: one
+aggregate, one mask for the Nash test and one sort into bitmask order.
 """
 
 from __future__ import annotations
@@ -238,6 +240,52 @@ def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
     return found, diags
 
 
+def _solve_stack(spec: GameSpec, supports: Iterable[Sequence[int]]):
+    """``_solve_supports``' kept profiles as one (k, n) stack, in the order
+    found, and its diagnostics."""
+    found, diags = _solve_supports(spec, supports)
+    return np.array([a for _, a in found]).reshape(len(found), spec.n), diags
+
+
+def _records(spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None):
+    """Records for the profiles in the rows of ``acts`` (k, n), whose
+    aggregates are the rows of ``x``, sorted by active-set bitmask.
+
+    ``declared`` is the declared-inactive set every record shares, or None
+    when each profile declares exactly its own inactive agents. Each record
+    is bit-identical to ``make_record(spec, acts[r], declared,
+    validate=False)``: row r of a stacked ``aggregate`` equals the product
+    for that row alone, and the kind keeps make_record's comparison. ``x``
+    is overwritten with the conjectures.
+    """
+    active = acts > ACTIVE_TOL
+    is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
+    if declared is None:
+        off = ~active
+    else:
+        off = np.zeros(spec.n, dtype=bool)
+        off[list(declared)] = True
+    np.copyto(x, spec.x_lo, where=off)
+    # Agent n - 1, the top bit, is lexsort's last and so primary key: this
+    # is bitmask order for any n, without forming the bitmasks.
+    order = np.lexsort(active.T)
+    agents = range(spec.n)
+    everyone = frozenset(agents)
+    records = []
+    for r, mask, ne in zip(order.tolist(), active[order].tolist(), is_ne[order].tolist()):
+        on = frozenset(itertools.compress(agents, mask))
+        records.append(
+            EquilibriumRecord(
+                actions=acts[r],
+                conjectures=x[r],
+                active_set=on,
+                declared_inactive=everyone - on if declared is None else declared,
+                kind="NE" if ne else "SCE-non-NE",
+            )
+        )
+    return records
+
+
 def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     """All Nash equilibria of the game with agents outside ``candidates``
     clamped to zero.
@@ -252,19 +300,13 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     for i in j:
         if not 0 <= i < spec.n:
             raise UsageError(f"agent index {i} out of range")
-    found, diags = _solve_supports(spec, _subsets(j))
-    declared = frozenset(range(spec.n)) - frozenset(j)
-    acts = np.array([a for _, a in found]).reshape(len(found), spec.n)
+    acts, diags = _solve_stack(spec, _subsets(j))
+    x = aggregate(spec, acts)
     # A kept profile is zero exactly off its support.
     outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
-    wants_in = ((spec.alpha + aggregate(spec, acts) > BOUNDARY_TOL) & outside).any(axis=1)
-    records = [
-        make_record(spec, a, declared_inactive=declared, validate=False)
-        for (_, a), out in zip(found, wants_in)
-        if not out
-    ]
-    records.sort(key=lambda rec: rec.bitmask)
-    return records, diags
+    keep = ~((spec.alpha + x > BOUNDARY_TOL) & outside).any(axis=1)
+    declared = frozenset(range(spec.n)) - frozenset(j)
+    return _records(spec, acts[keep], x[keep], declared), diags
 
 
 def solve_full_ne(spec: GameSpec):
@@ -287,13 +329,8 @@ def enumerate_sce(spec: GameSpec):
         tuple(sorted(everyone - frozenset(s)))
         for s in _subsets(sorted(justifiable_inactivity_set(spec)))
     )
-    found, diags = _solve_supports(spec, supports)
-    records = [
-        make_record(spec, a, declared_inactive=everyone - frozenset(k), validate=False)
-        for k, a in found
-    ]
-    records.sort(key=lambda rec: rec.bitmask)
-    return records, diags
+    acts, diags = _solve_stack(spec, supports)
+    return _records(spec, acts, aggregate(spec, acts)), diags
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,10 @@ class Scenario:
         return make_global_game(self.game, self.beta, self.c)
 
 
+class _TooDeep(UsageError):
+    """Scenario text nested past the interpreter's recursion limit."""
+
+
 def parse_scenario(source: Union[str, dict]) -> Scenario:
     """Parse a scenario from a JSON string or an already-decoded dict."""
     if isinstance(source, str):
@@ -128,6 +132,8 @@ def parse_scenario(source: Union[str, dict]) -> Scenario:
             obj = json.loads(source)
         except json.JSONDecodeError as exc:
             raise UsageError(f"scenario is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise _TooDeep(f"scenario nests too deeply to decode: {exc}") from exc
     else:
         obj = source
     if not isinstance(obj, dict):
@@ -244,8 +250,11 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_scenario(fh.read())
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
+    except _TooDeep as exc:
+        deep = exc.__cause__
+        raise UsageError(f"cannot read scenario file {path}: {deep}") from deep
 
 
 def normalize_scenario(scn: Scenario) -> dict:

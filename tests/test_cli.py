@@ -17,7 +17,7 @@ from netsce import (
     load_scenario,
     probe_stability,
 )
-from netsce.cli import _COMMANDS, main
+from netsce.cli import _COMMANDS, _build_parser, main
 
 from conftest import CAPPED4, SCENARIO_DIR, SIGNED4
 
@@ -47,6 +47,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sce", "-i", str(tmp_path / "missing.json")]) == 1
     err = capsys.readouterr().err
     assert "netsce: error:" in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """A usage error, then a good run, in one process print what two fresh
+    processes print."""
+    assert _build_parser() is _build_parser()
+    runs = (["sce"], ["ne", "-i", str(SCENARIO_DIR / "table1.json")])
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "netsce", *argv], capture_output=True, text=True
+        )
+        assert main(argv) == fresh.returncode
+        assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
 
 
 def _not_utf8(tmp_path):

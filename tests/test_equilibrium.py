@@ -13,6 +13,7 @@ from netsce import (
     solve_auxiliary_ne,
     solve_full_ne,
 )
+from netsce import equilibrium
 
 from conftest import ADJ4, by_active
 
@@ -105,6 +106,59 @@ def test_record_bitmask(positive_game):
     masks = [r.bitmask for r in records]
     assert masks == sorted(masks)
     assert masks[0] == 0 and masks[-1] == 0b1111
+
+
+def test_records_past_62_agents_come_in_bitmask_order():
+    """n = 70 with agents 1, 40 and 68 able to justify inactivity: eight
+    records whose bitmasks overflow int64, each equal to make_record on
+    its profile."""
+    n = 70
+    rng = np.random.default_rng(12)
+    z = rng.uniform(0.0, 0.5 / n, (n, n))
+    np.fill_diagonal(z, 0.0)
+    alpha = rng.uniform(0.05, 0.3, n)
+    x_lo = -0.5 * alpha
+    x_lo[[1, 40, 68]] = -1.0
+    spec = make_game(WeightedNetwork(z=z), alpha, a_max=1.0, x_lo=x_lo, x_hi=1.0)
+    records, _ = enumerate_sce(spec)
+    assert len(records) == 8
+    masks = [rec.bitmask for rec in records]
+    assert masks == sorted(masks) and max(masks) >= 1 << 69
+    want = sorted(
+        (
+            make_record(spec, rec.actions, rec.declared_inactive, validate=False)
+            for rec in records
+        ),
+        key=lambda rec: rec.bitmask,
+    )
+    assert {rec.kind for rec in records} == {"NE", "SCE-non-NE"}
+    for got, ref in zip(records, want):
+        assert got.active_set == ref.active_set
+        assert got.declared_inactive == ref.declared_inactive
+        assert got.kind == ref.kind
+        assert got.actions.tobytes() == ref.actions.tobytes()
+        assert got.conjectures.tobytes() == ref.conjectures.tobytes()
+        assert not got.actions.flags.writeable
+        assert not got.conjectures.flags.writeable
+
+
+def test_records_take_one_aggregate_per_call(monkeypatch):
+    """Seven strong substitutes: every nonempty active set is a Nash
+    equilibrium, so the two calls build 127 and 128 records from one
+    stacked aggregate each."""
+    n = 7
+    spec = make_game(WeightedNetwork(z=-1.5 * (np.ones((n, n)) - np.eye(n))), alpha=0.1)
+    calls = []
+
+    def counted(spec, actions):
+        calls.append(np.shape(actions))
+        return aggregate(spec, actions)
+
+    monkeypatch.setattr(equilibrium, "aggregate", counted)
+    ne, _ = solve_full_ne(spec)
+    assert len(ne) == 127 and calls == [(128, n)]
+    sce, _ = enumerate_sce(spec)
+    assert len(sce) == 128 and calls == [(128, n)] * 2
 
 
 def test_solve_full_ne_single_agent():

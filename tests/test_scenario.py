@@ -100,6 +100,16 @@ def test_broken_json_and_wrong_root():
         parse_scenario("[1, 2]")
 
 
+def test_text_nested_too_deep_is_a_usage_error(tmp_path):
+    text = "[" * 100_000
+    with pytest.raises(UsageError, match="nests too deeply"):
+        parse_scenario(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="cannot read scenario file .*deep.json: maximum recursion"):
+        load_scenario(path)
+
+
 def test_inadmissible_centrality_caught_at_parse_time():
     obj = make(mode="global", beta=1.0, c=2.0)
     with pytest.raises(UsageError, match="exceeds the admissible bound"):
