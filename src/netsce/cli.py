@@ -18,6 +18,10 @@ probe run stops after at most 20 000 periods. A cap warning on stderr
 covers one period of a probe block, whose rows may belong to several
 records.
 
+``ne``, ``sce`` and ``stability`` count on stderr, in one ``netsce: note:``
+line, the supports that yield no record: singular (continuum or
+inconsistent) or cap-bound. The note changes neither CSV nor exit code.
+
 Exit codes: 0 success; 1 usage error (bad flags, malformed scenario, wrong
 mode); 2 numeric failure (divergence, max-iter, non-convergence) — partial
 diagnostics are still written in that case.
@@ -118,6 +122,18 @@ def _equilibrium_header(n):
     )
 
 
+def _solved(solve, spec):
+    """Records of ``solve``, with one stderr note counting the singular and
+    cap-bound supports that yield none."""
+    records, diags = solve(spec)
+    singular = [why for _, why in diags.singular]
+    counts = (singular.count("continuum"), singular.count("inconsistent"), len(diags.cap_hits))
+    if any(counts):
+        note = "supports without a record: %d continuum, %d inconsistent, %d cap-bound"
+        print("netsce: note: " + note % counts, file=sys.stderr)
+    return records
+
+
 def _cmd_check(scn: Scenario, args) -> int:
     rows = []
     for name in ASSUMPTIONS:
@@ -129,7 +145,7 @@ def _cmd_check(scn: Scenario, args) -> int:
 
 def _cmd_equilibria(scn: Scenario, args) -> int:
     solve = solve_full_ne if args.command == "ne" else enumerate_sce
-    records, _ = solve(scn.game)
+    records = _solved(solve, scn.game)
     _write_csv(args.output, _equilibrium_header(scn.n), _equilibrium_rows(records, scn.n))
     return 0
 
@@ -177,7 +193,7 @@ def _cmd_learn(scn: Scenario, args) -> int:
 
 
 def _cmd_stability(scn: Scenario, args) -> int:
-    records, _ = enumerate_sce(scn.game)
+    records = _solved(enumerate_sce, scn.game)
     probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, 20_000)
     rows = []
     for rec, emp in zip(records, probes):

@@ -9,14 +9,15 @@ Candidate equilibria are found by active-set enumeration: for an active set
 K the interior first-order conditions are the linear system
 (I - Z_KK) a_K = alpha_K, and a candidate is kept when the solution is
 strictly positive, clears the action caps, and no agent outside K wants in.
-Records are built from the kept profiles as one stack per call: one
-aggregate, one mask for the Nash test and one sort into bitmask order.
+The kept profiles of a call come back as one stack, and every record is
+built from a stack by one function: one aggregate, one mask for the Nash
+test and one sort into bitmask order. A single profile is a stack of one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -104,31 +105,18 @@ def make_record(
     admissible conjecture x_lo. With ``validate`` the pair must pass is_sce;
     solvers that guarantee validity by construction switch it off.
     """
-    a = np.asarray(actions, dtype=float)
-    x = aggregate(spec, a)
-    active = frozenset(int(i) for i in np.flatnonzero(a > ACTIVE_TOL))
-    if conjectures is None:
-        conj = x.copy()
-        for i in declared_inactive:
-            conj[i] = spec.x_lo[i]
-    else:
-        conj = np.asarray(conjectures, dtype=float)
+    acts = np.asarray(actions, dtype=float)[None]
+    rec = _records(spec, acts, aggregate(spec, acts), frozenset(declared_inactive))[0]
+    if conjectures is not None:
+        rec = replace(rec, conjectures=conjectures)
     if validate:
-        chk = is_sce(spec, a, conj)
+        chk = is_sce(spec, rec.actions, rec.conjectures)
         if not chk.ok:
             worst = ", ".join(
                 f"agent {i}: {why} off by {gap:.3g}" for i, why, gap in chk.violations[:3]
             )
             raise UsageError(f"profile and conjectures are not selfconfirming ({worst})")
-    inactive = [i for i in range(spec.n) if i not in active]
-    is_ne = all(spec.alpha[i] + x[i] <= BOUNDARY_TOL for i in inactive)
-    return EquilibriumRecord(
-        actions=a,
-        conjectures=conj,
-        active_set=active,
-        declared_inactive=frozenset(declared_inactive),
-        kind="NE" if is_ne else "SCE-non-NE",
-    )
+    return rec
 
 
 def _solve_active(spec: GameSpec, k: Sequence[int]):
@@ -204,13 +192,14 @@ def _solve_block(spec: GameSpec, idx: np.ndarray):
 def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
     """Interior solutions on each sorted active set, in the order given.
 
-    Keeps (support, actions) when the solution is strictly positive
-    (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so every kept
-    profile's active set is exactly its support. Singular supports and
-    cap-bound solutions are reported in the returned diagnostics.
+    Returns (acts, diagnostics): the rows of ``acts`` (k, n) are the kept
+    profiles in support order. A solution is kept when strictly positive
+    (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so a kept row's
+    active set is exactly its support and it is 0 elsewhere. Singular
+    supports and cap-bound solutions are reported in the diagnostics.
     Supports of one size are solved as one stack per block.
     """
-    found, singular, cap_hits = [], [], []
+    stacks, singular, cap_hits = [np.zeros((0, spec.n))], [], []
     examined = 0
     for block in _blocks(supports):
         examined += len(block)
@@ -233,30 +222,24 @@ def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
         kept = np.flatnonzero(~(bad | low | cap))
         acts = np.zeros((len(kept), spec.n))
         acts[np.arange(len(kept))[:, None], idx[kept]] = sol[kept]
-        found.extend(zip((block[r] for r in kept), acts))
+        stacks.append(acts)
     diags = SolveDiagnostics(
         examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
     )
-    return found, diags
-
-
-def _solve_stack(spec: GameSpec, supports: Iterable[Sequence[int]]):
-    """``_solve_supports``' kept profiles as one (k, n) stack, in the order
-    found, and its diagnostics."""
-    found, diags = _solve_supports(spec, supports)
-    return np.array([a for _, a in found]).reshape(len(found), spec.n), diags
+    return np.concatenate(stacks), diags
 
 
 def _records(spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None):
     """Records for the profiles in the rows of ``acts`` (k, n), whose
-    aggregates are the rows of ``x``, sorted by active-set bitmask.
+    aggregates are the rows of ``x``, sorted by active-set bitmask; the one
+    builder of EquilibriumRecord (``make_record`` is its one-row case).
 
-    ``declared`` is the declared-inactive set every record shares, or None
-    when each profile declares exactly its own inactive agents. Each record
-    is bit-identical to ``make_record(spec, acts[r], declared,
-    validate=False)``: row r of a stacked ``aggregate`` equals the product
-    for that row alone, and the kind keeps make_record's comparison. ``x``
-    is overwritten with the conjectures.
+    Witness conjectures are the aggregate, with x_lo on ``declared``: the
+    declared-inactive set every record shares, or None when each profile
+    declares exactly its own inactive agents. The kind is "NE" when every
+    inactive agent's alpha_i + x_i is at most BOUNDARY_TOL. Row r of a
+    stacked ``aggregate`` equals the product for that row alone, so a
+    record does not depend on its stack. ``x`` is overwritten.
     """
     active = acts > ACTIVE_TOL
     is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
@@ -300,7 +283,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     for i in j:
         if not 0 <= i < spec.n:
             raise UsageError(f"agent index {i} out of range")
-    acts, diags = _solve_stack(spec, _subsets(j))
+    acts, diags = _solve_supports(spec, _subsets(j))
     x = aggregate(spec, acts)
     # A kept profile is zero exactly off its support.
     outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
@@ -329,7 +312,7 @@ def enumerate_sce(spec: GameSpec):
         tuple(sorted(everyone - frozenset(s)))
         for s in _subsets(sorted(justifiable_inactivity_set(spec)))
     )
-    acts, diags = _solve_stack(spec, supports)
+    acts, diags = _solve_supports(spec, supports)
     return _records(spec, acts, aggregate(spec, acts)), diags
 
 

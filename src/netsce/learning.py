@@ -20,12 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, UsageError
-from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
+from .game import _RANGE_SLACK, GameSpec, _check_stopping, aggregate, best_reply
 # invert_feedback and realized_payoff are not called here; perfbench's span
 # tracer wraps them under this module's names.
 from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
+    _records,
     _solve_supports,
     _subsets,
     interior_conditions,
@@ -604,15 +605,12 @@ def stable_sce_family(spec: GameSpec, record) -> StableFamily:
         )
 
     # Each member is its own fully active solve: one solve per subset.
-    found, _ = _solve_supports(spec, subsets)
-    solved = dict(found)
-    everyone = frozenset(range(spec.n))
+    acts, _ = _solve_supports(spec, subsets)
+    found = {rec.active_set: rec for rec in _records(spec, acts, aggregate(spec, acts))}
     members, skipped = [], []
-    for j in subsets:
-        if j not in solved:
-            skipped.append((frozenset(j), "no fully active solution"))
+    for j in map(frozenset, subsets):
+        if j not in found:
+            skipped.append((j, "no fully active solution"))
             continue
-        declared = everyone - frozenset(j)
-        rec = make_record(spec, solved[j], declared_inactive=declared, validate=False)
-        members.append((rec, analytic_stability(spec, rec)))
+        members.append((found[j], analytic_stability(spec, found[j])))
     return StableFamily(applicable=True, why=None, members=tuple(members), skipped=tuple(skipped))

@@ -192,8 +192,6 @@ def parse_scenario(source: Union[str, dict]) -> Scenario:
         if "beta" not in obj:
             raise UsageError("beta is required in global mode")
         beta = _num(obj["beta"], "beta")
-        if beta <= 0:
-            raise UsageError("beta must be positive")
         if "c" not in obj:
             raise UsageError("c is required in global mode")
         c = _num_vector(obj["c"], n, "c")
@@ -221,19 +219,7 @@ def parse_scenario(source: Union[str, dict]) -> Scenario:
 
     net = WeightedNetwork(z=z)
     game = make_game(net, alpha, a_max=a_max, x_lo=x_lo, x_hi=x_hi)
-    scn = Scenario(
-        mode=mode,
-        game=game,
-        beta=beta,
-        c=c,
-        initial_conjectures=initial,
-        seed=knobs["seed"],
-        tol=knobs["tol"],
-        max_iter=knobs["max_iter"],
-        window=knobs["window"],
-        epsilon=knobs["epsilon"],
-        samples=knobs["samples"],
-    )
+    scn = Scenario(mode=mode, game=game, beta=beta, c=c, initial_conjectures=initial, **knobs)
     if mode == "global":
         scn.global_game()  # validate beta/c admissibility eagerly
     # Initial conjectures must be admissible for the learning commands.
@@ -272,12 +258,8 @@ def normalize_scenario(scn: Scenario) -> dict:
         out["beta"] = float(scn.beta)
         out["c"] = [float(v) for v in scn.c]
     out["initial_conjectures"] = [float(v) for v in scn.initial_conjectures]
-    out["seed"] = scn.seed
-    out["tol"] = float(scn.tol)
-    out["max_iter"] = scn.max_iter
-    out["window"] = scn.window
-    out["epsilon"] = float(scn.epsilon)
-    out["samples"] = scn.samples
+    for key, default in _DEFAULTS.items():
+        out[key] = type(default)(getattr(scn, key))
     assert list(out) == [k for k in _EMIT_ORDER if k in out]
     return out
 

@@ -4,7 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from netsce import WeightedNetwork, make_game
+from netsce import UsageError, WeightedNetwork, aggregate, is_sce, make_game
+from netsce.equilibrium import ACTIVE_TOL, BOUNDARY_TOL, EquilibriumRecord
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -86,3 +87,37 @@ def by_active(records, active):
 
 def load_json(name):
     return json.loads((SCENARIO_DIR / name).read_text())
+
+
+def reference_record(
+    spec, actions, declared_inactive=frozenset(), conjectures=None, validate=True
+):
+    """``make_record`` as it was before it became the one-row case of the
+    stacked record builder, kept as an independent reference: one profile,
+    one aggregate, a Python loop for the declared conjectures and the Nash
+    test."""
+    a = np.asarray(actions, dtype=float)
+    x = aggregate(spec, a)
+    active = frozenset(int(i) for i in np.flatnonzero(a > ACTIVE_TOL))
+    if conjectures is None:
+        conj = x.copy()
+        for i in declared_inactive:
+            conj[i] = spec.x_lo[i]
+    else:
+        conj = np.asarray(conjectures, dtype=float)
+    if validate:
+        chk = is_sce(spec, a, conj)
+        if not chk.ok:
+            worst = ", ".join(
+                f"agent {i}: {why} off by {gap:.3g}" for i, why, gap in chk.violations[:3]
+            )
+            raise UsageError(f"profile and conjectures are not selfconfirming ({worst})")
+    inactive = [i for i in range(spec.n) if i not in active]
+    is_ne = all(spec.alpha[i] + x[i] <= BOUNDARY_TOL for i in inactive)
+    return EquilibriumRecord(
+        actions=a,
+        conjectures=conj,
+        active_set=active,
+        declared_inactive=frozenset(declared_inactive),
+        kind="NE" if is_ne else "SCE-non-NE",
+    )

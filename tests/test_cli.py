@@ -308,6 +308,40 @@ def test_stability_without_records_writes_header(tmp_path):
     assert out.read_text().count("\n") == 1
 
 
+# ---------------------------------------------------------- dropped supports
+
+NOTE = "netsce: note: supports without a record: %d continuum, %d inconsistent, %d cap-bound\n"
+
+
+@pytest.mark.parametrize("command", ["ne", "sce", "stability"])
+def test_singular_supports_get_one_note(capsys, command):
+    """learn_drifting has four inconsistent supports: one note on stderr,
+    and the same exit code and CSV as without it."""
+    argv = [command, "-i", str(SCENARIO_DIR / "learn_drifting.json")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == NOTE % (0, 4, 0)
+    assert out.startswith("bitmask,active_set,kind,")
+
+
+def test_cap_bound_supports_get_one_note(tmp_path, capsys):
+    """Every positive support presses a cap of 1e-9: no Nash equilibrium,
+    three cap-bound supports, exit 0 and a header-only CSV."""
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"mode": "local", "n": 2, "alpha": 0.1, "a_max": 1e-9,
+                                "z": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert main(["ne", "-i", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1
+    assert err == NOTE % (0, 0, 3)
+
+
+@pytest.mark.parametrize("command", ["ne", "sce"])
+def test_no_note_when_nothing_is_dropped(capsys, command):
+    assert main([command, "-i", str(SCENARIO_DIR / "table1.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------------------- global & maps
 
 

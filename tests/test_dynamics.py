@@ -31,7 +31,7 @@ from netsce.equilibrium import ACTIVE_TOL
 from netsce.game import best_reply, invert_feedback
 from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING, _probe, _step
 
-from conftest import ADJ4, CAPPED4, MIXED4, SIGNED4
+from conftest import ADJ4, CAPPED4, MIXED4, SIGNED4, reference_record
 
 
 # --------------------------------------------------------------- references
@@ -140,8 +140,8 @@ def reference_run_learning(spec, initial, tol=1e-10, max_iter=100_000, window=3,
     if classification == "converged":
         a_inf = best_reply(spec, xh)
         declared = frozenset(int(i) for i in np.flatnonzero(a_inf <= ACTIVE_TOL))
-        limit = make_record(spec, a_inf, declared_inactive=declared, conjectures=xh,
-                            validate=False)
+        limit = reference_record(spec, a_inf, declared_inactive=declared, conjectures=xh,
+                                 validate=False)
         limit_is_sce = is_sce(spec, a_inf, xh, tol=max(1e-9, 100 * tol)).ok
     return dict(
         conjectures=np.asarray(conj_hist),

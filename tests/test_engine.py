@@ -5,7 +5,10 @@ through one private engine in ``netsce.equilibrium``. The reference
 functions below are the independent loops each caller used to carry
 (solve, positivity, cap, dedupe, record), including the family's one
 ``solve_auxiliary_ne`` call per subset. The engine must reproduce their
-records, diagnostics and family output bit for bit.
+records, diagnostics and family output bit for bit. Their records come
+from ``conftest.reference_record``, the per-profile builder that
+``make_record`` was before it became the one-row case of the engine's
+stacked builder.
 """
 
 import itertools
@@ -31,7 +34,7 @@ from netsce.game import justifiable_inactivity_set
 from netsce.learning import analytic_stability
 from netsce.network import submatrix
 
-from conftest import by_active
+from conftest import by_active, reference_record
 
 # ------------------------------------------------------------ reference loops
 
@@ -71,7 +74,7 @@ def _ref_auxiliary_ne(spec, candidates):
             if key in seen:
                 continue
             seen.add(key)
-            records.append(make_record(spec, a, declared_inactive=declared, validate=False))
+            records.append(reference_record(spec, a, declared_inactive=declared, validate=False))
     records.sort(key=lambda rec: rec.bitmask)
     diags = SolveDiagnostics(
         examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
@@ -105,7 +108,7 @@ def _ref_enumerate_sce(spec):
                 continue
             seen.add(key)
             records.append(
-                make_record(spec, a, declared_inactive=frozenset(s), validate=False)
+                reference_record(spec, a, declared_inactive=frozenset(s), validate=False)
             )
     records.sort(key=lambda rec: rec.bitmask)
     diags = SolveDiagnostics(
@@ -225,6 +228,48 @@ def test_engine_matches_reference_loops():
     # the battery must reach every branch it is meant to compare
     assert all(count > 0 for count in seen.values()), seen
     assert kinds == {"continuum", "inconsistent"}
+
+
+def _built(build, spec, a, declared, conj, validate):
+    """(record, None) or (None, the UsageError text)."""
+    try:
+        return build(spec, a, declared, conj, validate), None
+    except UsageError as exc:
+        return None, str(exc)
+
+
+def test_make_record_matches_reference_record():
+    """make_record, the one-row case of the stacked builder, against the
+    per-profile reference on about four SCE profiles per battery game,
+    spread through bitmask order, and a scaled copy of each (mostly not
+    selfconfirming): default and explicit conjectures, declared sets empty,
+    own-inactive, everyone and one holding an active agent, with
+    validation off, passing and raising the same message."""
+    seen = {"passed": 0, "raised": 0, "holds_active": 0}
+    for spec in _battery():
+        everyone = frozenset(range(spec.n))
+        records = enumerate_sce(spec)[0]
+        for rec in records[:: max(1, len(records) // 4)]:
+            for a in (rec.actions, 1.5 * rec.actions + 0.01):
+                own = frozenset(np.flatnonzero(a <= ACTIVE_TOL).tolist())
+                top = frozenset({int(np.argmax(a))})
+                seen["holds_active"] += a.max() > ACTIVE_TOL
+                for declared in (frozenset(), own, everyone, own | top):
+                    for conj in (None, rec.conjectures):
+                        for validate in (False, True):
+                            args = (spec, a, declared, conj, validate)
+                            got, err = _built(make_record, *args)
+                            want, ref_err = _built(reference_record, *args)
+                            assert err == ref_err
+                            if want is None:
+                                seen["raised"] += 1
+                                continue
+                            seen["passed"] += validate
+                            assert got.active_set == want.active_set
+                            _same_records([got], [want])
+                            assert not got.actions.flags.writeable
+                            assert not got.conjectures.flags.writeable
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def _count_solves(monkeypatch):
@@ -362,16 +407,20 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
             for block in blocks:
                 monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
                 start, labels = len(rows), sum(map(len, fallbacks))
-                found, diags = equilibrium._solve_supports(spec, iter(supports))
-                assert [k for k, _ in found] == [k for k, _ in ref_found]
-                for (_, a), (_, b) in zip(found, ref_found):
+                acts, diags = equilibrium._solve_supports(spec, iter(supports))
+                # A kept row is above ACTIVE_TOL on its support, 0 elsewhere.
+                assert acts.shape == (len(ref_found), spec.n)
+                assert [np.flatnonzero(a).tolist() for a in acts] == [
+                    list(k) for k, _ in ref_found
+                ]
+                for a, (_, b) in zip(acts, ref_found):
                     assert a.tobytes() == b.tobytes()
                 _same_diags(diags, ref_diags)
                 assert max(rows[start:]) <= block
                 seen["split"] += len(rows) - start > len({len(k) for k in supports})
                 seen["guarded"] += len(diags.singular) - (sum(map(len, fallbacks)) - labels)
                 seen["cap_hits"] += len(diags.cap_hits)
-                seen["empty"] += () in dict(found)
+                seen["empty"] += not acts.any(axis=1).all()
     assert all(count > 0 for count in seen.values()), seen
     assert any(set(labels) == {"continuum", "inconsistent"} for labels in fallbacks)
 

@@ -15,7 +15,7 @@ from netsce import (
 )
 from netsce import equilibrium
 
-from conftest import ADJ4, by_active
+from conftest import ADJ4, by_active, reference_record
 
 
 def profiles(records):
@@ -110,8 +110,8 @@ def test_record_bitmask(positive_game):
 
 def test_records_past_62_agents_come_in_bitmask_order():
     """n = 70 with agents 1, 40 and 68 able to justify inactivity: eight
-    records whose bitmasks overflow int64, each equal to make_record on
-    its profile."""
+    records whose bitmasks overflow int64, each equal to the reference
+    record on its profile."""
     n = 70
     rng = np.random.default_rng(12)
     z = rng.uniform(0.0, 0.5 / n, (n, n))
@@ -126,7 +126,7 @@ def test_records_past_62_agents_come_in_bitmask_order():
     assert masks == sorted(masks) and max(masks) >= 1 << 69
     want = sorted(
         (
-            make_record(spec, rec.actions, rec.declared_inactive, validate=False)
+            reference_record(spec, rec.actions, rec.declared_inactive, validate=False)
             for rec in records
         ),
         key=lambda rec: rec.bitmask,
