@@ -25,7 +25,6 @@ from .network import (
     symmetrize_decompose,
 )
 from .game import (
-    DEFAULT_ACTION_CAP,
     GameSpec,
     aggregate,
     best_reply,

@@ -9,14 +9,18 @@ Candidate equilibria are found by active-set enumeration: for an active set
 K the interior first-order conditions are the linear system
 (I - Z_KK) a_K = alpha_K, and a candidate is kept when the solution is
 strictly positive, clears the action caps, and no agent outside K wants in.
-The kept profiles of a call come back as one stack, and every record is
-built from a stack by one function: one aggregate, one mask for the Nash
-test and one sort into bitmask order. A single profile is a stack of one.
+Supports travel as one index array per size, solved in stacked blocks; a
+block with an exactly singular member is halved until that member stands
+alone. The kept profiles come back as one stack, and every record is built
+from a stack by one function: one aggregate, one mask for the Nash test
+and one sort into bitmask order, whose frozen result each record views.
+A single profile is a stack of one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -63,6 +67,10 @@ class EquilibriumRecord:
     alpha_i + x_i is nonpositive (within tolerance), else "SCE-non-NE".
     ``declared_inactive`` lists agents whose zero action is justified by an
     unrefuted pessimistic conjecture rather than by true incentives.
+    ``actions`` and ``conjectures`` are read-only float64 arrays: one that
+    is so already and whose memory owner is read-only is kept as given (a
+    row view of a solver's frozen stack), anything else is copied, so a
+    record never shares memory with a writable array.
     """
 
     actions: np.ndarray
@@ -73,9 +81,17 @@ class EquilibriumRecord:
 
     def __post_init__(self):
         for name in ("actions", "conjectures"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            owner = arr.base if isinstance(arr, np.ndarray) and arr.base is not None else arr
+            if not (
+                type(arr) is type(owner) is np.ndarray
+                and arr.dtype == np.float64
+                and owner.flags.owndata
+                and not (arr.flags.writeable or owner.flags.writeable)
+            ):
+                arr = np.array(arr, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def bitmask(self) -> int:
@@ -103,10 +119,17 @@ def make_record(
     Default witness conjectures: the true aggregate for every agent except
     the declared-inactive ones, who are assigned their most pessimistic
     admissible conjecture x_lo. With ``validate`` the pair must pass is_sce;
-    solvers that guarantee validity by construction switch it off.
+    solvers that guarantee validity by construction switch it off. Every
+    declared entry must be an agent index in range(n).
     """
+    declared = frozenset(declared_inactive)
+    for i in declared:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < spec.n:
+            raise UsageError(
+                f"declared_inactive holds {i!r}: not an agent index in range({spec.n})"
+            )
     acts = np.asarray(actions, dtype=float)[None]
-    rec = _records(spec, acts, aggregate(spec, acts), frozenset(declared_inactive))[0]
+    rec = _records(spec, acts, aggregate(spec, acts), declared)[0]
     if conjectures is not None:
         rec = replace(rec, conjectures=conjectures)
     if validate:
@@ -144,28 +167,34 @@ def _solve_active(spec: GameSpec, k: Sequence[int]):
     return sol, None
 
 
-def _subsets(agents: Sequence[int]):
-    """Every subset of ``agents``, by size and then lexicographically.
+def _subset_runs(agents: Sequence[int]):
+    """Every subset of ``agents``, one (C, r) intp array per size r: by size
+    and then lexicographically, so subsets of a sorted sequence have sorted
+    rows.
 
-    Raises before yielding anything when the count exceeds
-    2^_MAX_ENUM_BITS; subsets of a sorted sequence come out sorted.
+    Raises before building anything when the count exceeds 2^_MAX_ENUM_BITS.
     """
-    if len(agents) > _MAX_ENUM_BITS:
+    m = len(agents)
+    if m > _MAX_ENUM_BITS:
         raise UsageError(
-            f"enumerating subsets of {len(agents)} agents needs 2^{len(agents)} solves; "
-            f"limit is {_MAX_ENUM_BITS}"
+            f"enumerating subsets of {m} agents needs 2^{m} solves; limit is {_MAX_ENUM_BITS}"
         )
-    return itertools.chain.from_iterable(
-        itertools.combinations(agents, r) for r in range(len(agents) + 1)
+    return (
+        np.fromiter(itertools.chain.from_iterable(itertools.combinations(agents, r)), np.intp)
+        .reshape(math.comb(m, r), r)
+        for r in range(m + 1)
     )
 
 
-def _blocks(supports: Iterable[Sequence[int]]):
-    """Runs of equal-size supports, in the order given, cut into lists of
-    at most _SOLVE_BLOCK supports."""
-    for _, run in itertools.groupby(supports, key=len):
-        while block := list(itertools.islice(run, _SOLVE_BLOCK)):
-            yield block
+def _complement_runs(n: int, agents: Sequence[int]):
+    """The sorted complements in range(n) of ``_subset_runs(agents)``."""
+
+    def complement(run):
+        keep = np.ones((len(run), n), dtype=bool)
+        keep[np.arange(len(run))[:, None], run] = False
+        return np.nonzero(keep)[1].reshape(len(run), n - run.shape[1])
+
+    return map(complement, _subset_runs(agents))
 
 
 def _solve_block(spec: GameSpec, idx: np.ndarray):
@@ -182,47 +211,59 @@ def _solve_block(spec: GameSpec, idx: np.ndarray):
     rhs = spec.alpha[idx]
     sol = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
     bad = ~np.isfinite(sol).all(axis=1)
-    # The residual guard runs on finite rows only, as in _solve_active.
-    ok = ~bad
+    # The residual guard runs on finite rows only, as in _solve_active; a
+    # slice when every row is finite spares the stack three masked copies.
+    ok = ~bad if bad.any() else slice(None)
     resid = np.abs(np.matvec(sub[ok], sol[ok]) - rhs[ok]).max(axis=1, initial=0.0)
     bad[ok] = resid > 1e-7 * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
     return sol, bad
 
 
-def _solve_supports(spec: GameSpec, supports: Iterable[Sequence[int]]):
-    """Interior solutions on each sorted active set, in the order given.
+def _solve_halving(spec: GameSpec, idx: np.ndarray):
+    """``_solve_block``'s (sol, bad) and one label per bad row. A block that
+    LAPACK rejects is halved, recursively (at most 2s - 1 stacked calls for
+    s rows), and only a lone singular support goes to ``_solve_active``.
+    """
+    try:
+        sol, bad = _solve_block(spec, idx)
+        return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
+    except np.linalg.LinAlgError:
+        if len(idx) == 1:
+            _, fail = _solve_active(spec, idx[0].tolist())
+            return np.zeros(idx.shape), np.ones(1, dtype=bool), [fail]
+    (s0, b0, w0), (s1, b1, w1) = (_solve_halving(spec, h) for h in np.array_split(idx, 2))
+    return np.concatenate([s0, s1]), np.concatenate([b0, b1]), w0 + w1
+
+
+def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
+    """Interior solutions on the sorted supports in the rows of ``runs``,
+    one (C, m) index array per size, each solved in blocks of at most
+    _SOLVE_BLOCK rows by ``_solve_halving``.
 
     Returns (acts, diagnostics): the rows of ``acts`` (k, n) are the kept
     profiles in support order. A solution is kept when strictly positive
     (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so a kept row's
     active set is exactly its support and it is 0 elsewhere. Singular
-    supports and cap-bound solutions are reported in the diagnostics.
-    Supports of one size are solved as one stack per block.
+    supports and cap-bound solutions, the only ones made frozensets, are
+    reported in the diagnostics.
     """
     stacks, singular, cap_hits = [np.zeros((0, spec.n))], [], []
     examined = 0
-    for block in _blocks(supports):
-        examined += len(block)
-        idx = np.array(block, dtype=int).reshape(len(block), -1)
-        try:
-            sol, bad = _solve_block(spec, idx)
-            why = itertools.repeat("inconsistent")
-        except np.linalg.LinAlgError:
-            # One exactly singular member fails the whole stack: solve this
-            # block one support at a time to label each singular support.
-            each = [_solve_active(spec, k) for k in block]
-            why = [fail for _, fail in each if fail is not None]
-            bad = np.array([fail is not None for _, fail in each])
-            sol = np.array([np.zeros(idx.shape[1]) if fail else s for s, fail in each])
-            sol = sol.reshape(idx.shape)
-        low = (sol <= ACTIVE_TOL).any(axis=1)
-        cap = (sol > spec.a_max[idx] - CAP_MARGIN).any(axis=1)
-        singular.extend((frozenset(block[r]), w) for r, w in zip(np.flatnonzero(bad), why))
-        cap_hits.extend(frozenset(block[r]) for r in np.flatnonzero(cap & ~low & ~bad))
-        kept = np.flatnonzero(~(bad | low | cap))
-        acts = np.zeros((len(kept), spec.n))
-        acts[np.arange(len(kept))[:, None], idx[kept]] = sol[kept]
-        stacks.append(acts)
+    for run in runs:
+        for start in range(0, len(run), _SOLVE_BLOCK):
+            idx = run[start : start + _SOLVE_BLOCK]
+            examined += len(idx)
+            sol, bad, why = _solve_halving(spec, idx)
+            low = (sol <= ACTIVE_TOL).any(axis=1)
+            cap = (sol > spec.a_max[idx] - CAP_MARGIN).any(axis=1)
+            singular.extend(
+                (frozenset(idx[r].tolist()), w) for r, w in zip(np.flatnonzero(bad), why)
+            )
+            cap_hits.extend(frozenset(idx[r].tolist()) for r in np.flatnonzero(cap & ~low & ~bad))
+            kept = np.flatnonzero(~(bad | low | cap))
+            acts = np.zeros((len(kept), spec.n))
+            acts[np.arange(len(kept))[:, None], idx[kept]] = sol[kept]
+            stacks.append(acts)
     diags = SolveDiagnostics(
         examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
     )
@@ -240,6 +281,8 @@ def _records(spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None):
     inactive agent's alpha_i + x_i is at most BOUNDARY_TOL. Row r of a
     stacked ``aggregate`` equals the product for that row alone, so a
     record does not depend on its stack. ``x`` is overwritten.
+    Both stacks are sorted once and frozen, and each record holds row
+    views of them: a record keeps its call's records' rows alive.
     """
     active = acts > ACTIVE_TOL
     is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
@@ -252,15 +295,18 @@ def _records(spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None):
     # Agent n - 1, the top bit, is lexsort's last and so primary key: this
     # is bitmask order for any n, without forming the bitmasks.
     order = np.lexsort(active.T)
+    acts, x = acts[order], x[order]
+    acts.setflags(write=False)
+    x.setflags(write=False)
     agents = range(spec.n)
     everyone = frozenset(agents)
     records = []
-    for r, mask, ne in zip(order.tolist(), active[order].tolist(), is_ne[order].tolist()):
+    for a, xr, mask, ne in zip(acts, x, active[order].tolist(), is_ne[order].tolist()):
         on = frozenset(itertools.compress(agents, mask))
         records.append(
             EquilibriumRecord(
-                actions=acts[r],
-                conjectures=x[r],
+                actions=a,
+                conjectures=xr,
                 active_set=on,
                 declared_inactive=everyone - on if declared is None else declared,
                 kind="NE" if ne else "SCE-non-NE",
@@ -283,7 +329,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     for i in j:
         if not 0 <= i < spec.n:
             raise UsageError(f"agent index {i} out of range")
-    acts, diags = _solve_supports(spec, _subsets(j))
+    acts, diags = _solve_supports(spec, _subset_runs(j))
     x = aggregate(spec, acts)
     # A kept profile is zero exactly off its support.
     outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
@@ -307,12 +353,8 @@ def enumerate_sce(spec: GameSpec):
     justifiable because conjecture ranges contain attainable aggregates), so
     the returned set contains the Nash set.
     """
-    everyone = frozenset(range(spec.n))
-    supports = (
-        tuple(sorted(everyone - frozenset(s)))
-        for s in _subsets(sorted(justifiable_inactivity_set(spec)))
-    )
-    acts, diags = _solve_supports(spec, supports)
+    runs = _complement_runs(spec.n, sorted(justifiable_inactivity_set(spec)))
+    acts, diags = _solve_supports(spec, runs)
     return _records(spec, acts, aggregate(spec, acts)), diags
 
 

@@ -19,7 +19,6 @@ from .errors import UsageError
 from .network import WeightedNetwork
 
 __all__ = [
-    "DEFAULT_ACTION_CAP",
     "GameSpec",
     "aggregate",
     "best_reply",
@@ -30,7 +29,7 @@ __all__ = [
     "realized_payoff",
 ]
 
-DEFAULT_ACTION_CAP = 1e6
+_DEFAULT_ACTION_CAP = 1e6
 
 #: Slack allowed when checking that a value lies in an admissible range
 #: (conjecture and spillover ranges, perceived centralities, start beliefs).
@@ -112,13 +111,13 @@ def make_game(
 ) -> GameSpec:
     """Build a :class:`GameSpec`, filling defaults.
 
-    Action caps default to ``DEFAULT_ACTION_CAP``. Conjecture ranges are
-    given as a pair or not at all; they default to the symmetric interval
+    Action caps default to 1e6 (``_DEFAULT_ACTION_CAP``). Conjecture ranges
+    are given as a pair or not at all; they default to the symmetric interval
     [-B, B] with B twice the largest attainable aggregate magnitude,
     ``2 * max_i sum_j |z_ij| * a_max_j``.
     """
     n = net.n
-    a_cap = _vec(DEFAULT_ACTION_CAP if a_max is None else a_max, n, "a_max")
+    a_cap = _vec(_DEFAULT_ACTION_CAP if a_max is None else a_max, n, "a_max")
     if (x_lo is None) != (x_hi is None):
         raise UsageError("give both conjecture bounds or neither")
     if x_lo is None:

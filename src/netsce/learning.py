@@ -28,7 +28,7 @@ from .equilibrium import (
     ACTIVE_TOL,
     _records,
     _solve_supports,
-    _subsets,
+    _subset_runs,
     interior_conditions,
     is_sce,
     make_record,
@@ -594,7 +594,7 @@ class StableFamily:
 def stable_sce_family(spec: GameSpec, record) -> StableFamily:
     """Construct the family of equilibria on subsets of a record's active set."""
     active = sorted(record.active_set)
-    subsets = list(_subsets(active))
+    runs = list(_subset_runs(active))
     report = interior_conditions(submatrix(spec.net, active)) if active else None
     if active and not report.any_holds():
         return StableFamily(
@@ -605,10 +605,10 @@ def stable_sce_family(spec: GameSpec, record) -> StableFamily:
         )
 
     # Each member is its own fully active solve: one solve per subset.
-    acts, _ = _solve_supports(spec, subsets)
+    acts, _ = _solve_supports(spec, runs)
     found = {rec.active_set: rec for rec in _records(spec, acts, aggregate(spec, acts))}
     members, skipped = [], []
-    for j in map(frozenset, subsets):
+    for j in (frozenset(row) for run in runs for row in run.tolist()):
         if j not in found:
             skipped.append((j, "no fully active solution"))
             continue

@@ -368,13 +368,22 @@ def _kernel_battery(games=40, seed=20261018):
         yield make_game(WeightedNetwork(z=z), alpha=alpha, a_max=a_max)
 
 
+def _as_runs(supports):
+    """Supports in the order given as one (C, m) index array per size."""
+    runs = []
+    for m, run in itertools.groupby(supports, key=len):
+        run = list(run)
+        runs.append(np.array(run, dtype=np.intp).reshape(len(run), m))
+    return runs
+
+
 def test_stacked_kernel_matches_per_support_loop(monkeypatch):
     """found and diagnostics bit for bit against one solve per support, at
     the default block size and, up to n = 10, at blocks of 3, fed subsets
     as the NE path does and, up to n = 10, complements as enumerate_sce
-    does."""
+    does, each as one index array per support size."""
     rows = []  # rows per kernel call
-    fallbacks = []  # singular labels of each block re-run one support at a time
+    fallbacks = []  # singular labels after each kernel call LAPACK rejected
     kernel = equilibrium._solve_block
 
     def stacked(spec, idx):
@@ -396,7 +405,9 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
     seen = {"guarded": 0, "cap_hits": 0, "empty": 0, "split": 0}
     default = equilibrium._SOLVE_BLOCK
     for spec in _kernel_battery():
-        orders = [list(equilibrium._subsets(range(spec.n)))]
+        orders = [
+            [k for r in range(spec.n + 1) for k in itertools.combinations(range(spec.n), r)]
+        ]
         blocks = [default]
         if spec.n <= 10:
             everyone = frozenset(range(spec.n))
@@ -407,7 +418,7 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
             for block in blocks:
                 monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
                 start, labels = len(rows), sum(map(len, fallbacks))
-                acts, diags = equilibrium._solve_supports(spec, iter(supports))
+                acts, diags = equilibrium._solve_supports(spec, iter(_as_runs(supports)))
                 # A kept row is above ACTIVE_TOL on its support, 0 elsewhere.
                 assert acts.shape == (len(ref_found), spec.n)
                 assert [np.flatnonzero(a).tolist() for a in acts] == [
@@ -422,7 +433,82 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
                 seen["cap_hits"] += len(diags.cap_hits)
                 seen["empty"] += not acts.any(axis=1).all()
     assert all(count > 0 for count in seen.values()), seen
-    assert any(set(labels) == {"continuum", "inconsistent"} for labels in fallbacks)
+    assert set(itertools.chain.from_iterable(fallbacks)) == {"continuum", "inconsistent"}
+
+
+def _pairs_game():
+    """Eight agents with weak random links and four unit-like reciprocal
+    pairs: {0, 1} is exactly singular with a continuum (alpha_1 = -alpha_0),
+    {2, 3} and {4, 5} exactly singular and inconsistent, and {6, 7} at
+    1 - 1e-12, which LAPACK solves but the residual guard rejects."""
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.0, 0.1, (8, 8))
+    np.fill_diagonal(z, 0.0)
+    for i, w in ((0, 1.0), (2, 1.0), (4, 1.0), (6, 1.0 - 1e-12)):
+        z[i, i + 1] = z[i + 1, i] = w
+    alpha = rng.uniform(0.1, 1.0, 8)
+    alpha[1] = -alpha[0]
+    return make_game(WeightedNetwork(z=z), alpha=alpha)
+
+
+def test_singular_blocks_are_halved(monkeypatch):
+    """Singular supports first, in the middle and last in a block, and a
+    block of singular supports only: labels in the reference's order,
+    ``_solve_active`` only on the exactly singular supports, and at most
+    2s - 1 stacked calls for a block of s supports."""
+    spec = _pairs_game()
+    singular = [(0, 1), (2, 3), (4, 5)]
+    blocks = [
+        [(0, 1), (0, 2), (6, 7), (1, 3)],
+        [(0, 2), (2, 4), (2, 3), (3, 5)],
+        [(0, 7), (1, 6), (2, 5), (4, 5)],
+        singular,
+    ]
+    calls, alone = [], []
+    kernel = equilibrium._solve_block
+
+    def stacked(spec, idx):
+        calls.append(len(idx))
+        return kernel(spec, idx)
+
+    def each(spec, k):
+        alone.append(tuple(k))
+        return _solve_active(spec, k)
+
+    monkeypatch.setattr(equilibrium, "_solve_block", stacked)
+    monkeypatch.setattr(equilibrium, "_solve_active", each)
+    for block in blocks:
+        calls.clear()
+        alone.clear()
+        acts, diags = equilibrium._solve_supports(spec, [np.array(block, dtype=np.intp)])
+        ref_found, ref_diags = _ref_solve_supports(spec, block)
+        _same_diags(diags, ref_diags)
+        assert [a.tobytes() for a in acts] == [a.tobytes() for _, a in ref_found]
+        assert alone == [k for k in block if k in singular]
+        assert len(calls) <= 2 * len(block) - 1
+    # the blocks as one run, cut at four rows
+    monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", 4)
+    supports = [k for block in blocks for k in block]
+    acts, diags = equilibrium._solve_supports(spec, [np.array(supports, dtype=np.intp)])
+    _same_diags(diags, _ref_solve_supports(spec, supports)[1])
+    labels = dict(diags.singular)
+    assert labels[frozenset({0, 1})] == "continuum"
+    assert labels[frozenset({2, 3})] == labels[frozenset({6, 7})] == "inconsistent"
+
+
+def test_runs_follow_subset_order():
+    """_subset_runs and _complement_runs against itertools, one index array
+    per size, for agent sets with gaps and for no agents at all."""
+    for n, agents in ((7, [0, 2, 5, 6]), (5, list(range(5))), (3, [])):
+        subsets = [k for r in range(len(agents) + 1) for k in itertools.combinations(agents, r)]
+        complements = [tuple(i for i in range(n) if i not in k) for k in subsets]
+        for runs, want in (
+            (equilibrium._subset_runs(agents), subsets),
+            (equilibrium._complement_runs(n, agents), complements),
+        ):
+            runs = list(runs)
+            assert [run.dtype for run in runs] == [np.dtype(np.intp)] * (len(agents) + 1)
+            assert [tuple(row) for run in runs for row in run.tolist()] == want
 
 
 # ------------------------------------------------------------ enumeration limit

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netsce import (
+    EquilibriumRecord,
     UsageError,
     WeightedNetwork,
     aggregate,
@@ -228,6 +229,65 @@ def test_make_record_requires_rationality(positive_game):
     with pytest.raises(UsageError):
         make_record(positive_game, np.array([5.0, 0, 0, 0]), declared_inactive=frozenset({1, 2, 3}),
                     conjectures=np.zeros(4))
+
+
+@pytest.mark.parametrize("entry", [-1, 7])
+def test_make_record_rejects_declared_entries_that_are_not_agents(entry):
+    """On three agents, -1 would silently mark agent 2 and 7 would fail
+    with a bare IndexError; both name the entry in a UsageError instead."""
+    game = make_game(WeightedNetwork(z=np.zeros((3, 3))), alpha=0.1, x_lo=-1.0, x_hi=1.0)
+    with pytest.raises(UsageError, match=f"declared_inactive holds {entry}: "):
+        make_record(game, np.array([0.1, 0.1, 0.0]), declared_inactive=frozenset({entry}))
+
+
+# ---------------------------------------------------------- record sharing
+
+
+def test_records_of_a_call_are_views_of_one_frozen_stack(mixed_game):
+    records, _ = enumerate_sce(mixed_game)
+    assert len(records) > 1
+    for name in ("actions", "conjectures"):
+        stack = getattr(records[0], name).base
+        assert not stack.flags.writeable
+        for rec in records:
+            arr = getattr(rec, name)
+            assert np.shares_memory(arr, stack)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_make_record_copies_what_its_caller_can_write(positive_game):
+    rec = enumerate_sce(positive_game)[0][5]
+    a, c = rec.actions.copy(), rec.conjectures.copy()
+    made = make_record(positive_game, a, rec.declared_inactive, conjectures=c)
+    listed = make_record(positive_game, a.tolist(), rec.declared_inactive, conjectures=c.tolist())
+    a[:] = -1.0
+    c[:] = -1.0
+    for got in (made, listed):
+        assert got.actions.tobytes() == rec.actions.tobytes()
+        assert got.conjectures.tobytes() == rec.conjectures.tobytes()
+        assert not np.shares_memory(got.actions, a)
+        assert not np.shares_memory(got.conjectures, c)
+
+
+def test_record_copies_read_only_view_of_writable_array():
+    writable = np.array([0.5, 0.0])
+    view = writable[:]
+    view.flags.writeable = False
+    frozen = writable.copy()
+    frozen.flags.writeable = False
+    rec = EquilibriumRecord(
+        actions=view,
+        conjectures=frozen,
+        active_set=frozenset({0}),
+        declared_inactive=frozenset({1}),
+        kind="NE",
+    )
+    writable[0] = 9.0
+    assert rec.actions[0] == 0.5
+    assert not np.shares_memory(rec.actions, writable)
+    # read-only and owning its read-only memory: kept as given
+    assert rec.conjectures is frozen
 
 
 # ------------------------------------------------------------ interior report

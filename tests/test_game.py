@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from netsce import (
-    DEFAULT_ACTION_CAP,
     UsageError,
     WeightedNetwork,
     aggregate,
@@ -14,17 +13,19 @@ from netsce import (
     realized_payoff,
 )
 
+from netsce.game import _DEFAULT_ACTION_CAP
+
 from conftest import ADJ4
 
 
 def test_game_defaults():
     game = make_game(WeightedNetwork(z=0.2 * ADJ4), alpha=0.1)
-    assert np.all(game.a_max == DEFAULT_ACTION_CAP)
+    assert np.all(game.a_max == _DEFAULT_ACTION_CAP)
     assert np.all(game.alpha == 0.1)
     # default conjecture range: twice the largest attainable aggregate
     # magnitude (row sum 0.6 times the cap) on either side
-    assert np.all(game.x_lo == -2 * 0.6 * DEFAULT_ACTION_CAP)
-    assert np.all(game.x_hi == 2 * 0.6 * DEFAULT_ACTION_CAP)
+    assert np.all(game.x_lo == -2 * 0.6 * _DEFAULT_ACTION_CAP)
+    assert np.all(game.x_hi == 2 * 0.6 * _DEFAULT_ACTION_CAP)
 
 
 def test_game_rejects_uncontained_range():
@@ -56,7 +57,7 @@ def test_best_reply_branches(positive_game):
     a = best_reply(positive_game, xh)
     assert a[0] == pytest.approx(0.15)
     assert a[1] == 0.0
-    assert a[2] == DEFAULT_ACTION_CAP
+    assert a[2] == _DEFAULT_ACTION_CAP
     assert a[3] == 0.0  # exact tie alpha + xhat = 0 resolves to zero
 
 
