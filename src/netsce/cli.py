@@ -13,10 +13,14 @@ global-sce  rest point of the split-belief dynamics (global mode)
 phi-map     sweep the centrality-to-action map along t * c, t in (0, 1]
 
 ``stability`` probes every record with the same samples, seed and tol.
-It checks max_iter (from the file or --max-iter) but does not use it: each
-probe run stops after at most 20 000 periods. A cap warning on stderr
-covers one period of a probe block, whose rows may belong to several
-records.
+Each sample's perturbation is drawn once and added to every record's
+witnesses. The probe takes the samples 128 at a time and runs their
+(record, sample) rows record by record, in blocks of at most 128 rows.
+It refuses, with exit 1 and before any probe, more than 131 072 runs
+(records times samples). It checks max_iter (from the file or
+--max-iter) but does not use it: each probe run stops after at most
+20 000 periods. A cap warning on stderr covers one period of one probe
+block, whose rows may belong to several records.
 
 ``ne``, ``sce`` and ``stability`` count on stderr, in one ``netsce: note:``
 line, the supports that yield no record: singular (continuum or
@@ -45,10 +49,11 @@ import numpy as np
 from .equilibrium import enumerate_sce, solve_full_ne
 from .errors import NumericError, UsageError
 from .global_ext import phi_map, solve_global_sce
-from .learning import _probe, analytic_stability, run_learning
-# The stability command probes all records through _probe; perfbench's span
-# tracer still wraps probe_stability under this module's name.
-from .learning import probe_stability  # noqa: F401
+from .learning import _analytic, _probe, run_learning
+# The stability command tests and probes all records through _analytic and
+# _probe; perfbench's span tracer still wraps analytic_stability and
+# probe_stability under this module's names.
+from .learning import analytic_stability, probe_stability  # noqa: F401
 from .network import ASSUMPTIONS, check_assumption
 from .scenario import Scenario, load_scenario, normalize_scenario, parse_scenario
 
@@ -196,8 +201,7 @@ def _cmd_stability(scn: Scenario, args) -> int:
     records = _solved(enumerate_sce, scn.game)
     probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, 20_000)
     rows = []
-    for rec, emp in zip(records, probes):
-        ana = analytic_stability(scn.game, rec)
+    for rec, ana, emp in zip(records, _analytic(scn.game, records), probes):
         rows.append(
             [
                 rec.bitmask,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,10 +67,11 @@ class EquilibriumRecord:
     alpha_i + x_i is nonpositive (within tolerance), else "SCE-non-NE".
     ``declared_inactive`` lists agents whose zero action is justified by an
     unrefuted pessimistic conjecture rather than by true incentives.
-    ``actions`` and ``conjectures`` are read-only float64 arrays: one that
-    is so already and whose memory owner is read-only is kept as given (a
-    row view of a solver's frozen stack), anything else is copied, so a
-    record never shares memory with a writable array.
+    ``actions`` and ``conjectures`` are float64 arrays over an immutable
+    ``bytes`` object, so no holder can make them writable again: one that
+    is so already is kept as given (a row view of a solver's frozen stack),
+    anything else is copied, so a record never shares memory with a
+    writable array.
     """
 
     actions: np.ndarray
@@ -82,20 +83,24 @@ class EquilibriumRecord:
     def __post_init__(self):
         for name in ("actions", "conjectures"):
             arr = getattr(self, name)
-            owner = arr.base if isinstance(arr, np.ndarray) and arr.base is not None else arr
-            if not (
-                type(arr) is type(owner) is np.ndarray
-                and arr.dtype == np.float64
-                and owner.flags.owndata
-                and not (arr.flags.writeable or owner.flags.writeable)
-            ):
-                arr = np.array(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            if not (type(arr) is np.ndarray and arr.dtype == np.float64 and _is_frozen(arr)):
+                object.__setattr__(self, name, _freeze(np.asarray(arr, dtype=float)))
 
     @property
     def bitmask(self) -> int:
         return sum(1 << i for i in self.active_set)
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` over an immutable ``bytes`` object: neither it nor
+    any view of it can be made writable again."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
+def _is_frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is ``_freeze``'s result or a view of it."""
+    owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+    return type(owner.base) is bytes
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,8 @@ def make_record(
                 f"declared_inactive holds {i!r}: not an agent index in range({spec.n})"
             )
     acts = np.asarray(actions, dtype=float)[None]
-    rec = _records(spec, acts, aggregate(spec, acts), declared)[0]
-    if conjectures is not None:
-        rec = replace(rec, conjectures=conjectures)
+    witnesses = None if conjectures is None else np.asarray(conjectures, dtype=float)[None]
+    rec = _records(spec, acts, aggregate(spec, acts), declared, witnesses)[0]
     if validate:
         chk = is_sce(spec, rec.actions, rec.conjectures)
         if not chk.ok:
@@ -270,34 +274,38 @@ def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
     return np.concatenate(stacks), diags
 
 
-def _records(spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None):
+def _records(
+    spec: GameSpec, acts: np.ndarray, x: np.ndarray, declared=None, witnesses=None
+):
     """Records for the profiles in the rows of ``acts`` (k, n), whose
     aggregates are the rows of ``x``, sorted by active-set bitmask; the one
     builder of EquilibriumRecord (``make_record`` is its one-row case).
 
-    Witness conjectures are the aggregate, with x_lo on ``declared``: the
-    declared-inactive set every record shares, or None when each profile
-    declares exactly its own inactive agents. The kind is "NE" when every
-    inactive agent's alpha_i + x_i is at most BOUNDARY_TOL. Row r of a
-    stacked ``aggregate`` equals the product for that row alone, so a
-    record does not depend on its stack. ``x`` is overwritten.
-    Both stacks are sorted once and frozen, and each record holds row
-    views of them: a record keeps its call's records' rows alive.
+    Witness conjectures are the rows of ``witnesses`` when given, else the
+    aggregate with x_lo on ``declared``: the declared-inactive set every
+    record shares, or None when each profile declares exactly its own
+    inactive agents. The kind is "NE" when every inactive agent's
+    alpha_i + x_i is at most BOUNDARY_TOL. Row r of a stacked ``aggregate``
+    equals the product for that row alone, so a record does not depend on
+    its stack. Without ``witnesses``, ``x`` is overwritten.
+    Both stacks are sorted and frozen by one ``_freeze`` each, and each
+    record holds row views of them: a record keeps its call's records'
+    rows alive.
     """
     active = acts > ACTIVE_TOL
     is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
-    if declared is None:
-        off = ~active
-    else:
-        off = np.zeros(spec.n, dtype=bool)
-        off[list(declared)] = True
-    np.copyto(x, spec.x_lo, where=off)
+    if witnesses is None:
+        if declared is None:
+            off = ~active
+        else:
+            off = np.zeros(spec.n, dtype=bool)
+            off[list(declared)] = True
+        np.copyto(x, spec.x_lo, where=off)
+        witnesses = x
     # Agent n - 1, the top bit, is lexsort's last and so primary key: this
     # is bitmask order for any n, without forming the bitmasks.
     order = np.lexsort(active.T)
-    acts, x = acts[order], x[order]
-    acts.setflags(write=False)
-    x.setflags(write=False)
+    acts, x = _freeze(acts[order]), _freeze(witnesses[order])
     agents = range(spec.n)
     everyone = frozenset(agents)
     records = []

@@ -296,6 +296,34 @@ def test_stability_draws_each_sample_once(tmp_path, rng_calls):
     assert rng_calls[0] == 100  # the scenario's samples, not 16 records x 100
 
 
+def test_stability_refuses_runs_over_the_budget(tmp_path, capsys, rng_calls):
+    """16 records x 8193 samples exceed 2^17 runs: exit 1 before any probe,
+    with no CSV."""
+    code, rows, out = run(tmp_path, "stability", "table1.json", "--samples", "8193")
+    assert (code, rows, out.exists(), rng_calls[0]) == (1, [], False, 0)
+    assert capsys.readouterr().err == (
+        "netsce: error: probing 16 records with 8193 samples each needs 131088 runs; "
+        "limit is 131072\n"
+    )
+
+
+def test_probe_budget_admits_the_shipped_workloads(tmp_path, monkeypatch, rng_calls):
+    """The budget holds neg10 (2^10 records x 100 samples) and every shipped
+    scenario; at the limit a probe runs, one run past it none does."""
+    from netsce import learning
+
+    assert 1024 * 100 <= learning._MAX_PROBE_RUNS == 1 << 17
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scn = load_scenario(path)
+        if scn.mode == "local":
+            assert len(enumerate_sce(scn.game)[0]) * scn.samples <= learning._MAX_PROBE_RUNS
+    monkeypatch.setattr(learning, "_MAX_PROBE_RUNS", 32)
+    assert run(tmp_path, "stability", "table1.json", "--samples", "2")[0] == 0
+    assert rng_calls[0] == 2
+    assert run(tmp_path, "stability", "table1.json", "--samples", "3")[0] == 1
+    assert rng_calls[0] == 2
+
+
 def test_stability_without_records_writes_header(tmp_path):
     path = tmp_path / "none.json"
     # a lone agent whose reply always exceeds its cap and who cannot justify

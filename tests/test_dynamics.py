@@ -5,8 +5,10 @@ engine replaced: one learn step per period on one conjecture vector, a
 Python scan over lags for recurrences, and one full run per probe sample.
 Every trajectory field, event list, limit record and probe statistic must
 come out bit for bit the same from ``run_learning`` and ``probe_stability``.
-The engine's private step kernel is held to ``reference_step`` the same
-way, row by row, on single rows and stacks.
+``reference_analytic_stability`` holds the stacked spectral test to one
+``spectral_radius`` per record the same way. The engine's private step
+kernel is held to ``reference_step`` the same way, row by row, on single
+rows and stacks.
 """
 
 import warnings
@@ -27,11 +29,22 @@ from netsce import (
     probe_stability,
     run_learning,
 )
-from netsce.equilibrium import ACTIVE_TOL
+from netsce.equilibrium import ACTIVE_TOL, EquilibriumRecord
 from netsce.game import best_reply, invert_feedback
-from netsce.learning import CAP_WARN_MARGIN, PROBE_BLOCK, RECUR_TOL, RING, _probe, _step
+from netsce.learning import (
+    CAP_WARN_MARGIN,
+    PROBE_BLOCK,
+    RECUR_TOL,
+    RING,
+    _analytic,
+    _probe,
+    _step,
+    analytic_stability,
+)
+from netsce.network import spectral_radius
+from netsce.scenario import load_scenario
 
-from conftest import ADJ4, CAPPED4, MIXED4, SIGNED4, reference_record
+from conftest import ADJ4, CAPPED4, MIXED4, SCENARIO_DIR, SIGNED4, reference_record
 
 
 # --------------------------------------------------------------- references
@@ -350,16 +363,17 @@ def test_shared_probe_matches_per_record_loop(rng_calls):
         for emp, ref in zip(new, refs):
             assert (emp.epsilon, emp.samples, emp.seed) == (eps, samples, seed)
             assert (emp.return_fraction, emp.belief_stay_fraction, emp.nonconverged) == ref
-        # each block draws every sample it covers once
-        total = samples * len(recs)
-        blocks = -(-total // PROBE_BLOCK)
-        assert samples <= draws <= samples + blocks
-        edges = range(PROBE_BLOCK, total, PROBE_BLOCK)
+        # each sample is drawn once, whatever the records and blocks
+        assert draws == samples
+        # a chunk of samples is cut into blocks of record-major rows: a
+        # block edge that is not a record edge splits one record's samples
+        chunks = [min(PROBE_BLOCK, samples - first) for first in range(0, samples, PROBE_BLOCK)]
         seen.update(name for name, hit in (
             ("several", len(recs) > 1),
             ("capped", any(w.category is CapBindingWarning for w in caught)),
             ("uneven", PROBE_BLOCK % len(recs)),
-            ("split", any(edge % len(recs) for edge in edges)),
+            ("split", any(edge % chunk for chunk in chunks
+                          for edge in range(PROBE_BLOCK, chunk * len(recs), PROBE_BLOCK))),
             ("long", samples > PROBE_BLOCK),
             ("mixed", len(set(refs)) > 1),
         ) if hit)
@@ -369,6 +383,114 @@ def test_shared_probe_matches_per_record_loop(rng_calls):
     before = rng_calls[0]
     assert _probe(game, [], 1e-3, 10, 0, 1e-10, 100) == []
     assert rng_calls[0] == before
+
+
+def test_probe_rows_run_record_major_in_sample_chunks(monkeypatch):
+    """Samples go in chunks of PROBE_BLOCK; each chunk's (record, sample)
+    rows run record by record, cut into blocks of PROBE_BLOCK rows."""
+    from netsce import learning
+
+    game, recs, eps, _, seed, _ = _probe_groups()[0]
+    recs, samples = recs[:2], 2 * PROBE_BLOCK - 56
+    blocks = []
+
+    def recording(spec, x0, *args):
+        blocks.append(x0.copy())
+        return advance(spec, x0, *args)
+
+    advance = learning._advance
+    monkeypatch.setattr(learning, "_advance", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapBindingWarning)
+        _probe(game, recs, eps, samples, seed, 1e-10, 50)
+    # 2 x 128 rows, then 2 x 72: one block mixes the records, one is short
+    assert [len(b) for b in blocks] == [PROBE_BLOCK, PROBE_BLOCK, PROBE_BLOCK, 16]
+    pairs = []
+    for first in range(0, samples, PROBE_BLOCK):
+        chunk = range(first, min(first + PROBE_BLOCK, samples))
+        pairs += [(r, k) for r in range(len(recs)) for k in chunk]
+    assert pairs[2 * PROBE_BLOCK - 1] == (1, PROBE_BLOCK - 1)
+    assert pairs[3 * PROBE_BLOCK - 1] == (1, PROBE_BLOCK + 55)
+    expected = np.array([
+        np.clip(recs[r].conjectures
+                + np.random.default_rng((seed, k)).uniform(-eps, eps, game.n),
+                game.x_lo, game.x_hi)
+        for r, k in pairs
+    ])
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+
+def reference_analytic_stability(spec, record):
+    """``analytic_stability`` as it was before the stacked spectral test:
+    one ``spectral_radius`` and a Python ``min`` per record."""
+    active = sorted(record.active_set)
+    sub = spec.net.z[np.ix_(active, active)] if active else np.zeros((0, 0))
+    rho = spectral_radius(sub)
+    rho_ok = rho < 1.0
+    inactive = [i for i in range(spec.n) if i not in record.active_set]
+    if inactive:
+        margin = float(min(-spec.alpha[i] - record.conjectures[i] for i in inactive))
+        margin_ok = margin > 0.0
+    else:
+        margin, margin_ok = None, True
+    verdict = "stable" if (rho_ok and margin_ok) else "inconclusive"
+    return (verdict, repr(float(rho)), bool(rho_ok), repr(margin), bool(margin_ok))
+
+
+def _analytic_key(report):
+    return (report.verdict, repr(report.rho_active), report.rho_ok, repr(report.margin),
+            report.margin_ok)
+
+
+def _analytic_cases():
+    """(game, records): the local scenarios, neg8, random games, and signed
+    zero margins in both orders beside empty and full active sets."""
+    cases = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scn = load_scenario(path)
+        if scn.mode == "local":
+            cases.append((scn.game, enumerate_sce(scn.game)[0]))
+    rng = np.random.default_rng(7)
+    z = -rng.uniform(0.0, 1.0, (8, 8))
+    np.fill_diagonal(z, 0.0)
+    neg8 = make_game(WeightedNetwork(z=z * 0.9 / spectral_radius(np.abs(z))), alpha=1.0)
+    cases.append((neg8, enumerate_sce(neg8)[0]))
+    for game, _, _ in _random_cases(count=60, seed=11):
+        cases.append((game, enumerate_sce(game)[0]))
+    tie = make_game(WeightedNetwork(z=0.3 * (np.ones((3, 3)) - np.eye(3))),
+                    alpha=np.array([0.0, 0.0, 0.1]))
+    made = [
+        EquilibriumRecord(np.zeros(3), np.array(x), frozenset(on), frozenset(), "NE")
+        for on, x in (
+            ((2,), [0.0, -0.0, 0.0]),
+            ((2,), [-0.0, 0.0, 0.0]),
+            ((), [0.0, 0.0, -0.1]),
+            ((), [0.0, -0.0, -0.1]),
+            ((0, 1, 2), [0.0, 0.0, 0.0]),
+            ((0, 2), [0.0, -0.0, 0.0]),
+        )
+    ]
+    cases.append((tie, made))
+    return cases
+
+
+def test_stacked_analytic_matches_per_record_reference():
+    seen = set()
+    for game, records in _analytic_cases():
+        got = [_analytic_key(r) for r in _analytic(game, records)]
+        assert got == [_analytic_key(analytic_stability(game, rec)) for rec in records]
+        assert got == [reference_analytic_stability(game, rec) for rec in records]
+        sizes = {len(rec.active_set) for rec in records}
+        seen.update(name for name, hit in (
+            ("empty", 0 in sizes),
+            ("full", game.n in sizes),
+            ("sizes", len(sizes) > 2),
+            ("zero", "0.0" in {key[3] for key in got}),
+            ("negative zero", "-0.0" in {key[3] for key in got}),
+            ("inconclusive", "inconclusive" in {key[0] for key in got}),
+        ) if hit)
+    assert seen == {"empty", "full", "sizes", "zero", "negative zero", "inconclusive"}, seen
+    assert _analytic(_analytic_cases()[0][0], []) == []
 
 
 # -------------------------------------------------------------- step kernel

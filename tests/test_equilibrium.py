@@ -276,6 +276,7 @@ def test_record_copies_read_only_view_of_writable_array():
     view.flags.writeable = False
     frozen = writable.copy()
     frozen.flags.writeable = False
+    over_bytes = np.frombuffer(writable.tobytes())
     rec = EquilibriumRecord(
         actions=view,
         conjectures=frozen,
@@ -286,8 +287,32 @@ def test_record_copies_read_only_view_of_writable_array():
     writable[0] = 9.0
     assert rec.actions[0] == 0.5
     assert not np.shares_memory(rec.actions, writable)
-    # read-only and owning its read-only memory: kept as given
-    assert rec.conjectures is frozen
+    # read-only but owning its memory, so its holder could make it writable
+    # again: copied
+    assert not np.shares_memory(rec.conjectures, frozen)
+    frozen.flags.writeable = True
+    frozen[0] = 9.0
+    assert rec.conjectures[0] == 0.5
+    # over an immutable bytes object: kept as given
+    kept = EquilibriumRecord(over_bytes, over_bytes[:], frozenset({0}), frozenset({1}), "NE")
+    assert kept.actions is over_bytes
+    assert kept.conjectures.base is over_bytes
+
+
+def test_record_arrays_cannot_be_made_writable(positive_game):
+    """Turning the write flag back on fails on a record's arrays and on the
+    stack they view, so no holder can change the records of a call."""
+    records, _ = enumerate_sce(positive_game)
+    made = make_record(positive_game, records[1].actions, records[1].declared_inactive,
+                       conjectures=records[1].conjectures.copy())
+    direct = EquilibriumRecord([0.5, 0.0], np.zeros(2), frozenset({0}), frozenset({1}), "NE")
+    before = [rec.actions.tobytes() + rec.conjectures.tobytes() for rec in records]
+    for rec in records[:2] + [made, direct]:
+        for arr in (rec.actions, rec.conjectures):
+            for target in (arr, arr.base):
+                with pytest.raises(ValueError):
+                    target.flags.writeable = True
+    assert [rec.actions.tobytes() + rec.conjectures.tobytes() for rec in records] == before
 
 
 # ------------------------------------------------------------ interior report
