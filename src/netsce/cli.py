@@ -19,8 +19,9 @@ witnesses. The probe takes the samples 128 at a time and runs their
 It refuses, with exit 1 and before any probe, more than 131 072 runs
 (records times samples). It checks max_iter (from the file or
 --max-iter) but does not use it: each probe run stops after at most
-20 000 periods. A cap warning on stderr covers one period of one probe
-block, whose rows may belong to several records.
+``learning.PROBE_MAX_ITER`` (20 000) periods. A cap warning on stderr
+covers one period of one probe block, whose rows may belong to several
+records.
 
 ``ne``, ``sce`` and ``stability`` count on stderr, in one ``netsce: note:``
 line, the supports that yield no record: singular (continuum or
@@ -49,7 +50,7 @@ import numpy as np
 from .equilibrium import enumerate_sce, solve_full_ne
 from .errors import NumericError, UsageError
 from .global_ext import phi_map, solve_global_sce
-from .learning import _analytic, _probe, run_learning
+from .learning import PROBE_MAX_ITER, _analytic, _probe, run_learning
 # The stability command tests and probes all records through _analytic and
 # _probe; perfbench's span tracer still wraps analytic_stability and
 # probe_stability under this module's names.
@@ -199,7 +200,7 @@ def _cmd_learn(scn: Scenario, args) -> int:
 
 def _cmd_stability(scn: Scenario, args) -> int:
     records = _solved(enumerate_sce, scn.game)
-    probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, 20_000)
+    probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, PROBE_MAX_ITER)
     rows = []
     for rec, ana, emp in zip(records, _analytic(scn.game, records), probes):
         rows.append(

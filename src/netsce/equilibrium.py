@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,6 +86,11 @@ class EquilibriumRecord:
             if not (type(arr) is np.ndarray and arr.dtype == np.float64 and _is_frozen(arr)):
                 object.__setattr__(self, name, _freeze(np.asarray(arr, dtype=float)))
 
+    def __reduce__(self):
+        """Pickle and deep-copy through the constructor, whose
+        ``__post_init__`` freezes the copy's arrays."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def bitmask(self) -> int:
         return sum(1 << i for i in self.active_set)
@@ -146,31 +151,6 @@ def make_record(
     return rec
 
 
-def _solve_active(spec: GameSpec, k: Sequence[int]):
-    """Solve the interior conditions on active set k.
-
-    Returns (solution, None) or (None, "continuum" | "inconsistent") when
-    the restricted system is singular.
-    """
-    if not k:
-        return np.zeros(0), None
-    idx = np.array(sorted(k), dtype=int)
-    sub = np.eye(len(idx)) - spec.net.z[np.ix_(idx, idx)]
-    rhs = spec.alpha[idx]
-    try:
-        sol = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        lsq = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-        resid = np.max(np.abs(sub @ lsq - rhs)) if len(idx) else 0.0
-        return None, ("continuum" if resid <= 1e-9 else "inconsistent")
-    # Guard against silent blow-ups of near-singular systems.
-    if not np.all(np.isfinite(sol)) or np.max(np.abs(sub @ sol - rhs)) > 1e-7 * max(
-        1.0, float(np.max(np.abs(rhs)))
-    ):
-        return None, "inconsistent"
-    return sol, None
-
-
 def _subset_runs(agents: Sequence[int]):
     """Every subset of ``agents``, one (C, r) intp array per size r: by size
     and then lexicographically, so subsets of a sorted sequence have sorted
@@ -201,48 +181,44 @@ def _complement_runs(n: int, agents: Sequence[int]):
     return map(complement, _subset_runs(agents))
 
 
-def _solve_block(spec: GameSpec, idx: np.ndarray):
-    """Interior solutions on the sorted supports in the rows of ``idx`` (s, m).
+def _solve_block(sub: np.ndarray, rhs: np.ndarray):
+    """Interior solutions of the stacked systems ``sub`` (s, m, m) @ x =
+    ``rhs`` (s, m): (sol, bad, why), with ``bad`` marking the rows that have
+    none and ``why`` labelling those rows in order.
 
-    One stacked LAPACK call solves all s systems. Returns (sol, bad): each
-    row of ``sol`` is bit-identical to that support's ``_solve_active``
-    solution, and ``bad`` marks the rows it calls "inconsistent"
-    (non-finite, or failing the residual guard). Raises LinAlgError when
-    any member is exactly singular.
+    One stacked LAPACK call solves all s systems; a non-finite solution, or
+    one failing the residual guard, is "inconsistent". A block that LAPACK
+    rejects, because a member is exactly singular, is halved into views of
+    the same stack (``np.array_split`` order) and each half solved again,
+    recursively: at most 2s - 1 stacked calls. A lone exactly singular
+    system is labelled by its least-squares residual: "continuum" when it
+    is at most 1e-9, else "inconsistent".
     """
-    m = idx.shape[1]
-    sub = np.eye(m) - spec.net.z[idx[:, :, None], idx[:, None, :]]
-    rhs = spec.alpha[idx]
-    sol = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+    try:
+        sol = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(sub) == 1:
+            lsq = np.linalg.lstsq(sub[0], rhs[0], rcond=None)[0]
+            resid = np.max(np.abs(sub[0] @ lsq - rhs[0]))
+            why = "continuum" if resid <= 1e-9 else "inconsistent"
+            return np.zeros(rhs.shape), np.ones(1, dtype=bool), [why]
+        halves = zip(np.array_split(sub, 2), np.array_split(rhs, 2))
+        (s0, b0, w0), (s1, b1, w1) = (_solve_block(*half) for half in halves)
+        return np.concatenate([s0, s1]), np.concatenate([b0, b1]), w0 + w1
     bad = ~np.isfinite(sol).all(axis=1)
-    # The residual guard runs on finite rows only, as in _solve_active; a
-    # slice when every row is finite spares the stack three masked copies.
+    # The residual guard runs on finite rows only; a slice when every row
+    # is finite spares the stack three masked copies.
     ok = ~bad if bad.any() else slice(None)
     resid = np.abs(np.matvec(sub[ok], sol[ok]) - rhs[ok]).max(axis=1, initial=0.0)
     bad[ok] = resid > 1e-7 * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
-    return sol, bad
-
-
-def _solve_halving(spec: GameSpec, idx: np.ndarray):
-    """``_solve_block``'s (sol, bad) and one label per bad row. A block that
-    LAPACK rejects is halved, recursively (at most 2s - 1 stacked calls for
-    s rows), and only a lone singular support goes to ``_solve_active``.
-    """
-    try:
-        sol, bad = _solve_block(spec, idx)
-        return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
-    except np.linalg.LinAlgError:
-        if len(idx) == 1:
-            _, fail = _solve_active(spec, idx[0].tolist())
-            return np.zeros(idx.shape), np.ones(1, dtype=bool), [fail]
-    (s0, b0, w0), (s1, b1, w1) = (_solve_halving(spec, h) for h in np.array_split(idx, 2))
-    return np.concatenate([s0, s1]), np.concatenate([b0, b1]), w0 + w1
+    return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
 
 
 def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
     """Interior solutions on the sorted supports in the rows of ``runs``,
-    one (C, m) index array per size, each solved in blocks of at most
-    _SOLVE_BLOCK rows by ``_solve_halving``.
+    one (C, m) index array per size, each gathered once into blocks of at
+    most _SOLVE_BLOCK systems I - Z_KK, alpha_K and solved by
+    ``_solve_block``.
 
     Returns (acts, diagnostics): the rows of ``acts`` (k, n) are the kept
     profiles in support order. A solution is kept when strictly positive
@@ -257,7 +233,8 @@ def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
         for start in range(0, len(run), _SOLVE_BLOCK):
             idx = run[start : start + _SOLVE_BLOCK]
             examined += len(idx)
-            sol, bad, why = _solve_halving(spec, idx)
+            sub = np.eye(idx.shape[1]) - spec.net.z[idx[:, :, None], idx[:, None, :]]
+            sol, bad, why = _solve_block(sub, spec.alpha[idx])
             low = (sol <= ACTIVE_TOL).any(axis=1)
             cap = (sol > spec.a_max[idx] - CAP_MARGIN).any(axis=1)
             singular.extend(
@@ -323,6 +300,14 @@ def _records(
     return records
 
 
+def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
+    """(records, diagnostics) of the kept interior solutions on the
+    supports in ``runs``: each record is fully active on its support and
+    declares exactly its other agents inactive."""
+    acts, diags = _solve_supports(spec, runs)
+    return _records(spec, acts, aggregate(spec, acts)), diags
+
+
 def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     """All Nash equilibria of the game with agents outside ``candidates``
     clamped to zero.
@@ -362,8 +347,7 @@ def enumerate_sce(spec: GameSpec):
     the returned set contains the Nash set.
     """
     runs = _complement_runs(spec.n, sorted(justifiable_inactivity_set(spec)))
-    acts, diags = _solve_supports(spec, runs)
-    return _records(spec, acts, aggregate(spec, acts)), diags
+    return _active_records(spec, runs)
 
 
 @dataclass(frozen=True)

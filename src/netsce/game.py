@@ -75,6 +75,8 @@ class GameSpec:
 
     def __post_init__(self):
         n = self.net.n
+        if n == 0:
+            raise UsageError("a game needs at least one agent")
         object.__setattr__(self, "alpha", _vec(self.alpha, n, "alpha"))
         object.__setattr__(self, "a_max", _vec(self.a_max, n, "a_max"))
         object.__setattr__(self, "x_lo", _vec(self.x_lo, n, "x_lo"))
@@ -121,7 +123,8 @@ def make_game(
     if (x_lo is None) != (x_hi is None):
         raise UsageError("give both conjecture bounds or neither")
     if x_lo is None:
-        b = 2.0 * float(np.max(np.abs(net.z) @ a_cap))
+        # initial=0.0 lets a 0-agent network reach GameSpec's check.
+        b = 2.0 * float(np.max(np.abs(net.z) @ a_cap, initial=0.0))
         # 0.0 - b, not -b: a zero bound stays +0.0, so conjectures clipped
         # to it do not turn into -0.0.
         x_lo, x_hi = 0.0 - b, b

@@ -20,14 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, NumericError, UsageError
-from .game import _RANGE_SLACK, GameSpec, _check_stopping, aggregate, best_reply
+from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
 # invert_feedback, realized_payoff and spectral_radius are not called here;
 # perfbench's span tracer wraps them under this module's names.
 from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
-    _records,
-    _solve_supports,
+    _active_records,
     _subset_runs,
     interior_conditions,
     is_sce,
@@ -62,6 +61,9 @@ DIVERGENCE_CAP = 1e9
 #: at a time. Bounds the probe's memory whatever the sample and record
 #: counts: a ring of 4 * RING * PROBE_BLOCK * n floats.
 PROBE_BLOCK = 128
+#: Most periods of one probe run: the ``stability`` command's budget and
+#: the default of :func:`probe_stability`.
+PROBE_MAX_ITER = 20_000
 #: Most probe runs, records times samples, one probe call may start: about
 #: 20 s of `stability` on 2^10 records of 10 agents with 100 samples each.
 _MAX_PROBE_RUNS = 1 << 17
@@ -536,7 +538,7 @@ def probe_stability(
     samples: int = 100,
     seed: int = 0,
     tol: float = 1e-10,
-    max_iter: int = 20_000,
+    max_iter: int = PROBE_MAX_ITER,
 ) -> EmpiricalStability:
     """Perturb witness conjectures and count returns to the record.
 
@@ -641,8 +643,7 @@ def stable_sce_family(spec: GameSpec, record) -> StableFamily:
         )
 
     # Each member is its own fully active solve: one solve per subset.
-    acts, _ = _solve_supports(spec, runs)
-    found = {rec.active_set: rec for rec in _records(spec, acts, aggregate(spec, acts))}
+    found = {rec.active_set: rec for rec in _active_records(spec, runs)[0]}
     members, skipped = [], []
     for j in (frozenset(row) for run in runs for row in run.tolist()):
         if j not in found:

@@ -1,11 +1,13 @@
 import json
 import pathlib
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from netsce import UsageError, WeightedNetwork, aggregate, is_sce, make_game
 from netsce.equilibrium import ACTIVE_TOL, BOUNDARY_TOL, EquilibriumRecord
+from netsce.game import GameSpec
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -121,3 +123,29 @@ def reference_record(
         declared_inactive=frozenset(declared_inactive),
         kind="NE" if is_ne else "SCE-non-NE",
     )
+
+
+def _solve_active(spec: GameSpec, k: Sequence[int]):
+    """Solve the interior conditions on active set k.
+
+    Returns (solution, None) or (None, "continuum" | "inconsistent") when
+    the restricted system is singular. The per-support solver the engine's
+    stacked kernel replaced, kept as its reference.
+    """
+    if not k:
+        return np.zeros(0), None
+    idx = np.array(sorted(k), dtype=int)
+    sub = np.eye(len(idx)) - spec.net.z[np.ix_(idx, idx)]
+    rhs = spec.alpha[idx]
+    try:
+        sol = np.linalg.solve(sub, rhs)
+    except np.linalg.LinAlgError:
+        lsq = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        resid = np.max(np.abs(sub @ lsq - rhs)) if len(idx) else 0.0
+        return None, ("continuum" if resid <= 1e-9 else "inconsistent")
+    # Guard against silent blow-ups of near-singular systems.
+    if not np.all(np.isfinite(sol)) or np.max(np.abs(sub @ sol - rhs)) > 1e-7 * max(
+        1.0, float(np.max(np.abs(rhs)))
+    ):
+        return None, "inconsistent"
+    return sol, None

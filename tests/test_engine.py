@@ -11,7 +11,9 @@ from ``conftest.reference_record``, the per-profile builder that
 stacked builder.
 """
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,12 +31,14 @@ from netsce import (
     stable_sce_family,
 )
 from netsce import equilibrium
-from netsce.equilibrium import ACTIVE_TOL, CAP_MARGIN, SolveDiagnostics, _solve_active
+from netsce.equilibrium import ACTIVE_TOL, CAP_MARGIN, SolveDiagnostics
 from netsce.game import justifiable_inactivity_set
 from netsce.learning import analytic_stability
 from netsce.network import submatrix
 
-from conftest import by_active, reference_record
+from conftest import _solve_active, by_active, reference_record
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "netsce"
 
 # ------------------------------------------------------------ reference loops
 
@@ -273,21 +277,33 @@ def test_make_record_matches_reference_record():
 
 
 def _count_solves(monkeypatch):
-    """Every support that reaches a solver: each row of a stacked kernel
-    call, and each support of a block re-run one at a time."""
-    calls = []
+    """Every support system that reaches the stacked kernel, once per call
+    that solves it. A system is named by its row's address in the gathered
+    stack, which is kept alive here so no address is reused; a halved
+    block's rows keep the addresses of the rows they view."""
+    calls, stacks = [], []
     kernel = equilibrium._solve_block
 
-    def stacked(spec, idx):
-        calls.extend(tuple(int(i) for i in row) for row in idx)
-        return kernel(spec, idx)
-
-    def each(spec, k):
-        calls.append(tuple(k))
-        return _solve_active(spec, k)
+    def stacked(sub, rhs):
+        stacks.append(sub)
+        calls.extend(sub.ctypes.data + r * sub.strides[0] for r in range(len(sub)))
+        return kernel(sub, rhs)
 
     monkeypatch.setattr(equilibrium, "_solve_block", stacked)
-    monkeypatch.setattr(equilibrium, "_solve_active", each)
+    return calls
+
+
+def _lstsq_calls(monkeypatch):
+    """The (matrix, right-hand side) bytes of every ``np.linalg.lstsq``
+    call."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(a, b, *args, **kwargs):
+        calls.append((np.asarray(a).tobytes(), np.asarray(b).tobytes()))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
     return calls
 
 
@@ -383,25 +399,20 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
     as the NE path does and, up to n = 10, complements as enumerate_sce
     does, each as one index array per support size."""
     rows = []  # rows per kernel call
-    fallbacks = []  # singular labels after each kernel call LAPACK rejected
+    fallbacks = []  # labels of lone systems the kernel solved by lstsq
     kernel = equilibrium._solve_block
+    lstsq = _lstsq_calls(monkeypatch)
 
-    def stacked(spec, idx):
-        rows.append(len(idx))
-        try:
-            return kernel(spec, idx)
-        except np.linalg.LinAlgError:
-            fallbacks.append([])
-            raise
-
-    def each(spec, k):
-        sol, fail = _solve_active(spec, k)
-        if fail is not None:
-            fallbacks[-1].append(fail)
-        return sol, fail
+    def stacked(sub, rhs):
+        rows.append(len(sub))
+        before = len(lstsq)
+        sol, bad, why = kernel(sub, rhs)
+        # A one-row call never halves, so any lstsq call in it is its own.
+        if len(sub) == 1 and len(lstsq) > before:
+            fallbacks.append(why[0])
+        return sol, bad, why
 
     monkeypatch.setattr(equilibrium, "_solve_block", stacked)
-    monkeypatch.setattr(equilibrium, "_solve_active", each)
     seen = {"guarded": 0, "cap_hits": 0, "empty": 0, "split": 0}
     default = equilibrium._SOLVE_BLOCK
     for spec in _kernel_battery():
@@ -417,7 +428,7 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
             ref_found, ref_diags = _ref_solve_supports(spec, supports)
             for block in blocks:
                 monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
-                start, labels = len(rows), sum(map(len, fallbacks))
+                start, labels = len(rows), len(fallbacks)
                 acts, diags = equilibrium._solve_supports(spec, iter(_as_runs(supports)))
                 # A kept row is above ACTIVE_TOL on its support, 0 elsewhere.
                 assert acts.shape == (len(ref_found), spec.n)
@@ -429,11 +440,11 @@ def test_stacked_kernel_matches_per_support_loop(monkeypatch):
                 _same_diags(diags, ref_diags)
                 assert max(rows[start:]) <= block
                 seen["split"] += len(rows) - start > len({len(k) for k in supports})
-                seen["guarded"] += len(diags.singular) - (sum(map(len, fallbacks)) - labels)
+                seen["guarded"] += len(diags.singular) - (len(fallbacks) - labels)
                 seen["cap_hits"] += len(diags.cap_hits)
                 seen["empty"] += not acts.any(axis=1).all()
     assert all(count > 0 for count in seen.values()), seen
-    assert set(itertools.chain.from_iterable(fallbacks)) == {"continuum", "inconsistent"}
+    assert set(fallbacks) == {"continuum", "inconsistent"}
 
 
 def _pairs_game():
@@ -454,8 +465,9 @@ def _pairs_game():
 def test_singular_blocks_are_halved(monkeypatch):
     """Singular supports first, in the middle and last in a block, and a
     block of singular supports only: labels in the reference's order,
-    ``_solve_active`` only on the exactly singular supports, and at most
-    2s - 1 stacked calls for a block of s supports."""
+    ``lstsq`` only on the exactly singular supports' systems, in the
+    reference's order, and at most 2s - 1 stacked calls for a block of s
+    supports, every one of them seen by a wrapper of the module's name."""
     spec = _pairs_game()
     singular = [(0, 1), (2, 3), (4, 5)]
     blocks = [
@@ -464,28 +476,38 @@ def test_singular_blocks_are_halved(monkeypatch):
         [(0, 7), (1, 6), (2, 5), (4, 5)],
         singular,
     ]
-    calls, alone = [], []
+    calls = []
     kernel = equilibrium._solve_block
+    alone = _lstsq_calls(monkeypatch)
 
-    def stacked(spec, idx):
-        calls.append(len(idx))
-        return kernel(spec, idx)
+    def stacked(sub, rhs):
+        calls.append(len(sub))
+        return kernel(sub, rhs)
 
-    def each(spec, k):
-        alone.append(tuple(k))
-        return _solve_active(spec, k)
+    def system(k):
+        idx = np.array(k)
+        sub = np.eye(len(idx)) - spec.net.z[np.ix_(idx, idx)]
+        return sub.tobytes(), spec.alpha[idx].tobytes()
+
+    def halving(flags):
+        """Rows per kernel call: a block with an exactly singular member
+        is split in ``np.array_split`` order, each half solved again."""
+        if len(flags) == 1 or not any(flags):
+            return [len(flags)]
+        h = len(flags) - len(flags) // 2
+        return [len(flags)] + halving(flags[:h]) + halving(flags[h:])
 
     monkeypatch.setattr(equilibrium, "_solve_block", stacked)
-    monkeypatch.setattr(equilibrium, "_solve_active", each)
     for block in blocks:
+        ref_found, ref_diags = _ref_solve_supports(spec, block)
         calls.clear()
         alone.clear()
         acts, diags = equilibrium._solve_supports(spec, [np.array(block, dtype=np.intp)])
-        ref_found, ref_diags = _ref_solve_supports(spec, block)
         _same_diags(diags, ref_diags)
         assert [a.tobytes() for a in acts] == [a.tobytes() for _, a in ref_found]
-        assert alone == [k for k in block if k in singular]
+        assert alone == [system(k) for k in block if k in singular]
         assert len(calls) <= 2 * len(block) - 1
+        assert calls == halving([k in singular for k in block])
     # the blocks as one run, cut at four rows
     monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", 4)
     supports = [k for block in blocks for k in block]
@@ -494,6 +516,27 @@ def test_singular_blocks_are_halved(monkeypatch):
     labels = dict(diags.singular)
     assert labels[frozenset({0, 1})] == "continuum"
     assert labels[frozenset({2, 3})] == labels[frozenset({6, 7})] == "inconsistent"
+
+
+def test_one_support_solver():
+    """``src/netsce`` solves supports on one path: no per-support
+    ``_solve_active`` or ``_solve_halving``, one ``lstsq`` call and one
+    residual guard (the 1e-7 literal)."""
+    defined, lstsq, guards = set(), 0, 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                lstsq += name == "lstsq"
+            elif isinstance(node, ast.Constant) and node.value == 1e-7:
+                guards += 1
+    assert not defined & {"_solve_active", "_solve_halving"}
+    assert "_solve_block" in defined
+    assert lstsq == 1
+    assert guards == 1
 
 
 def test_runs_follow_subset_order():

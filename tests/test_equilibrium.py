@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -313,6 +316,28 @@ def test_record_arrays_cannot_be_made_writable(positive_game):
                 with pytest.raises(ValueError):
                     target.flags.writeable = True
     assert [rec.actions.tobytes() + rec.conjectures.tobytes() for rec in records] == before
+
+
+def _unpickled(rec):
+    return pickle.loads(pickle.dumps(rec))
+
+
+@pytest.mark.parametrize("route", [_unpickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copied_records_stay_frozen(mixed_game, route):
+    """A pickled or deep-copied record equals its original field by field
+    and byte for byte, and its arrays cannot be made writable either."""
+    for rec in enumerate_sce(mixed_game)[0]:
+        got = route(rec)
+        assert type(got) is EquilibriumRecord
+        assert (got.active_set, got.declared_inactive, got.kind) == (
+            rec.active_set, rec.declared_inactive, rec.kind
+        )
+        for name in ("actions", "conjectures"):
+            arr = getattr(got, name)
+            assert arr.tobytes() == getattr(rec, name).tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
 
 
 # ------------------------------------------------------------ interior report

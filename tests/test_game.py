@@ -13,7 +13,7 @@ from netsce import (
     realized_payoff,
 )
 
-from netsce.game import _DEFAULT_ACTION_CAP
+from netsce.game import _DEFAULT_ACTION_CAP, GameSpec
 
 from conftest import ADJ4
 
@@ -42,6 +42,17 @@ def test_game_rejects_bad_caps_and_bounds():
         make_game(net, alpha=0.1, x_lo=1.0, x_hi=-1.0)
     with pytest.raises(UsageError, match="both"):
         make_game(net, alpha=0.1, x_lo=-1.0)
+
+
+def test_game_rejects_no_agents():
+    """A 0-agent network makes no game, by default or with every field
+    given, while the empty network itself stays valid."""
+    net = WeightedNetwork(z=np.zeros((0, 0)))
+    empty = np.zeros(0)
+    with pytest.raises(UsageError, match="at least one agent"):
+        make_game(net, alpha=0.1)
+    with pytest.raises(UsageError, match="at least one agent"):
+        GameSpec(net=net, alpha=empty, a_max=empty, x_lo=empty, x_hi=empty)
 
 
 def test_aggregate_values(positive_game):
