@@ -14,14 +14,21 @@ phi-map     sweep the centrality-to-action map along t * c, t in (0, 1]
 
 ``stability`` probes every record with the same samples, seed and tol.
 Each sample's perturbation is drawn once and added to every record's
-witnesses. The probe takes the samples 128 at a time and runs their
+witnesses. The probe takes the samples 128 at a time and orders their
 (record, sample) rows record by record, in blocks of at most 128 rows.
-It refuses, with exit 1 and before any probe, more than 131 072 runs
+A row is certified, and counted as returned and stayed without a run,
+when a contraction bound proves its verdict: no inactive agent wakes
+up, and the active beliefs fall back to the witnesses within the probe's
+period budget, clear of the cap margin and the belief bounds, without
+tripping the recurrence test. Each block's other rows run. The probe
+refuses, with exit 1 and before any probe, more than 131 072 runs
 (records times samples). It checks max_iter (from the file or
 --max-iter) but does not use it: each probe run stops after at most
-``learning.PROBE_MAX_ITER`` (20 000) periods. A cap warning on stderr
-covers one period of one probe block, whose rows may belong to several
-records.
+``learning.PROBE_MAX_ITER`` (20 000) periods.
+
+``learn`` and ``stability`` print each distinct cap warning once, as one
+``netsce: warning:`` line on stderr. For ``stability`` a warning covers
+one period of one probe block, whose rows may belong to several records.
 
 ``ne``, ``sce`` and ``stability`` count on stderr, in one ``netsce: note:``
 line, the supports that yield no record: singular (continuum or
@@ -42,13 +49,14 @@ import csv
 import functools
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .equilibrium import enumerate_sce, solve_full_ne
-from .errors import NumericError, UsageError
+from .errors import CapBindingWarning, NumericError, UsageError
 from .global_ext import phi_map, solve_global_sce
 from .learning import PROBE_MAX_ITER, _analytic, _probe, run_learning
 # The stability command tests and probes all records through _analytic and
@@ -330,24 +338,44 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return parse_scenario({**normalize_scenario(scn), **flags}) if flags else scn
 
 
+def _cap_warning_lines(show):
+    """A ``warnings.showwarning`` that prints each distinct cap warning once,
+    as one ``netsce: warning:`` line, and hands any other warning to
+    ``show``."""
+    printed = set()
+
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, CapBindingWarning):
+            show(message, category, filename, lineno, file, line)
+        elif str(message) not in printed:
+            printed.add(str(message))
+            print(f"netsce: warning: {message}", file=sys.stderr)
+
+    return showwarning
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
+    # Each call starts from the caller's warning filters with an empty
+    # once-per-message registry, as a new process would.
+    with warnings.catch_warnings():
+        warnings.showwarning = _cap_warning_lines(warnings.showwarning)
+        try:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_usage(sys.stderr)
+                return 1
+            handler, mode, _ = _COMMANDS[args.command]
+            scn = load_scenario(args.input)
+            if mode is not None and scn.mode != mode:
+                raise UsageError(f"{args.command} requires a {mode}-mode scenario")
+            return handler(_apply_overrides(scn, args), args)
+        except UsageError as exc:
+            print(f"netsce: error: {exc}", file=sys.stderr)
             return 1
-        handler, mode, _ = _COMMANDS[args.command]
-        scn = load_scenario(args.input)
-        if mode is not None and scn.mode != mode:
-            raise UsageError(f"{args.command} requires a {mode}-mode scenario")
-        return handler(_apply_overrides(scn, args), args)
-    except UsageError as exc:
-        print(f"netsce: error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"netsce: numeric failure: {exc}", file=sys.stderr)
-        return 2
+        except NumericError as exc:
+            print(f"netsce: numeric failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

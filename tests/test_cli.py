@@ -18,6 +18,7 @@ from netsce import (
     probe_stability,
 )
 from netsce.cli import _COMMANDS, _build_parser, main
+from netsce.learning import PROBE_MAX_ITER, _probe
 
 from conftest import CAPPED4, SCENARIO_DIR, SIGNED4
 
@@ -280,6 +281,28 @@ def test_stability_csv_matches_per_record_probes(tmp_path, scenario):
     assert out.read_bytes() == expected
     if scenario == "capped":  # some records see every probe return, some not
         assert len({line.split(b",")[6] for line in expected.splitlines()[1:]}) > 1
+
+
+def test_cap_warnings_print_as_lines_without_a_path(tmp_path, capsys):
+    """A capped ``stability`` run prints each distinct cap warning once, in
+    the order the probe raises them, as one ``netsce: warning:`` line that
+    names no source file; the library still raises CapBindingWarning."""
+    path = _capped_signed_scenario(tmp_path)
+    scn = load_scenario(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _probe(scn.game, enumerate_sce(scn.game)[0], scn.epsilon, scn.samples, scn.seed,
+               scn.tol, PROBE_MAX_ITER)
+    assert caught and all(w.category is CapBindingWarning for w in caught)
+    messages = list(dict.fromkeys(str(w.message) for w in caught))
+    assert len(messages) < len(caught)  # some message repeats
+    for _ in range(2):  # a second call in the same process prints them again
+        assert main(["stability", "-i", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+        err = capsys.readouterr().err
+        assert ".py:" not in err
+        assert [line for line in err.splitlines() if not line.startswith("netsce: note:")] == [
+            f"netsce: warning: {m}" for m in messages
+        ]
 
 
 def test_stability_checks_max_iter_but_does_not_use_it(tmp_path):

@@ -8,7 +8,8 @@ come out bit for bit the same from ``run_learning`` and ``probe_stability``.
 ``reference_analytic_stability`` holds the stacked spectral test to one
 ``spectral_radius`` per record the same way. The engine's private step
 kernel is held to ``reference_step`` the same way, row by row, on single
-rows and stacks.
+rows and stacks. Each probe row that the certificate decides without a run
+is held to its own full reference run.
 """
 
 import warnings
@@ -189,6 +190,19 @@ def reference_probe(spec, record, epsilon, samples, seed, tol=1e-10, max_iter=20
     return (returned / samples, stayed / samples, nonconv)
 
 
+def reference_probe_row(spec, record, x0, epsilon, tol, max_iter):
+    """One sample of ``reference_probe`` from the start ``x0``: (converged,
+    returned, stayed, pressed the cap)."""
+    traj = reference_run_learning(spec, x0, tol=tol, max_iter=max_iter)
+    converged = traj["classification"] == "converged"
+    returned = stayed = False
+    if converged:
+        returned = float(np.max(np.abs(traj["limit"].actions - record.actions))) <= 1e-6
+        stayed = (float(np.max(np.abs(traj["limit"].conjectures - record.conjectures)))
+                  <= epsilon + 1e-6)
+    return converged, returned, stayed, bool(traj["cap_events"])
+
+
 # ------------------------------------------------------------------ battery
 
 
@@ -347,9 +361,20 @@ def _probe_groups():
     return cases
 
 
-def test_shared_probe_matches_per_record_loop(rng_calls):
+def test_shared_probe_matches_per_record_loop(rng_calls, monkeypatch):
+    from netsce import learning
+
+    simulated = []
+
+    def counting(spec, x0, *args):
+        simulated.append(len(x0))
+        return advance(spec, x0, *args)
+
+    advance = learning._advance
+    monkeypatch.setattr(learning, "_advance", counting)
     seen = set()
     for game, recs, eps, samples, seed, max_iter in _probe_groups():
+        simulated.clear()
         before = rng_calls[0]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", CapBindingWarning)
@@ -376,8 +401,12 @@ def test_shared_probe_matches_per_record_loop(rng_calls):
                           for edge in range(PROBE_BLOCK, chunk * len(recs), PROBE_BLOCK))),
             ("long", samples > PROBE_BLOCK),
             ("mixed", len(set(refs)) > 1),
+            # rows the certificate decides, and rows it leaves to _advance
+            ("certified", sum(simulated) < len(recs) * samples),
+            ("simulated", sum(simulated) > 0),
         ) if hit)
-    assert seen == {"several", "capped", "uneven", "split", "long", "mixed"}, seen
+    assert seen == {"several", "capped", "uneven", "split", "long", "mixed", "certified",
+                    "simulated"}, seen
 
     game = _probe_cases()[0][0]
     before = rng_calls[0]
@@ -385,13 +414,38 @@ def test_shared_probe_matches_per_record_loop(rng_calls):
     assert rng_calls[0] == before
 
 
+def _drifting_starts():
+    """Two fully active starts in a game whose weights have spectral radius
+    1 and row sums up to 3: no weighting makes them contract, so the
+    certificate refuses every probe row of them."""
+    game = make_game(WeightedNetwork(z=1.0 * ADJ4), alpha=0.1)
+    recs = [make_record(game, best_reply(game, x), conjectures=x, validate=False)
+            for x in (np.array([0.01, 0.02, 0.03, 0.04]), np.array([0.04, 0.03, 0.02, 0.01]))]
+    return game, recs
+
+
+def _start_rows(game, recs, eps, samples, seed):
+    """Every probe row's (record, sample) and start, in the probe's order."""
+    pairs = []
+    for first in range(0, samples, PROBE_BLOCK):
+        chunk = range(first, min(first + PROBE_BLOCK, samples))
+        pairs += [(r, k) for r in range(len(recs)) for k in chunk]
+    starts = np.array([
+        np.clip(recs[r].conjectures
+                + np.random.default_rng((seed, k)).uniform(-eps, eps, game.n),
+                game.x_lo, game.x_hi)
+        for r, k in pairs
+    ])
+    return pairs, starts
+
+
 def test_probe_rows_run_record_major_in_sample_chunks(monkeypatch):
     """Samples go in chunks of PROBE_BLOCK; each chunk's (record, sample)
     rows run record by record, cut into blocks of PROBE_BLOCK rows."""
     from netsce import learning
 
-    game, recs, eps, _, seed, _ = _probe_groups()[0]
-    recs, samples = recs[:2], 2 * PROBE_BLOCK - 56
+    game, recs = _drifting_starts()
+    eps, seed, samples = 1e-3, 7, 2 * PROBE_BLOCK - 56
     blocks = []
 
     def recording(spec, x0, *args):
@@ -405,20 +459,150 @@ def test_probe_rows_run_record_major_in_sample_chunks(monkeypatch):
         _probe(game, recs, eps, samples, seed, 1e-10, 50)
     # 2 x 128 rows, then 2 x 72: one block mixes the records, one is short
     assert [len(b) for b in blocks] == [PROBE_BLOCK, PROBE_BLOCK, PROBE_BLOCK, 16]
-    pairs = []
-    for first in range(0, samples, PROBE_BLOCK):
-        chunk = range(first, min(first + PROBE_BLOCK, samples))
-        pairs += [(r, k) for r in range(len(recs)) for k in chunk]
+    pairs, expected = _start_rows(game, recs, eps, samples, seed)
     assert pairs[2 * PROBE_BLOCK - 1] == (1, PROBE_BLOCK - 1)
     assert pairs[3 * PROBE_BLOCK - 1] == (1, PROBE_BLOCK + 55)
-    expected = np.array([
-        np.clip(recs[r].conjectures
-                + np.random.default_rng((seed, k)).uniform(-eps, eps, game.n),
-                game.x_lo, game.x_hi)
-        for r, k in pairs
-    ])
     assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
+
+def test_certified_rows_leave_their_blocks(monkeypatch):
+    """``_advance`` receives each block's uncertified rows, in order, and no
+    call for a block the certificate decides whole.
+
+    The knife game's interior Nash record contracts fast and far from every
+    bound, so all its rows certify. Its all-inactive record's rows certify
+    exactly when every perturbed belief keeps alpha + x <= 0 (the witnesses
+    sit at x_lo = -alpha), since an agent that wakes up must be simulated.
+    """
+    from netsce import learning
+
+    knife = _probe_cases()[0][0]
+    recs = enumerate_sce(knife)[0]
+    inner = [r for r in recs if len(r.active_set) == knife.n][0]
+    asleep = [r for r in recs if not r.active_set][0]
+    recs, eps, seed, samples, max_iter = [inner, asleep], 1e-3, 7, 2 * PROBE_BLOCK - 56, 2000
+    blocks = []
+
+    def recording(spec, x0, *args):
+        blocks.append(x0.copy())
+        return advance(spec, x0, *args)
+
+    advance = learning._advance
+    monkeypatch.setattr(learning, "_advance", recording)
+    got = _probe(knife, recs, eps, samples, seed, 1e-10, max_iter)
+    pairs, starts = _start_rows(knife, recs, eps, samples, seed)
+    wakes = np.array([r == 1 and bool(np.any(knife.alpha + x > 0))
+                      for (r, _), x in zip(pairs, starts)])
+    expected = [starts[lo:lo + PROBE_BLOCK][wakes[lo:lo + PROBE_BLOCK]]
+                for lo in range(0, len(starts), PROBE_BLOCK)]
+    # the first block, all interior rows, makes no call; the others lose rows
+    assert len(expected[0]) == 0 and all(0 < len(b) < PROBE_BLOCK for b in expected[1:])
+    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in expected if len(b)]
+    refs = [reference_probe(knife, rec, eps, samples, seed, max_iter=max_iter) for rec in recs]
+    assert [(e.return_fraction, e.belief_stay_fraction, e.nonconverged) for e in got] == refs
+
+
+
+def _near_miss_games(count=150, seed=17):
+    """(kind, game, records, epsilon, tol, max_iter) near the certificate's
+    edges, a few records each, and one false recurrence.
+
+    "rho": Z scaled to spectral radius in [0.95, 0.9999]; "nonnormal":
+    strictly upper triangular weights up to 300 with a faint lower part;
+    "cap": a cap within 1e-6 + [0, 1e-5] of the largest action; "tiny":
+    caps of at most 2e-6 and actions near them; "bound": conjecture ranges
+    1e-6 to 1e-2 outside the attainable aggregates, so witnesses sit within
+    epsilon of a bound. tol reaches 1e-4 and max_iter falls to 3. In the
+    last game an alternating mode decays by 1 - 5e-7 a period, so the
+    recurrence scan fires on a converging run; every other condition holds.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("rho", "nonnormal", "cap", "tiny", "bound")
+    cases = []
+    for g in range(count):
+        kind = kinds[g % len(kinds)]
+        n = int(rng.integers(2, 6))
+        eps = float(rng.choice([1e-6, 1e-4, 1e-3, 1e-2]))
+        tol = float(rng.choice([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4]))
+        max_iter = int(rng.choice([3, 4, 10, 60, 400]))
+        alpha = rng.uniform(0.05, 0.5, n)
+        if kind == "nonnormal":
+            z = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) * rng.choice([3.0, 30.0, 300.0])
+            z += np.tril(rng.uniform(-0.01, 0.01, (n, n)), -1)
+            np.fill_diagonal(z, 0.0)
+        else:
+            z = rng.uniform(-1.0, 1.0, (n, n))
+            if rng.random() < 0.4:
+                z = np.abs(z) * rng.choice([-1.0, 1.0])
+            np.fill_diagonal(z, 0.0)
+            target = rng.uniform(0.95, 0.9999) if kind == "rho" else rng.uniform(0.2, 0.9)
+            z *= target / spectral_radius(z)
+        net = WeightedNetwork(z=z)
+        if kind == "tiny":
+            alpha *= 10 ** rng.uniform(-7.0, -5.7)
+            game = make_game(net, alpha=alpha, a_max=float(rng.uniform(0.3e-6, 2e-6)))
+            eps = float(rng.choice([1e-8, 1e-7, 1e-6]))
+            tol = float(rng.choice([1e-14, 1e-12, 1e-10]))
+        elif kind == "cap":
+            top = max(float(r.actions.max()) for r in enumerate_sce(make_game(net, alpha))[0])
+            game = make_game(net, alpha=alpha,
+                             a_max=top + 1e-6 + float(rng.choice([0.0, 1e-8, 3e-7, 1e-6, 1e-5])))
+            eps = float(rng.choice([1e-7, 1e-6, 1e-5]))
+        elif kind == "bound":
+            cap = np.full(n, rng.uniform(0.5, 2.0))
+            pad = 10 ** rng.uniform(-6.0, -2.0, n)
+            lo = np.minimum(z, 0.0) @ cap - pad
+            weak = rng.random(n) < 0.5
+            lo[weak] = np.minimum(lo[weak], -alpha[weak] - 10 ** rng.uniform(-6.0, -2.0))
+            game = make_game(net, alpha=alpha, a_max=cap, x_lo=lo,
+                             x_hi=np.maximum(z, 0.0) @ cap + pad)
+            eps = float(rng.choice([1e-5, 1e-4, 1e-3]))
+        else:
+            game = make_game(net, alpha=alpha)
+        recs = enumerate_sce(game)[0]
+        recs = [recs[i] for i in rng.permutation(len(recs))[:3]]
+        if recs:
+            cases.append((kind, game, recs, eps, tol, max_iter))
+    swing = make_game(WeightedNetwork(z=-(1 - 5e-7) * np.array([[0.0, 1.0], [1.0, 0.0]])),
+                      alpha=2e-8)
+    cases.append(("recurrence", swing, enumerate_sce(swing)[0], 8e-9, 5e-15, 10**9))
+    return cases
+
+
+def test_certified_rows_match_their_full_runs(monkeypatch):
+    """Every row the certificate decides runs, alone and in full, to a
+    converged limit that returns and stays, and never presses the cap (so
+    leaving it out changes no warning). Each kind of near miss has rows on
+    both sides, and the last game's fully active record is refused."""
+    from netsce import learning
+
+    blocks = []
+
+    def recording(spec, x0, *args):
+        blocks.append(x0.copy())
+        k = len(x0)
+        return learning._Runs(["max-iter"] * k, [1] * k, [None] * k, x0.copy())
+
+    monkeypatch.setattr(learning, "_advance", recording)
+    samples, seed = 8, 3
+    sides = {}
+    for kind, game, recs, eps, tol, max_iter in _near_miss_games():
+        blocks.clear()
+        _probe(game, recs, eps, samples, seed, tol, max_iter)
+        simulated = {row.tobytes() for block in blocks for row in block}
+        pairs, starts = _start_rows(game, recs, eps, samples, seed)
+        for (r, _), x0 in zip(pairs, starts):
+            certified = x0.tobytes() not in simulated
+            sides.setdefault(kind, set()).add(certified)
+            if certified:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CapBindingWarning)
+                    verdict = reference_probe_row(game, recs[r], x0, eps, tol, max_iter)
+                assert verdict == (True, True, True, False), (kind, r, verdict)
+            elif kind == "recurrence":
+                assert len(recs[r].active_set) == 2
+    assert sides == {kind: {True, False} for kind in
+                     ("rho", "nonnormal", "cap", "tiny", "bound", "recurrence")}, sides
 
 def reference_analytic_stability(spec, record):
     """``analytic_stability`` as it was before the stacked spectral test:
