@@ -1,30 +1,26 @@
 """Command-line driver.
 
-    netsce <command> --input scenario.json [--output out.csv] [options]
+    netsce <command> --input scenario.json [--output out.csv] [overrides]
 
-Commands
---------
+Commands, with the override flags each takes
+--------------------------------------------
 check       structural tests of the weight matrix
 ne          Nash equilibria of the scenario's game
 sce         all selfconfirming equilibria
-learn       run the conjecture dynamics from the scenario's initial beliefs
-stability   spectral test plus Monte-Carlo return probe per equilibrium
-global-sce  rest point of the split-belief dynamics (global mode)
-phi-map     sweep the centrality-to-action map along t * c, t in (0, 1]
+learn       conjecture dynamics from the initial beliefs [--tol --max-iter]
+stability   spectral test and Monte-Carlo return probe per equilibrium
+            [--tol --seed --epsilon --samples]
+global-sce  rest point of the split-belief dynamics [--tol --max-iter]
+phi-map     rest points along t * c, t in (0, 1] [--tol --max-iter --samples]
 
-``stability`` probes every record with the same samples, seed and tol.
-Each sample's perturbation is drawn once and added to every record's
-witnesses. The probe takes the samples 128 at a time and orders their
-(record, sample) rows record by record, in blocks of at most 128 rows.
-A row is certified, and counted as returned and stayed without a run,
-when a contraction bound proves its verdict: no inactive agent wakes
-up, and the active beliefs fall back to the witnesses within the probe's
-period budget, clear of the cap margin and the belief bounds, without
-tripping the recurrence test. Each block's other rows run. The probe
-refuses, with exit 1 and before any probe, more than 131 072 runs
-(records times samples). It checks max_iter (from the file or
---max-iter) but does not use it: each probe run stops after at most
-``learning.PROBE_MAX_ITER`` (20 000) periods.
+An override replaces the scenario key of the same name and passes the same
+checks. Any other override flag is a usage error.
+
+``stability`` probes every record with the same samples, seed and tol,
+each run for at most ``learning.PROBE_MAX_ITER`` (20 000) periods; a row
+that a contraction bound proves to return counts as returned and stayed
+without a run. It refuses, with exit 1 and before any probe, more than
+131 072 runs (records times samples).
 
 ``learn`` and ``stability`` print each distinct cap warning once, as one
 ``netsce: warning:`` line on stderr. For ``stability`` a warning covers
@@ -64,7 +60,7 @@ from .learning import PROBE_MAX_ITER, _analytic, _probe, run_learning
 # probe_stability under this module's names.
 from .learning import analytic_stability, probe_stability  # noqa: F401
 from .network import ASSUMPTIONS, check_assumption
-from .scenario import Scenario, load_scenario, normalize_scenario, parse_scenario
+from .scenario import _DEFAULTS, Scenario, load_scenario, normalize_scenario, parse_scenario
 
 __all__ = ["main"]
 
@@ -294,15 +290,19 @@ def _cmd_phi_map(scn: Scenario, args) -> int:
     return 0 if all_ok else 2
 
 
-# name: (handler, scenario mode it requires or None for either, help text)
+# name: (handler, scenario mode it requires or None for either, scenario
+# keys it reads that a flag may override, help text)
 _COMMANDS = {
-    "check": (_cmd_check, None, "test structural assumptions of the weight matrix"),
-    "ne": (_cmd_equilibria, "local", "compute Nash equilibria"),
-    "sce": (_cmd_equilibria, "local", "enumerate selfconfirming equilibria"),
-    "learn": (_cmd_learn, "local", "run the conjecture dynamics"),
-    "stability": (_cmd_stability, "local", "stability tests for every equilibrium"),
-    "global-sce": (_cmd_global_sce, "global", "solve the global-spillover rest point"),
-    "phi-map": (_cmd_phi_map, "global", "sweep the centrality-to-action map"),
+    "check": (_cmd_check, None, (), "test structural assumptions of the weight matrix"),
+    "ne": (_cmd_equilibria, "local", (), "compute Nash equilibria"),
+    "sce": (_cmd_equilibria, "local", (), "enumerate selfconfirming equilibria"),
+    "learn": (_cmd_learn, "local", ("tol", "max_iter"), "run the conjecture dynamics"),
+    "stability": (_cmd_stability, "local", ("tol", "seed", "epsilon", "samples"),
+                  "stability tests for every equilibrium"),
+    "global-sce": (_cmd_global_sce, "global", ("tol", "max_iter"),
+                   "solve the global-spillover rest point"),
+    "phi-map": (_cmd_phi_map, "global", ("tol", "max_iter", "samples"),
+                "sweep the centrality-to-action map"),
 }
 
 
@@ -318,22 +318,19 @@ def _build_parser() -> _Parser:
     as it was."""
     parser = _Parser(prog="netsce", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (_, _, keys, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="scenario JSON file")
         p.add_argument("--output", "-o", default=None, help="output CSV file (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="override scenario tol")
-        p.add_argument("--max-iter", type=int, default=None, help="override scenario max_iter")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--epsilon", type=float, default=None, help="override probe epsilon")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]),
+                           help=f"override scenario {key}")
     return parser
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    """Overlay the knob flags on the scenario's normal form and parse it again,
-    so flags pass the same checks as the file's keys."""
-    keys = ("tol", "max_iter", "seed", "epsilon", "samples")
+def _apply_overrides(scn: Scenario, args, keys) -> Scenario:
+    """Overlay the command's override flags on the scenario's normal form and
+    parse it again, so flags pass the same checks as the file's keys."""
     flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     return parse_scenario({**normalize_scenario(scn), **flags}) if flags else scn
 
@@ -365,11 +362,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command is None:
                 parser.print_usage(sys.stderr)
                 return 1
-            handler, mode, _ = _COMMANDS[args.command]
+            handler, mode, keys, _ = _COMMANDS[args.command]
             scn = load_scenario(args.input)
             if mode is not None and scn.mode != mode:
                 raise UsageError(f"{args.command} requires a {mode}-mode scenario")
-            return handler(_apply_overrides(scn, args), args)
+            return handler(_apply_overrides(scn, args, keys), args)
         except UsageError as exc:
             print(f"netsce: error: {exc}", file=sys.stderr)
             return 1

@@ -403,7 +403,7 @@ class ConditionEntry:
 class InteriorReport:
     """Sufficient-condition scan for interior (all-active) equilibria.
 
-    ``solution`` solves (I - Z) a = alpha; ``positive`` says whether it is
+    ``solution`` solves (I - Z) a = 1; ``positive`` says whether it is
     strictly positive. Each entry in ``conditions`` alone guarantees that
     outcome: "bounded" and "symmetrizable-limited" for every positive
     intercept vector, "negative-limited" for every common positive intercept
@@ -420,8 +420,8 @@ class InteriorReport:
         return any(c.holds for c in self.conditions)
 
 
-def interior_conditions(net: WeightedNetwork, alpha=None) -> InteriorReport:
-    """Evaluate the three sufficient conditions and the interior solution.
+def interior_conditions(net: WeightedNetwork) -> InteriorReport:
+    """Evaluate the three sufficient conditions and solve (I - Z) a = 1.
 
     Conditions: (i) nonnegative weights with entries bounded by 1/n in
     magnitude; (ii) strictly negative off-diagonal weights with every
@@ -438,7 +438,6 @@ def interior_conditions(net: WeightedNetwork, alpha=None) -> InteriorReport:
     """
     n = net.n
     z = net.z
-    a_vec = np.ones(n) if alpha is None else np.asarray(alpha, dtype=float)
 
     off = ~np.eye(n, dtype=bool)
     max_off = float(z[off].max()) if n > 1 else -np.inf
@@ -472,7 +471,7 @@ def interior_conditions(net: WeightedNetwork, alpha=None) -> InteriorReport:
         )
 
     try:
-        sol = np.linalg.solve(np.eye(n) - z, a_vec)
+        sol = np.linalg.solve(np.eye(n) - z, np.ones(n))
         positive = bool(np.all(sol > 0))
         degenerate = False
     except np.linalg.LinAlgError:

@@ -671,8 +671,9 @@ def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
     """
     if samples < 1:
         raise UsageError("probe needs at least one sample")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise UsageError("epsilon must be a finite positive number")
+    # The draws span [-epsilon, epsilon], whose width must be finite too.
+    if not (epsilon > 0 and np.isfinite(2 * epsilon)):
+        raise UsageError("epsilon must be positive, and 2 * epsilon finite")
     _check_stopping(tol, max_iter)
     count = len(records)
     if count * samples > _MAX_PROBE_RUNS:

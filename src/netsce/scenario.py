@@ -148,20 +148,22 @@ def parse_scenario(source: Union[str, dict]) -> Scenario:
         raise UsageError("mode must be 'local' or 'global'")
 
     n = _int(obj.get("n"), "n", minimum=1)
+    # z's n rows bound n by the text's own size before any length-n array
+    # is made.
+    zraw = obj.get("z")
+    if not isinstance(zraw, list) or len(zraw) != n:
+        raise UsageError(f"z must be a list of {n} rows")
 
     if "alpha" not in obj:
         raise UsageError("alpha is required")
     alpha = _num_vector(obj["alpha"], n, "alpha")
 
-    zraw = obj.get("z")
-    if not isinstance(zraw, list) or len(zraw) != n:
-        raise UsageError(f"z must be a list of {n} rows")
-    z = np.empty((n, n))
+    rows = []
     for i, row in enumerate(zraw):
         if not isinstance(row, list) or len(row) != n:
             raise UsageError(f"z[{i}] must be a list of {n} numbers")
-        for j, v in enumerate(row):
-            z[i, j] = _num(v, f"z[{i}][{j}]")
+        rows.append([_num(v, f"z[{i}][{j}]") for j, v in enumerate(row)])
+    z = np.array(rows, dtype=float)
 
     a_max = _num_vector(obj["a_max"], n, "a_max") if "a_max" in obj else None
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against the bundled scenarios."""
 
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -17,6 +18,7 @@ from netsce import (
     load_scenario,
     probe_stability,
 )
+from netsce import cli
 from netsce.cli import _COMMANDS, _build_parser, main
 from netsce.learning import PROBE_MAX_ITER, _probe
 
@@ -122,11 +124,102 @@ def test_mode_guards(tmp_path, capsys):
 
 def test_flag_validation(tmp_path):
     scn = str(SCENARIO_DIR / "table1.json")
-    assert main(["sce", "-i", scn, "--tol", "-1"]) == 1
+    assert main(["stability", "-i", scn, "--tol", "-1"]) == 1
     assert main(["stability", "-i", scn, "--samples", "0"]) == 1
     assert main(["stability", "-i", scn, "--seed", "-3"]) == 1
     assert main(["learn", "-i", scn, "--max-iter", "0"]) == 1
     assert main(["sce", "-i", scn, "--format", "json"]) == 1  # no --format flag: output is csv
+
+
+# Per command: the scenario it runs on, the library call its handler makes
+# (None when it takes no override) and the scenario keys that call reads.
+OVERRIDES = {
+    "check": ("table1.json", None, ()),
+    "ne": ("table1.json", None, ()),
+    "sce": ("table1.json", None, ()),
+    "learn": ("learn_contracting.json", "run_learning", ("tol", "max_iter")),
+    "stability": ("table1.json", "_probe", ("tol", "seed", "epsilon", "samples")),
+    "global-sce": ("global_line.json", "solve_global_sce", ("tol", "max_iter")),
+    "phi-map": ("global_line.json", "phi_map", ("tol", "max_iter", "samples")),
+}
+# A valid value of each override key that no shipped scenario holds.
+KNOBS = {"tol": 1e-7, "max_iter": 17, "seed": 9, "epsilon": 0.02, "samples": 6}
+
+
+class _Reached(Exception):
+    """Raised by a patched library call once it has seen its arguments."""
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_takes_the_overrides_it_reads(tmp_path, capsys, monkeypatch, command):
+    """A flag the command does not read is a usage error and writes nothing;
+    the file's value of such a key changes no output byte; each flag it
+    takes reaches its library call."""
+    scenario, call, keys = OVERRIDES[command]
+    assert _COMMANDS[command][2] == keys
+    path = SCENARIO_DIR / scenario
+    unread = [key for key in KNOBS if key not in keys]
+    out = tmp_path / "out.csv"
+    for key in unread:
+        flag = "--" + key.replace("_", "-")
+        assert main([command, "-i", str(path), "-o", str(out), flag, str(KNOBS[key])]) == 1
+        err = capsys.readouterr().err
+        assert err == f"netsce: error: unrecognized arguments: {flag} {KNOBS[key]}\n"
+        assert not out.exists()
+
+    code = main([command, "-i", str(path)])
+    expected = capsys.readouterr()
+    obj = json.loads(path.read_text())
+    for key in unread:
+        edited = tmp_path / f"{key}.json"
+        edited.write_text(json.dumps({**obj, key: KNOBS[key]}))
+        assert main([command, "-i", str(edited)]) == code, key
+        assert capsys.readouterr() == expected, key
+
+    if call is None:
+        return
+    seen = {}
+    signature = inspect.signature(getattr(cli, call))
+
+    def capture(*args, **kwargs):
+        seen.update(signature.bind(*args, **kwargs).arguments)
+        raise _Reached
+
+    monkeypatch.setattr(cli, call, capture)
+    flags = [arg for key in keys for arg in ("--" + key.replace("_", "-"), str(KNOBS[key]))]
+    with pytest.raises(_Reached):
+        main([command, "-i", str(path), *flags])
+    if "c_grid" in seen:  # phi-map reads samples as the length of its grid
+        seen["samples"] = len(seen["c_grid"])
+    scn = load_scenario(path)
+    for key in keys:
+        assert getattr(scn, key) != KNOBS[key], key
+        assert (type(seen[key]), seen[key]) == (type(KNOBS[key]), KNOBS[key]), key
+
+
+@pytest.mark.parametrize(
+    "command, edit, flags",
+    [("ne", {"n": 10**12, "z": []}, []), ("stability", {}, ["--epsilon", "1e308"])],
+    ids=["n-without-z-rows", "epsilon-overflows"],
+)
+def test_oversized_values_exit_one(tmp_path, capsys, command, edit, flags):
+    """A z without n rows is rejected before any length-n array is made, and
+    an epsilon whose draws span no finite width before any draw."""
+    path = tmp_path / "table1.json"
+    path.write_text(json.dumps({**json.loads((SCENARIO_DIR / "table1.json").read_text()), **edit}))
+    out = tmp_path / "out.csv"
+    assert main([command, "-i", str(path), "-o", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netsce: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_largest_epsilon_still_probes(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapBindingWarning)
+        code, rows, _ = run(tmp_path, "stability", "table1.json", "--epsilon", "8e307",
+                            "--samples", "2")
+    assert (code, len(rows)) == (0, 16)
 
 
 # ------------------------------------------------------------- equilibrium IO
@@ -306,11 +399,19 @@ def test_cap_warnings_print_as_lines_without_a_path(tmp_path, capsys):
 
 
 def test_stability_checks_max_iter_but_does_not_use_it(tmp_path):
+    """stability probes with PROBE_MAX_ITER: it takes no --max-iter, and the
+    file's max_iter passes the usual check but changes no CSV byte."""
+    code, rows, out = run(tmp_path, "stability", "table2.json", "--max-iter", "5")
+    assert (code, rows, out.exists()) == (1, [], False)
     _, _, default = run(tmp_path, "stability", "table2.json", "--samples", "5", out="a.csv")
-    _, _, short = run(tmp_path, "stability", "table2.json", "--samples", "5",
-                      "--max-iter", "1", out="b.csv")
+    obj = json.loads((SCENARIO_DIR / "table2.json").read_text())
+    edited = tmp_path / "edited.json"
+    for max_iter, code in ((0, 1), (1, 0)):
+        edited.write_text(json.dumps({**obj, "max_iter": max_iter}))
+        short = tmp_path / f"{max_iter}.csv"
+        assert main(["stability", "-i", str(edited), "-o", str(short), "--samples", "5"]) == code
+    assert not (tmp_path / "0.csv").exists()
     assert short.read_bytes() == default.read_bytes()
-    assert main(["stability", "-i", str(SCENARIO_DIR / "table2.json"), "--max-iter", "0"]) == 1
 
 
 def test_stability_draws_each_sample_once(tmp_path, rng_calls):

@@ -806,6 +806,7 @@ def test_small_cycles_are_caught_like_reference_loop():
         {"epsilon": -1e-3},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
+        {"epsilon": 1e308},  # the draws' width 2e308 overflows
         {"tol": 0.0},
         {"tol": -1e-10},
         {"max_iter": 0},

@@ -86,6 +86,7 @@ def test_local_scenario_rejects_global_ops():
         (make(seed=-1), "seed must be at least 0"),
         (make(extra=1), "unknown key 'extra'"),
         (make(initial_conjectures=[9e9, 0.0]), r"initial_conjectures\[0\] lies outside x_bounds"),
+        (make(n=10**12, z=[]), "z must be a list of 1000000000000 rows"),
     ],
 )
 def test_strict_rejections(obj, message):
