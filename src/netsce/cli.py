@@ -17,10 +17,10 @@ An override replaces the scenario key of the same name and passes the same
 checks. Any other override flag is a usage error.
 
 ``stability`` probes every record with the same samples, seed and tol,
-each run for at most ``learning.PROBE_MAX_ITER`` (20 000) periods; a row
-that a contraction bound proves to return counts as returned and stayed
-without a run. It refuses, with exit 1 and before any probe, more than
-131 072 runs (records times samples).
+each run for at most ``learning.PROBE_MAX_ITER`` (20 000) periods; a record
+whose every start a contraction bound proves to return counts as returned
+and stayed, with no draw or run. It refuses, with exit 1 and before any
+probe, more than 131 072 runs (uncertified records times samples).
 
 ``learn`` and ``stability`` print each distinct cap warning once, as one
 ``netsce: warning:`` line on stderr. For ``stability`` a warning covers

@@ -117,6 +117,13 @@ class SolveDiagnostics:
     cap_hits: tuple = ()  # active sets whose solution pressed the cap
 
 
+def _check_agents(spec: GameSpec, **arrays) -> None:
+    """Raise unless each given array, None aside, holds one entry per agent."""
+    for name, value in arrays.items():
+        if value is not None and np.shape(value) != (spec.n,):
+            raise UsageError(f"{name} have length {np.size(value)}; the game has {spec.n} agents")
+
+
 def make_record(
     spec: GameSpec,
     actions: np.ndarray,
@@ -130,8 +137,10 @@ def make_record(
     the declared-inactive ones, who are assigned their most pessimistic
     admissible conjecture x_lo. With ``validate`` the pair must pass is_sce;
     solvers that guarantee validity by construction switch it off. Every
-    declared entry must be an agent index in range(n).
+    declared entry must be an agent index in range(n), and the profile and
+    conjectures must hold one entry per agent.
     """
+    _check_agents(spec, actions=actions, conjectures=conjectures)
     declared = frozenset(declared_inactive)
     for i in declared:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < spec.n:

@@ -27,6 +27,7 @@ from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
     _active_records,
+    _check_agents,
     _subset_runs,
     interior_conditions,
     is_sce,
@@ -64,9 +65,9 @@ PROBE_BLOCK = 128
 #: Most periods of one probe run: the ``stability`` command's budget and
 #: the default of :func:`probe_stability`.
 PROBE_MAX_ITER = 20_000
-#: Most probe runs, records times samples, one probe call may start. On 2^10
-#: records of 10 agents with 100 samples each, `stability` takes about 0.4 s
-#: in a fresh process when every row is certified, 22 s when every row runs.
+#: Most probe runs, uncertified records times samples, one probe call may
+#: start. On 2^10 records of 10 agents with 100 samples each, `stability`
+#: takes 22 s when every record runs; a certified record runs none.
 _MAX_PROBE_RUNS = 1 << 17
 #: Unit roundoff of float64.
 _U = np.finfo(float).eps / 2
@@ -399,8 +400,7 @@ def run_learning(
     if window < 1:
         raise UsageError("window must be at least 1")
     xh = np.asarray(initial, dtype=float).copy()
-    if xh.shape != (spec.n,):
-        raise UsageError(f"initial conjectures must have length {spec.n}")
+    _check_agents(spec, **{"initial conjectures": xh})
     outside = (xh < spec.x_lo - _RANGE_SLACK) | (xh > spec.x_hi + _RANGE_SLACK)
     if np.any(outside):
         i = int(np.flatnonzero(outside)[0])
@@ -474,6 +474,14 @@ def analytic_stability(spec: GameSpec, record) -> AnalyticStability:
     return _analytic(spec, [record])[0]
 
 
+def _stacks(spec: GameSpec, records) -> tuple:
+    """Witnesses and actions of ``records`` from this game: two (count, n) stacks."""
+    for rec in records:
+        _check_agents(spec, actions=rec.actions, conjectures=rec.conjectures)
+    return (np.array([rec.conjectures for rec in records]).reshape(-1, spec.n),
+            np.array([rec.actions for rec in records]).reshape(-1, spec.n))
+
+
 def _analytic(spec: GameSpec, records) -> list:
     """:func:`analytic_stability` for every record of ``records`` at once.
 
@@ -481,6 +489,7 @@ def _analytic(spec: GameSpec, records) -> list:
     whose eigenvalues per matrix are those of its own call. A record's
     margin is its first smallest inactive entry, as ``min`` picks it.
     """
+    conj = _stacks(spec, records)[0]
     count, n = len(records), spec.n
     active = np.zeros((count, n), dtype=bool)
     for r, rec in enumerate(records):
@@ -495,7 +504,6 @@ def _analytic(spec: GameSpec, records) -> list:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise NumericError(f"eigenvalue computation failed: {exc}") from exc
         rho[rows] = np.abs(ev).max(axis=1)
-    conj = np.array([rec.conjectures for rec in records]).reshape(count, n)
     gap = np.where(active, np.inf, -spec.alpha - conj)
     margins = gap[np.arange(count), gap.argmin(axis=1)]
     out = []
@@ -549,34 +557,32 @@ def probe_stability(
     [-epsilon, epsilon] drawn by ``default_rng((seed, k))``, clipped into
     the conjecture ranges, and runs as :func:`run_learning` would with the
     given ``tol`` and ``max_iter``. Samples are advanced together in blocks
-    of ``PROBE_BLOCK`` rows; each one's verdict is that of its own run. A
-    sample whose start a contraction certificate proves to converge back
-    to the record, within ``max_iter`` and clear of the cap, is counted as
-    returned and stayed without being run.
+    of ``PROBE_BLOCK`` rows; each one's verdict is that of its own run. When
+    a contraction certificate proves that every start within epsilon
+    returns, within ``max_iter`` and clear of the cap, all samples count
+    as returned and stayed, and none is drawn or run.
     """
     return _probe(spec, [record], epsilon, samples, seed, tol, max_iter)[0]
 
 
-def _certificate(spec, witnesses, targets, tol, max_iter):
-    """Per record, the starts whose probe verdict is known without a run.
+def _certificate(spec, witnesses, targets, epsilon, tol, max_iter):
+    """Per record, whether every start x0 = clip(w + noise, x_lo, x_hi) with
+    |noise| <= epsilon converges, returns and stays within ``max_iter``,
+    clear of the cap. For w in [x_lo, x_hi] the clip only moves x0 closer
+    to w, so err = epsilon + 2u (|w| + epsilon), u the unit roundoff,
+    bounds |x0 - w| and its computed value: twice the rounding of w + noise.
 
-    Returns (lim, inv_v, off), each with one row per record. Row (r, k)
-    starting from x0 is certified, that is converged, returned and stayed,
-    when every agent of ``off[r]`` (inactive at the record) has
-    ``alpha + x0 <= 0`` and ``|x0 - w| <= epsilon + 1e-6``, and
-    ``max |x0 - w| * inv_v[r] <= lim[r]``; ``lim`` is -1 where no start is.
-
-    Why. Let S be the record's active agents (a* > 0), w its witnesses and
-    e = x - w on S. An agent with alpha + x <= 0 plays 0, learns nothing
-    and stays out, so while each active action stays in (0, a_max -
-    CAP_WARN_MARGIN) and each active belief in [x_lo, x_hi], a period is
-    e <- Z_SS e + g, where g holds the record's own residuals and the
-    rounding of :func:`_step`. Weights v > 0 from rho = rho(|Z|), v = (I -
-    |Z| / s)^-1 1 with s = (1 + rho) / 2 when rho < 1, else v = 1, give
-    the norm |e|_v = max |e_i| / v_i, in which Z_SS contracts by q, the
-    largest (|Z_SS| v_S)_i / v_i, and |g|_v <= d. So |e_t|_v <= q^t |e_0|_v
-    + d / (1 - q). With lo and hi the least and largest v on S, a record
-    certifies only when (2 to 5 each with a safety factor of 2):
+    Why. Let S be the record's active agents (a* > 0) and e = x - w on S.
+    An agent with alpha + x <= 0 plays 0, learns nothing and stays out, so
+    while each active action stays in (0, a_max - CAP_WARN_MARGIN) and each
+    active belief in [x_lo, x_hi], a period is e <- Z_SS e + g, where g
+    holds the record's own residuals and the rounding of :func:`_step`.
+    Weights v > 0 from rho = rho(|Z|), v = (I - |Z| / s)^-1 1 with s = (1 +
+    rho) / 2 when rho < 1, else v = 1, give the norm |e|_v = max |e_i| /
+    v_i, in which Z_SS contracts by q, the largest (|Z_SS| v_S)_i / v_i, and
+    |g|_v <= d. So |e_t|_v <= q^t |e_0|_v + d / (1 - q). With lo and hi the
+    least and largest v on S, a record certifies only when (2 to 5 and 7
+    each with a safety factor of 2):
 
     1. q < 1;
     2. no false recurrence: (1 - q^2) lo / (2 hi) bounds a lag's defect
@@ -588,17 +594,20 @@ def _certificate(spec, witnesses, targets, tol, max_iter):
     4. the stopping error passes the return test: at a change below tol
        the state is within hi (q tol / lo + d) / (1 - q) of the witnesses,
        and that plus the record's action residual is at most 1e-6 / 2;
-    5. the rounding floor of a change, 2 hi d / (1 - q), is at most tol / 4.
+    5. the rounding floor of a change, 2 hi d / (1 - q), is at most tol / 4;
+    6. err over v on S, plus the drift d / (1 - q), fits the room: the
+       distance of a*_S to 0 and to the cap margin, less the record's
+       action residual c = |alpha + w - a*|, and of w_S to the belief
+       bounds, each over v;
+    7. each inactive agent has w in [x_lo, x_hi], an action 0 below the cap
+       margin and alpha + w + err + 2u (|alpha| + |w|) <= 0, twice the
+       rounding of that sum, so alpha + x0 <= 0; and |x0 - w| <= err passes
+       the stay test for every w and epsilon the divergence gate admits.
 
-    A start certifies when its error, plus the drift d / (1 - q), stays
-    inside the room: the distance of a*_S to 0 and to the cap margin, less
-    the record's action residual c = |alpha + w - a*|, and of w_S to the
-    belief bounds, each over v. The rounding of a period is
-    taken as (n + 12) u times the record's scale, over active agents only:
-    n for the matvec, a dozen for the other operations of ``_step``. No
-    record certifies in a game whose bounds would let ``_advance`` test
-    for divergence, nor one with an inactive agent that the cap margin
-    already counts as capped.
+    The rounding of a period is taken as (n + 12) u times the record's
+    scale, over active agents only: n for the matvec, a dozen for the
+    other operations of ``_step``. No record certifies in a game whose
+    bounds would let ``_advance`` test for divergence.
     """
     n = spec.n
     z = np.abs(spec.net.z)
@@ -641,7 +650,14 @@ def _certificate(spec, witnesses, targets, tol, max_iter):
         lim = room * (1.0 - 1e-9) - drift
         ratio = (1.0 - q * q) * lo / (2.0 * hi)
         reach = hi * drift
-        ok = (
+        err = epsilon + 2 * _U * (np.abs(witnesses) + epsilon)
+        asleep = (
+            (np.clip(witnesses, spec.x_lo, spec.x_hi) == witnesses)
+            & (cap_at > 0)
+            & (spec.alpha + witnesses + err
+               + 2 * _U * (np.abs(spec.alpha) + np.abs(witnesses)) <= 0)
+        )
+        return (
             gate
             & (q < 1.0)
             & (ratio > 2e-6)
@@ -649,25 +665,23 @@ def _certificate(spec, witnesses, targets, tol, max_iter):
             & (hi * ((1.0 + q) * q ** max(max_iter - WINDOW, 0) * lim + 2.0 * drift) <= tol / 2)
             & (hi * (q * tol / lo + d) / (1.0 - q) + c <= 0.5e-6)
             & (2.0 * reach <= tol / 4)
-            & ~(~on & (cap_at <= 0)).any(axis=1)
+            & ((err * inv_v).max(axis=1) <= lim)
+            & (on | asleep).all(axis=1)
         )
-        return np.where(ok, lim, -1.0), inv_v, ~on
 
 
 def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
     """:func:`probe_stability` for every record of ``records`` at once.
 
-    Samples go in chunks of at most ``PROBE_BLOCK``. Within a chunk, rows
-    are (record, sample) pairs in record-major order, cut into blocks of at
-    most ``PROBE_BLOCK`` rows, so a block holds consecutive samples of few
-    records, and the runs of one record stop at nearly the same period.
-    Sample k's noise does not depend on the record: each chunk draws its
-    samples' noise once, and row (r, k) starts from ``clip(witness_r +
-    noise_k, x_lo, x_hi)``, the start probe_stability gives sample k of
-    record r on its own. A row that :func:`_certificate` decides counts as
-    converged, returned and stayed; the block's other rows, in order, go to
-    one :func:`_advance` call, and a block with none makes no call. Raises
-    before any draw when records times samples exceeds ``_MAX_PROBE_RUNS``.
+    A record that :func:`_certificate` decides counts every sample as
+    returned and stayed, with no draw and no run. The other records' samples
+    go in chunks of at most ``PROBE_BLOCK``, each sample drawn once: row (r,
+    k) starts from ``clip(witness_r + noise_k, x_lo, x_hi)``, the start
+    probe_stability gives sample k of record r alone. A chunk's rows run
+    record-major in blocks of at most ``PROBE_BLOCK`` rows, one
+    :func:`_advance` call each, so a block's runs stop at nearly the same
+    period. Raises before any draw when the uncertified records times
+    samples exceed ``_MAX_PROBE_RUNS``.
     """
     if samples < 1:
         raise UsageError("probe needs at least one sample")
@@ -675,41 +689,24 @@ def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
     if not (epsilon > 0 and np.isfinite(2 * epsilon)):
         raise UsageError("epsilon must be positive, and 2 * epsilon finite")
     _check_stopping(tol, max_iter)
-    count = len(records)
+    witnesses, targets = _stacks(spec, records)
+    certified = _certificate(spec, witnesses, targets, epsilon, tol, max_iter)
+    todo = np.flatnonzero(~certified)
+    count = len(todo)
     if count * samples > _MAX_PROBE_RUNS:
         raise UsageError(
-            f"probing {count} records with {samples} samples each needs "
-            f"{count * samples} runs; limit is {_MAX_PROBE_RUNS}"
+            f"probing {count} uncertified records with {samples} samples each "
+            f"needs {count * samples} runs; limit is {_MAX_PROBE_RUNS}"
         )
-    if not count:
-        return []
-    witnesses = np.array([rec.conjectures for rec in records]).reshape(count, spec.n)
-    targets = np.array([rec.actions for rec in records]).reshape(count, spec.n)
-    returned = np.zeros(count, dtype=int)
-    stayed = np.zeros(count, dtype=int)
-    nonconv = np.zeros(count, dtype=int)
-    lim, inv_v, off = _certificate(spec, witnesses, targets, tol, max_iter)
-    for first in range(0, samples, PROBE_BLOCK):
+    witnesses, targets = witnesses[todo], targets[todo]
+    returned, stayed, nonconv = np.zeros((3, count), dtype=int)
+    for first in range(0, samples if count else 0, PROBE_BLOCK):
         chunk = min(PROBE_BLOCK, samples - first)
-        noise = np.array([
-            np.random.default_rng((seed, k)).uniform(-epsilon, epsilon, spec.n)
-            for k in range(first, first + chunk)
-        ])
+        noise = np.array([np.random.default_rng((seed, k)).uniform(-epsilon, epsilon, spec.n)
+                          for k in range(first, first + chunk)])
         for lo in range(0, count * chunk, PROBE_BLOCK):
             rec, sample = np.divmod(np.arange(lo, min(lo + PROBE_BLOCK, count * chunk)), chunk)
-            w = witnesses[rec]
-            x0 = np.clip(w + noise[sample], spec.x_lo, spec.x_hi)
-            gap = np.abs(x0 - w)
-            # An inactive agent must stay out, as _step tests it, and pass
-            # the stay test; the active ones' error must be within lim.
-            strays = off[rec] & ((spec.alpha + x0 > 0) | (gap > epsilon + 1e-6))
-            certified = ((gap * inv_v[rec]).max(axis=1) <= lim[rec]) & ~strays.any(axis=1)
-            done = np.bincount(rec[certified], minlength=count)
-            returned += done
-            stayed += done
-            if np.count_nonzero(certified) == len(rec):
-                continue
-            rec, x0 = rec[~certified], x0[~certified]
+            x0 = np.clip(witnesses[rec] + noise[sample], spec.x_lo, spec.x_hi)
             runs = _advance(spec, x0, tol, max_iter, WINDOW)
             converged = np.array([c == "converged" for c in runs.classification])
             nonconv += np.bincount(rec[~converged], minlength=count)
@@ -719,17 +716,11 @@ def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
             stay = np.abs(final - witnesses[rec]).max(axis=1) <= epsilon + 1e-6
             returned += np.bincount(rec[back], minlength=count)
             stayed += np.bincount(rec[stay], minlength=count)
-    return [
-        EmpiricalStability(
-            epsilon=epsilon,
-            samples=samples,
-            seed=seed,
-            return_fraction=int(returned[r]) / samples,
-            belief_stay_fraction=int(stayed[r]) / samples,
-            nonconverged=int(nonconv[r]),
-        )
-        for r in range(count)
-    ]
+    # Python ints: a certified record counts samples itself, of any size.
+    simulated = iter(zip(returned.tolist(), stayed.tolist(), nonconv.tolist()))
+    counts = [(samples, samples, 0) if ok else next(simulated) for ok in certified.tolist()]
+    return [EmpiricalStability(epsilon, samples, seed, back / samples, stay / samples, missed)
+            for back, stay, missed in counts]
 
 
 @dataclass(frozen=True)

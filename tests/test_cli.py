@@ -415,25 +415,49 @@ def test_stability_checks_max_iter_but_does_not_use_it(tmp_path):
 
 
 def test_stability_draws_each_sample_once(tmp_path, rng_calls):
+    """A certified record draws nothing: table1 certifies all 16 records and
+    makes no draw; learn_drifting runs 6 of its 12 and draws each sample once."""
     code, rows, _ = run(tmp_path, "stability", "table1.json")
-    assert code == 0 and len(rows) == 16
-    assert rng_calls[0] == 100  # the scenario's samples, not 16 records x 100
+    assert (code, len(rows), rng_calls[0]) == (0, 16, 0)
+    code, rows, _ = run(tmp_path, "stability", "learn_drifting.json")
+    assert (code, len(rows), rng_calls[0]) == (0, 12, 100)  # the samples, not 6 x 100
 
 
 def test_stability_refuses_runs_over_the_budget(tmp_path, capsys, rng_calls):
-    """16 records x 8193 samples exceed 2^17 runs: exit 1 before any probe,
-    with no CSV."""
-    code, rows, out = run(tmp_path, "stability", "table1.json", "--samples", "8193")
+    """learn_drifting's 6 uncertified records x 21846 samples exceed 2^17
+    runs: exit 1 before any probe, with no CSV. Certified records count no
+    run, so table1's 16 x 8193 samples pass."""
+    code, rows, out = run(tmp_path, "stability", "learn_drifting.json", "--samples", "21846")
     assert (code, rows, out.exists(), rng_calls[0]) == (1, [], False, 0)
-    assert capsys.readouterr().err == (
-        "netsce: error: probing 16 records with 8193 samples each needs 131088 runs; "
-        "limit is 131072\n"
+    assert capsys.readouterr().err == NOTE % (0, 4, 0) + (
+        "netsce: error: probing 6 uncertified records with 21846 samples each needs "
+        "131076 runs; limit is 131072\n"
+    )
+    code, rows, _ = run(tmp_path, "stability", "table1.json", "--samples", "8193")
+    assert (code, len(rows), rng_calls[0]) == (0, 16, 0)
+
+
+def test_stability_counts_huge_samples_exactly(tmp_path, capsys, rng_calls):
+    """10^19 samples, past int64: a certified record returns and stays in
+    all of them, exactly; a record that needs runs hits the budget."""
+    huge = str(10**19)
+    code, rows, _ = run(tmp_path, "stability", "table1.json", "--samples", huge)
+    assert (code, len(rows), rng_calls[0]) == (0, 16, 0)
+    assert {(r["return_fraction"], r["belief_stay_fraction"], r["nonconverged"])
+            for r in rows} == {("1", "1", "0")}
+    code, rows, out = run(tmp_path, "stability", "learn_drifting.json", "--samples", huge,
+                          out="drift.csv")
+    assert (code, rows, out.exists(), rng_calls[0]) == (1, [], False, 0)
+    assert capsys.readouterr().err == NOTE % (0, 4, 0) + (
+        f"netsce: error: probing 6 uncertified records with {huge} samples each needs "
+        f"{6 * 10**19} runs; limit is 131072\n"
     )
 
 
 def test_probe_budget_admits_the_shipped_workloads(tmp_path, monkeypatch, rng_calls):
     """The budget holds neg10 (2^10 records x 100 samples) and every shipped
-    scenario; at the limit a probe runs, one run past it none does."""
+    scenario even if no record certified; at the limit of uncertified
+    records times samples a probe runs, one run past it none does."""
     from netsce import learning
 
     assert 1024 * 100 <= learning._MAX_PROBE_RUNS == 1 << 17
@@ -441,10 +465,12 @@ def test_probe_budget_admits_the_shipped_workloads(tmp_path, monkeypatch, rng_ca
         scn = load_scenario(path)
         if scn.mode == "local":
             assert len(enumerate_sce(scn.game)[0]) * scn.samples <= learning._MAX_PROBE_RUNS
-    monkeypatch.setattr(learning, "_MAX_PROBE_RUNS", 32)
-    assert run(tmp_path, "stability", "table1.json", "--samples", "2")[0] == 0
+    monkeypatch.setattr(learning, "_MAX_PROBE_RUNS", 12)
+    assert run(tmp_path, "stability", "table1.json", "--samples", "100")[0] == 0
+    assert rng_calls[0] == 0
+    assert run(tmp_path, "stability", "learn_drifting.json", "--samples", "2")[0] == 0
     assert rng_calls[0] == 2
-    assert run(tmp_path, "stability", "table1.json", "--samples", "3")[0] == 1
+    assert run(tmp_path, "stability", "learn_drifting.json", "--samples", "3")[0] == 1
     assert rng_calls[0] == 2
 
 

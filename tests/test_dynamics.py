@@ -388,8 +388,11 @@ def test_shared_probe_matches_per_record_loop(rng_calls, monkeypatch):
         for emp, ref in zip(new, refs):
             assert (emp.epsilon, emp.samples, emp.seed) == (eps, samples, seed)
             assert (emp.return_fraction, emp.belief_stay_fraction, emp.nonconverged) == ref
-        # each sample is drawn once, whatever the records and blocks
-        assert draws == samples
+        # a record runs all its samples or none; each sample is drawn once
+        # when any record runs, whatever the records and blocks, and never
+        # when every record certifies
+        assert sum(simulated) % samples == 0
+        assert draws == (samples if simulated else 0)
         # a chunk of samples is cut into blocks of record-major rows: a
         # block edge that is not a record edge splits one record's samples
         chunks = [min(PROBE_BLOCK, samples - first) for first in range(0, samples, PROBE_BLOCK)]
@@ -465,14 +468,15 @@ def test_probe_rows_run_record_major_in_sample_chunks(monkeypatch):
     assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
-def test_certified_rows_leave_their_blocks(monkeypatch):
-    """``_advance`` receives each block's uncertified rows, in order, and no
-    call for a block the certificate decides whole.
+def test_certified_records_make_no_draw_and_no_row(monkeypatch, rng_calls):
+    """A record the certificate decides makes no draw and sends no row to
+    ``_advance``; the other records' rows go in record-major blocks as if
+    they were probed alone.
 
     The knife game's interior Nash record contracts fast and far from every
-    bound, so all its rows certify. Its all-inactive record's rows certify
-    exactly when every perturbed belief keeps alpha + x <= 0 (the witnesses
-    sit at x_lo = -alpha), since an agent that wakes up must be simulated.
+    bound, so it certifies. Its all-inactive record's witnesses sit at
+    x_lo = -alpha, where a perturbed belief may wake an agent, so it is
+    simulated in full.
     """
     from netsce import learning
 
@@ -480,7 +484,7 @@ def test_certified_rows_leave_their_blocks(monkeypatch):
     recs = enumerate_sce(knife)[0]
     inner = [r for r in recs if len(r.active_set) == knife.n][0]
     asleep = [r for r in recs if not r.active_set][0]
-    recs, eps, seed, samples, max_iter = [inner, asleep], 1e-3, 7, 2 * PROBE_BLOCK - 56, 2000
+    eps, seed, samples, max_iter = 1e-3, 7, 2 * PROBE_BLOCK - 56, 2000
     blocks = []
 
     def recording(spec, x0, *args):
@@ -489,18 +493,20 @@ def test_certified_rows_leave_their_blocks(monkeypatch):
 
     advance = learning._advance
     monkeypatch.setattr(learning, "_advance", recording)
-    got = _probe(knife, recs, eps, samples, seed, 1e-10, max_iter)
-    pairs, starts = _start_rows(knife, recs, eps, samples, seed)
-    wakes = np.array([r == 1 and bool(np.any(knife.alpha + x > 0))
-                      for (r, _), x in zip(pairs, starts)])
-    expected = [starts[lo:lo + PROBE_BLOCK][wakes[lo:lo + PROBE_BLOCK]]
-                for lo in range(0, len(starts), PROBE_BLOCK)]
-    # the first block, all interior rows, makes no call; the others lose rows
-    assert len(expected[0]) == 0 and all(0 < len(b) < PROBE_BLOCK for b in expected[1:])
-    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in expected if len(b)]
-    refs = [reference_probe(knife, rec, eps, samples, seed, max_iter=max_iter) for rec in recs]
+    before = rng_calls[0]
+    alone = _probe(knife, [inner], eps, samples, seed, 1e-10, max_iter)
+    assert (blocks, rng_calls[0]) == ([], before)
+    assert [(e.return_fraction, e.belief_stay_fraction, e.nonconverged) for e in alone] == [
+        (1.0, 1.0, 0)]
+    got = _probe(knife, [inner, asleep, inner], eps, samples, seed, 1e-10, max_iter)
+    assert rng_calls[0] == before + samples
+    starts = _start_rows(knife, [asleep], eps, samples, seed)[1]
+    assert [b.tobytes() for b in blocks] == [
+        starts[lo:lo + PROBE_BLOCK].tobytes() for lo in range(0, samples, PROBE_BLOCK)]
+    refs = [reference_probe(knife, rec, eps, samples, seed, max_iter=max_iter)
+            for rec in (inner, asleep, inner)]
     assert [(e.return_fraction, e.belief_stay_fraction, e.nonconverged) for e in got] == refs
-
+    assert 0.0 < refs[1][0] < 1.0
 
 
 def _near_miss_games(count=150, seed=17):
@@ -512,9 +518,13 @@ def _near_miss_games(count=150, seed=17):
     "cap": a cap within 1e-6 + [0, 1e-5] of the largest action; "tiny":
     caps of at most 2e-6 and actions near them; "bound": conjecture ranges
     1e-6 to 1e-2 outside the attainable aggregates, so witnesses sit within
-    epsilon of a bound. tol reaches 1e-4 and max_iter falls to 3. In the
-    last game an alternating mode decays by 1 - 5e-7 a period, so the
-    recurrence scan fires on a converging run; every other condition holds.
+    epsilon of a bound. tol reaches 1e-4 and max_iter falls to 3.
+    "asleep": every inactive witness of a record at -alpha - epsilon (1 +
+    delta), delta one of -1e-9, 0, 1e-12 and 1e-6, so a start at the edge
+    of the epsilon-ball wakes an agent about when delta <= 0; alpha falls
+    to 1e-5, below epsilon, where alpha + w rounds. In the last game an
+    alternating mode decays by 1 - 5e-7 a period, so the recurrence scan
+    fires on a converging run; every other condition holds.
     """
     rng = np.random.default_rng(seed)
     kinds = ("rho", "nonnormal", "cap", "tiny", "bound")
@@ -563,6 +573,22 @@ def _near_miss_games(count=150, seed=17):
         recs = [recs[i] for i in rng.permutation(len(recs))[:3]]
         if recs:
             cases.append((kind, game, recs, eps, tol, max_iter))
+    for _ in range(count // 5):
+        n = int(rng.integers(2, 6))
+        z = rng.uniform(-1.0, 1.0, (n, n))
+        np.fill_diagonal(z, 0.0)
+        z *= rng.uniform(0.2, 0.9) / spectral_radius(z)
+        alpha = rng.uniform(0.05, 0.5, n) * 10 ** rng.uniform(-4.0, 0.0)
+        game = make_game(WeightedNetwork(z=z), alpha=alpha)
+        eps = float(rng.choice([1e-4, 1e-3, 1e-2]))
+        recs = [r for r in enumerate_sce(game)[0] if len(r.active_set) < n]
+        for i in rng.permutation(len(recs))[:3]:
+            off = recs[i].actions <= 0
+            w = recs[i].conjectures.copy()
+            w[off] = -alpha[off] - eps * (1.0 + rng.choice([-1e-9, 0.0, 1e-12, 1e-6]))
+            cases.append(("asleep", game, [make_record(game, recs[i].actions, conjectures=w,
+                                                       validate=False)],
+                          eps, float(rng.choice([1e-10, 1e-8])), int(rng.choice([60, 400]))))
     swing = make_game(WeightedNetwork(z=-(1 - 5e-7) * np.array([[0.0, 1.0], [1.0, 0.0]])),
                       alpha=2e-8)
     cases.append(("recurrence", swing, enumerate_sce(swing)[0], 8e-9, 5e-15, 10**9))
@@ -570,10 +596,12 @@ def _near_miss_games(count=150, seed=17):
 
 
 def test_certified_rows_match_their_full_runs(monkeypatch):
-    """Every row the certificate decides runs, alone and in full, to a
-    converged limit that returns and stays, and never presses the cap (so
-    leaving it out changes no warning). Each kind of near miss has rows on
-    both sides, and the last game's fully active record is refused."""
+    """Every row of a record the certificate decides, and the two corners
+    w + epsilon and w - epsilon of its ball of starts, runs alone and in
+    full to a converged limit that returns and stays, and never presses the
+    cap (so running none of them changes no warning). A record runs all its
+    rows or none. Each kind of near miss has records on both sides, and the
+    last game's fully active record is refused."""
     from netsce import learning
 
     blocks = []
@@ -591,18 +619,25 @@ def test_certified_rows_match_their_full_runs(monkeypatch):
         _probe(game, recs, eps, samples, seed, tol, max_iter)
         simulated = {row.tobytes() for block in blocks for row in block}
         pairs, starts = _start_rows(game, recs, eps, samples, seed)
-        for (r, _), x0 in zip(pairs, starts):
-            certified = x0.tobytes() not in simulated
+        for r, rec in enumerate(recs):
+            rows = starts[[k for k, (row, _) in enumerate(pairs) if row == r]]
+            ran = {x0.tobytes() in simulated for x0 in rows}
+            assert len(ran) == 1, (kind, r)
+            certified = not ran.pop()
             sides.setdefault(kind, set()).add(certified)
             if certified:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", CapBindingWarning)
-                    verdict = reference_probe_row(game, recs[r], x0, eps, tol, max_iter)
-                assert verdict == (True, True, True, False), (kind, r, verdict)
+                corners = [np.clip(rec.conjectures + sign * eps, game.x_lo, game.x_hi)
+                           for sign in (1.0, -1.0)]
+                for x0 in [*rows, *corners]:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", CapBindingWarning)
+                        verdict = reference_probe_row(game, rec, x0, eps, tol, max_iter)
+                    assert verdict == (True, True, True, False), (kind, r, verdict)
             elif kind == "recurrence":
-                assert len(recs[r].active_set) == 2
+                assert len(rec.active_set) == 2
     assert sides == {kind: {True, False} for kind in
-                     ("rho", "nonnormal", "cap", "tiny", "bound", "recurrence")}, sides
+                     ("rho", "nonnormal", "cap", "tiny", "bound", "asleep", "recurrence")}, sides
+
 
 def reference_analytic_stability(spec, record):
     """``analytic_stability`` as it was before the stacked spectral test:

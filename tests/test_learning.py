@@ -124,7 +124,7 @@ def test_dropout_is_absorbing():
 
 
 def test_run_learning_validations(positive_game):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="initial conjectures have length 3; the game has 4"):
         run_learning(positive_game, np.zeros(3))
     with pytest.raises(UsageError):
         run_learning(positive_game, np.full(4, 1e9))
@@ -161,6 +161,30 @@ def test_probe_rejects_infinite_tol(positive_game, monkeypatch):
     rec = enumerate_sce(positive_game)[0][0]
     with pytest.raises(UsageError, match="tol must be a finite positive number"):
         probe_stability(positive_game, rec, tol=float("inf"))
+
+
+def test_records_of_another_game_are_usage_errors(positive_game, monkeypatch):
+    """A record, profile or conjecture vector of the wrong length is named,
+    with the game's agent count, before any work."""
+    from netsce import learning
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the lengths were checked")
+
+    three = make_game(WeightedNetwork(z=0.2 * ADJ4[:3, :3]), alpha=0.1)
+    rec = enumerate_sce(three)[0][-1]
+    monkeypatch.setattr(learning, "_certificate", no_work)
+    monkeypatch.setattr(learning, "_advance", no_work)
+    message = "actions have length 3; the game has 4 agents"
+    with pytest.raises(UsageError, match=message):
+        probe_stability(positive_game, rec)
+    with pytest.raises(UsageError, match=message):
+        analytic_stability(positive_game, rec)
+    with pytest.raises(UsageError, match=message):
+        make_record(positive_game, np.zeros(3))
+    with pytest.raises(UsageError, match="conjectures have length 5; the game has 4 agents"):
+        make_record(positive_game, np.zeros(4), conjectures=np.zeros(5))
+
 
 def test_cap_events_recorded():
     game = make_game(
