@@ -12,11 +12,17 @@ import numpy as np
 import pytest
 
 from netsce import (
+    ASSUMPTIONS,
     CapBindingWarning,
     analytic_stability,
+    check_assumption,
     enumerate_sce,
     load_scenario,
+    phi_map,
     probe_stability,
+    run_learning,
+    solve_full_ne,
+    solve_global_sce,
 )
 from netsce import cli
 from netsce.cli import _COMMANDS, _build_parser, main
@@ -484,6 +490,189 @@ def test_stability_without_records_writes_header(tmp_path):
     assert main(["stability", "-i", str(path), "-o", str(out)]) == 0
     assert out.read_bytes() == _per_record_stability_csv(path)
     assert out.read_text().count("\n") == 1
+
+
+# --------------------------------------------------------- reference tables
+# Each command's CSV rebuilt from library results, one row at a time, with
+# "{:.12g}".format per number and a csv.writer of its own.
+
+_g = "{:.12g}".format
+
+
+def _agents(agents) -> str:
+    return "|".join(str(i) for i in sorted(agents))
+
+
+def _true(flag) -> str:
+    return "true" if flag else "false"
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _check_table(scn):
+    def text(v):
+        if isinstance(v, tuple):
+            return "|".join(text(x) for x in v)
+        if v is None:
+            return "none"
+        return _g(v) if isinstance(v, float) else str(v)
+
+    rows = []
+    for name in ASSUMPTIONS:
+        rep = check_assumption(scn.game.net, name)
+        parts = []
+        for key, value in rep.witness.items():
+            if key != "decomposition":
+                parts.append(f"{key}={text(value)}")
+            elif value.kind == "diagonal":
+                parts += [f"gamma_min={_g(min(value.gamma))}", f"gamma_max={_g(max(value.gamma))}"]
+        rows.append([rep.assumption, _true(rep.holds), ";".join(parts)])
+    return _csv_bytes(["assumption", "holds", "witness"], rows), 0, None
+
+
+def _equilibrium_table(solve):
+    def table(scn):
+        n = scn.n
+        header = (["bitmask", "active_set", "kind", "declared_inactive"]
+                  + [f"a_{i}" for i in range(n)] + [f"xhat_{i}" for i in range(n)])
+        rows = [[rec.bitmask, _agents(rec.active_set), rec.kind, _agents(rec.declared_inactive)]
+                + [_g(v) for v in rec.actions] + [_g(v) for v in rec.conjectures]
+                for rec in solve(scn.game)[0]]
+        return _csv_bytes(header, rows), 0, None
+
+    return table
+
+
+def _learn_table(scn):
+    traj = run_learning(scn.game, scn.initial_conjectures, tol=scn.tol,
+                        max_iter=scn.max_iter, window=scn.window)
+    rows = [[t, i, _g(traj.conjectures[t, i]), _g(traj.actions[t, i]), _g(traj.payoffs[t, i])]
+            for t in range(traj.steps) for i in range(scn.n)]
+    summary = {
+        "classification": traj.classification,
+        "steps": traj.steps,
+        "period": traj.period,
+        "period_kind": traj.period_kind,
+        "cycle_agents": list(traj.cycle_agents) if traj.cycle_agents else None,
+        "final_conjectures": traj.conjectures[-1].tolist(),
+        "clamp_events": len(traj.clamp_events),
+        "cap_events": len(traj.cap_events),
+    }
+    if traj.limit is not None:
+        summary["limit"] = {"actions": traj.limit.actions.tolist(),
+                            "active_set": sorted(traj.limit.active_set),
+                            "kind": traj.limit.kind, "is_sce": traj.limit_is_sce}
+    code = 0 if traj.classification == "converged" else 2
+    table = _csv_bytes(["t", "agent", "conjecture", "action", "payoff"], rows)
+    return table, code, json.dumps(summary, indent=2) + "\n"
+
+
+def _solve_cells(sol):
+    return [_g(sol.residual), sol.iterations, sol.method, _true(sol.converged)]
+
+
+def _global_sce_table(scn):
+    g = scn.global_game()
+    sol = solve_global_sce(g, tol=scn.tol, max_iter=scn.max_iter)
+    rows = [[i, _g(g.c[i]), _g(sol.actions[i]), _g(sol.x_hat[i]), _g(sol.y_hat[i])]
+            + _solve_cells(sol) for i in range(scn.n)]
+    header = ["agent", "c", "action", "x_hat", "y_hat", "residual", "iterations", "method",
+              "converged"]
+    return _csv_bytes(header, rows), 0 if sol.converged else 2, None
+
+
+def _phi_map_table(scn):
+    n, m = scn.n, scn.samples
+    grid = [(k / m) * scn.c for k in range(1, m + 1)]
+    entries = phi_map(scn.game, scn.beta, grid, tol=scn.tol, max_iter=scn.max_iter)
+    rows = [[k, _g(k / m)] + [_g(v) for v in e.c] + [_g(v) for v in e.solve.actions]
+            + _solve_cells(e.solve) for k, e in enumerate(entries, start=1)]
+    header = (["k", "t"] + [f"c_{i}" for i in range(n)] + [f"a_{i}" for i in range(n)]
+              + ["residual", "iterations", "method", "converged"])
+    code = 0 if all(e.solve.converged for e in entries) else 2
+    return _csv_bytes(header, rows), code, None
+
+
+REFERENCE_TABLES = {
+    "check": _check_table,
+    "ne": _equilibrium_table(solve_full_ne),
+    "sce": _equilibrium_table(enumerate_sce),
+    "learn": _learn_table,
+    "global-sce": _global_sce_table,
+    "phi-map": _phi_map_table,
+}
+
+
+def _edited(scenario, **edit):
+    def write(tmp_path):
+        path = tmp_path / f"edited-{scenario}"
+        path.write_text(json.dumps({**json.loads((SCENARIO_DIR / scenario).read_text()), **edit}))
+        return path
+    return write
+
+
+def _local(name, n, z, **keys):
+    def write(tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"mode": "local", "n": n, "z": z, **keys}))
+        return path
+    return write
+
+
+# Scenario files beyond the shipped ones: the capped signed game; a game
+# whose every positive support presses the cap, so ne yields no record; a
+# weight matrix with a diagonal symmetrizing decomposition (check's gamma
+# fields); learn and the global solver stopped by max_iter (exit 2).
+EXTRA_SCENARIOS = {
+    "capped": _capped_signed_scenario,
+    "no-ne": _local("no-ne", 2, [[0.0, 0.0], [0.0, 0.0]], alpha=0.1, a_max=1e-9),
+    "diagonal": _local("diagonal", 3, [[0.0, 0.1, 0.1], [0.2, 0.0, 0.2], [0.3, 0.3, 0.0]],
+                       alpha=0.1),
+    "learn-max-iter": _edited("learn_contracting.json", max_iter=10),
+    "global-max-iter": _edited("global_line.json", max_iter=2),
+}
+_LOCAL = ["table1.json", "table2.json", "table3.json", "learn_contracting.json",
+          "learn_drifting.json", "capped", "no-ne", "diagonal"]
+_GLOBAL = ["global_line.json", "global_complete.json"]
+REFERENCE_CASES = (
+    [("check", s) for s in _LOCAL + _GLOBAL]
+    + [(c, s) for c in ("ne", "sce") for s in _LOCAL]
+    + [("learn", s) for s in _LOCAL + ["learn-max-iter"]]
+    + [(c, s) for c in ("global-sce", "phi-map") for s in _GLOBAL + ["global-max-iter"]]
+)
+
+
+@pytest.mark.parametrize("command, scenario", REFERENCE_CASES)
+def test_csv_matches_reference_table(tmp_path, capsys, command, scenario):
+    """The CSV on stdout and in ``-o``, the exit code and learn's summary
+    equal the table rebuilt from library results."""
+    path = (EXTRA_SCENARIOS[scenario](tmp_path) if scenario in EXTRA_SCENARIOS
+            else SCENARIO_DIR / scenario)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapBindingWarning)
+        table, code, summary = REFERENCE_TABLES[command](load_scenario(path))
+        assert main([command, "-i", str(path), "-o", str(out)]) == code
+        capsys.readouterr()
+        assert main([command, "-i", str(path)]) == code
+    stdout, stderr = capsys.readouterr()
+    assert out.read_bytes() == table
+    assert stdout.encode() == table
+    if summary is not None:
+        assert (tmp_path / "out.csv.summary.json").read_text() == summary
+        assert stderr == summary
+    if scenario == "no-ne" and command == "ne":
+        assert table.count(b"\n") == 1
+    if scenario == "diagonal" and command == "check":
+        assert b";gamma_min=" in table
+    if scenario.endswith("max-iter"):  # a run stopped short still writes its table
+        assert code == 2 and table.count(b"\n") > 1
 
 
 # ---------------------------------------------------------- dropped supports
