@@ -66,12 +66,14 @@ __all__ = ["main"]
 
 
 def _fmt(v) -> str:
+    """The one number rule: floats to 12 significant digits, bools as
+    true/false, integers in full."""
+    if isinstance(v, (float, np.floating)):
+        return "%.12g" % v
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
     return str(v)
 
 
@@ -82,13 +84,22 @@ def _open_output(path: str):
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _write_csv(path: Optional[str], header, rows):
-    rendered = [[_fmt(v) for v in row] for row in rows]
+def _write_csv(path: Optional[str], columns):
+    """Write (name, values) columns in order, each formatted in one pass. A
+    (rows, n) array is the n columns name_0 ... name_{n-1}."""
+    names, cells = [], []
+    for name, values in columns:
+        if isinstance(values, np.ndarray) and values.ndim == 2:
+            names += [f"{name}_{i}" for i in range(values.shape[1])]
+            cells += values.T.tolist()
+        else:
+            names.append(name)
+            cells.append(values.tolist() if isinstance(values, np.ndarray) else values)
     out = nullcontext(sys.stdout) if path is None else _open_output(path)
     with out as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rendered)
+        w.writerow(names)
+        w.writerows(zip(*[map(_fmt, col) for col in cells]))
 
 
 def _agents_str(agents) -> str:
@@ -99,13 +110,10 @@ def _witness_str(witness: dict) -> str:
     parts = []
     for key, value in witness.items():
         if key == "decomposition":
-            dec = value
-            if dec.kind == "diagonal":
-                g = np.asarray(dec.gamma)
-                parts.append(f"gamma_min={g.min():.12g}")
-                parts.append(f"gamma_max={g.max():.12g}")
-            continue
-        if isinstance(value, tuple):
+            if value.kind == "diagonal":
+                parts.append(f"gamma_min={_fmt(value.gamma.min())}")
+                parts.append(f"gamma_max={_fmt(value.gamma.max())}")
+        elif isinstance(value, tuple):
             parts.append(f"{key}=" + "|".join(_fmt(v) for v in value))
         elif value is None:
             parts.append(f"{key}=none")
@@ -114,22 +122,23 @@ def _witness_str(witness: dict) -> str:
     return ";".join(parts)
 
 
-def _equilibrium_rows(records, n):
-    for rec in records:
-        yield (
-            [rec.bitmask, _agents_str(rec.active_set), rec.kind,
-             _agents_str(rec.declared_inactive)]
-            + [rec.actions[i] for i in range(n)]
-            + [rec.conjectures[i] for i in range(n)]
-        )
+def _record_columns(records):
+    """The columns ne, sce and stability open with."""
+    return [
+        ("bitmask", [rec.bitmask for rec in records]),
+        ("active_set", [_agents_str(rec.active_set) for rec in records]),
+        ("kind", [rec.kind for rec in records]),
+    ]
 
 
-def _equilibrium_header(n):
-    return (
-        ["bitmask", "active_set", "kind", "declared_inactive"]
-        + [f"a_{i}" for i in range(n)]
-        + [f"xhat_{i}" for i in range(n)]
-    )
+def _solve_columns(sols):
+    """The columns global-sce and phi-map close with, one solve per row."""
+    return [
+        ("residual", [sol.residual for sol in sols]),
+        ("iterations", [sol.iterations for sol in sols]),
+        ("method", [sol.method for sol in sols]),
+        ("converged", [sol.converged for sol in sols]),
+    ]
 
 
 def _solved(solve, spec):
@@ -145,18 +154,23 @@ def _solved(solve, spec):
 
 
 def _cmd_check(scn: Scenario, args) -> int:
-    rows = []
-    for name in ASSUMPTIONS:
-        rep = check_assumption(scn.game.net, name)
-        rows.append([rep.assumption, rep.holds, _witness_str(rep.witness)])
-    _write_csv(args.output, ["assumption", "holds", "witness"], rows)
+    reports = [check_assumption(scn.game.net, name) for name in ASSUMPTIONS]
+    _write_csv(args.output, [
+        ("assumption", [rep.assumption for rep in reports]),
+        ("holds", [rep.holds for rep in reports]),
+        ("witness", [_witness_str(rep.witness) for rep in reports]),
+    ])
     return 0
 
 
 def _cmd_equilibria(scn: Scenario, args) -> int:
     solve = solve_full_ne if args.command == "ne" else enumerate_sce
     records = _solved(solve, scn.game)
-    _write_csv(args.output, _equilibrium_header(scn.n), _equilibrium_rows(records, scn.n))
+    _write_csv(args.output, _record_columns(records) + [
+        ("declared_inactive", [_agents_str(rec.declared_inactive) for rec in records]),
+        ("a", np.reshape([rec.actions for rec in records], (-1, scn.n))),
+        ("xhat", np.reshape([rec.conjectures for rec in records], (-1, scn.n))),
+    ])
     return 0
 
 
@@ -168,13 +182,14 @@ def _cmd_learn(scn: Scenario, args) -> int:
         max_iter=scn.max_iter,
         window=scn.window,
     )
-    rows = []
-    for t in range(traj.steps):
-        for i in range(scn.n):
-            rows.append(
-                [t, i, traj.conjectures[t, i], traj.actions[t, i], traj.payoffs[t, i]]
-            )
-    _write_csv(args.output, ["t", "agent", "conjecture", "action", "payoff"], rows)
+    steps, n = traj.steps, scn.n
+    _write_csv(args.output, [
+        ("t", np.repeat(np.arange(steps), n)),
+        ("agent", np.tile(np.arange(n), steps)),
+        ("conjecture", traj.conjectures[:steps].ravel()),
+        ("action", traj.actions[:steps].ravel()),
+        ("payoff", traj.payoffs[:steps].ravel()),
+    ])
 
     summary = {
         "classification": traj.classification,
@@ -205,89 +220,44 @@ def _cmd_learn(scn: Scenario, args) -> int:
 def _cmd_stability(scn: Scenario, args) -> int:
     records = _solved(enumerate_sce, scn.game)
     probes = _probe(scn.game, records, scn.epsilon, scn.samples, scn.seed, scn.tol, PROBE_MAX_ITER)
-    rows = []
-    for rec, ana, emp in zip(records, _analytic(scn.game, records), probes):
-        rows.append(
-            [
-                rec.bitmask,
-                _agents_str(rec.active_set),
-                rec.kind,
-                ana.verdict,
-                ana.rho_active,
-                "" if ana.margin is None else ana.margin,
-                emp.return_fraction,
-                emp.belief_stay_fraction,
-                emp.nonconverged,
-            ]
-        )
-    _write_csv(
-        args.output,
-        [
-            "bitmask",
-            "active_set",
-            "kind",
-            "verdict",
-            "rho_active",
-            "margin",
-            "return_fraction",
-            "belief_stay_fraction",
-            "nonconverged",
-        ],
-        rows,
-    )
+    analytic = _analytic(scn.game, records)
+    _write_csv(args.output, _record_columns(records) + [
+        ("verdict", [ana.verdict for ana in analytic]),
+        ("rho_active", [ana.rho_active for ana in analytic]),
+        ("margin", ["" if ana.margin is None else ana.margin for ana in analytic]),
+        ("return_fraction", [emp.return_fraction for emp in probes]),
+        ("belief_stay_fraction", [emp.belief_stay_fraction for emp in probes]),
+        ("nonconverged", [emp.nonconverged for emp in probes]),
+    ])
     return 0
 
 
 def _cmd_global_sce(scn: Scenario, args) -> int:
     g = scn.global_game()
     sol = solve_global_sce(g, tol=scn.tol, max_iter=scn.max_iter)
-    rows = [
-        [
-            i,
-            g.c[i],
-            sol.actions[i],
-            sol.x_hat[i],
-            sol.y_hat[i],
-            sol.residual,
-            sol.iterations,
-            sol.method,
-            sol.converged,
-        ]
-        for i in range(scn.n)
-    ]
-    _write_csv(
-        args.output,
-        ["agent", "c", "action", "x_hat", "y_hat", "residual", "iterations", "method", "converged"],
-        rows,
-    )
+    _write_csv(args.output, [
+        ("agent", range(scn.n)),
+        ("c", g.c),
+        ("action", sol.actions),
+        ("x_hat", sol.x_hat),
+        ("y_hat", sol.y_hat),
+    ] + _solve_columns([sol] * scn.n))
     return 0 if sol.converged else 2
 
 
 def _cmd_phi_map(scn: Scenario, args) -> int:
-    m = scn.samples
-    grid = [(k / m) * scn.c for k in range(1, m + 1)]
-    entries = phi_map(scn.game, scn.beta, grid, tol=scn.tol, max_iter=scn.max_iter)
-    n = scn.n
-    rows = []
-    all_ok = True
-    for k, entry in enumerate(entries, start=1):
-        sol = entry.solve
-        all_ok &= sol.converged
-        rows.append(
-            [k, k / m]
-            + [entry.c[i] for i in range(n)]
-            + [sol.actions[i] for i in range(n)]
-            + [sol.residual, sol.iterations, sol.method, sol.converged]
-        )
-    _write_csv(
-        args.output,
-        ["k", "t"]
-        + [f"c_{i}" for i in range(n)]
-        + [f"a_{i}" for i in range(n)]
-        + ["residual", "iterations", "method", "converged"],
-        rows,
-    )
-    return 0 if all_ok else 2
+    m, n = scn.samples, scn.n
+    ts = [k / m for k in range(1, m + 1)]
+    entries = phi_map(scn.game, scn.beta, [t * scn.c for t in ts], tol=scn.tol,
+                      max_iter=scn.max_iter)
+    sols = [entry.solve for entry in entries]
+    _write_csv(args.output, [
+        ("k", range(1, m + 1)),
+        ("t", ts),
+        ("c", np.reshape([entry.c for entry in entries], (m, n))),
+        ("a", np.reshape([sol.actions for sol in sols], (m, n))),
+    ] + _solve_columns(sols))
+    return 0 if all(sol.converged for sol in sols) else 2
 
 
 # name: (handler, scenario mode it requires or None for either, scenario

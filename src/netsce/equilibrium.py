@@ -117,11 +117,14 @@ class SolveDiagnostics:
     cap_hits: tuple = ()  # active sets whose solution pressed the cap
 
 
-def _check_agents(spec: GameSpec, **arrays) -> None:
-    """Raise unless each given array, None aside, holds one entry per agent."""
+def _check_agents(spec: GameSpec, stack: bool = False, **arrays) -> None:
+    """Raise unless each given array, None aside, holds one entry per agent:
+    shape (n,), or with ``stack`` also a (k, n) stack of profiles."""
     for name, value in arrays.items():
-        if value is not None and np.shape(value) != (spec.n,):
-            raise UsageError(f"{name} have length {np.size(value)}; the game has {spec.n} agents")
+        shape = np.shape(value)
+        if value is not None and (shape[-1:] != (spec.n,) or len(shape) > 1 + stack):
+            length = shape[-1] if 0 < len(shape) <= 1 + stack else np.size(value)
+            raise UsageError(f"{name} have length {length}; the game has {spec.n} agents")
 
 
 def make_record(
@@ -375,6 +378,7 @@ def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
     "confirmation" (an active agent's conjecture differs from its true
     aggregate).
     """
+    _check_agents(spec, actions=actions, conjectures=conjectures)
     a = np.asarray(actions, dtype=float)
     xh = np.asarray(conjectures, dtype=float)
     x = aggregate(spec, a)

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .equilibrium import SceCheck, _violations
+from .equilibrium import SceCheck, _check_agents, _violations
 from .game import _RANGE_SLACK, GameSpec, _check_stopping, _vec, aggregate
 from .network import WeightedNetwork
 
@@ -101,6 +101,7 @@ def make_global_game(base: GameSpec, beta: float, c) -> GlobalGameSpec:
 
 def global_spillover(g: GlobalGameSpec, actions) -> np.ndarray:
     """y_i = beta * sum of others' actions."""
+    _check_agents(g.base, actions=actions)
     a = np.asarray(actions, dtype=float)
     return g.beta * (a.sum() - a)
 

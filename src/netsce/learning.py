@@ -124,6 +124,7 @@ def learn_step(spec: GameSpec, conjectures) -> StepResult:
     ``clamped`` hold (row, agent) pairs instead of agents.
     """
     xh = np.asarray(conjectures, dtype=float)
+    _check_agents(spec, stack=True, conjectures=xh)
     a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN)
     if np.count_nonzero(capped):
         _warn_cap(capped, stacklevel=2)

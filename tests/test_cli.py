@@ -492,6 +492,29 @@ def test_stability_without_records_writes_header(tmp_path):
     assert out.read_text().count("\n") == 1
 
 
+# --------------------------------------------------------------- number rule
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324, 1e300, -1e300,
+     1e-300, -1e-300, 0.1 + 0.2, 1e16, np.float32(0.1), np.float64(1 / 3),
+     np.float64(-2.5e-7), np.float64(-0.0), np.float64("nan")],
+)
+def test_fmt_gives_floats_12_significant_digits(value):
+    assert cli._fmt(value) == "{:.12g}".format(float(value))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+     (0, "0"), (-7, "-7"), (10**20, str(10**20)), (np.int64(-3), "-3"),
+     (np.int64(2**62 + 1), str(2**62 + 1))],
+)
+def test_fmt_keeps_bools_and_integers_off_the_float_branch(value, text):
+    assert cli._fmt(value) == text
+
+
 # --------------------------------------------------------- reference tables
 # Each command's CSV rebuilt from library results, one row at a time, with
 # "{:.12g}".format per number and a csv.writer of its own.

@@ -10,15 +10,18 @@ from netsce import (
     aggregate,
     analytic_stability,
     enumerate_sce,
+    global_spillover,
+    is_sce,
     learn_step,
     make_game,
+    make_global_game,
     make_record,
     probe_stability,
     run_learning,
     stable_sce_family,
 )
 
-from conftest import ADJ4, MIXED4, by_active
+from conftest import ADJ4, COMPLETE3, MIXED4, by_active
 
 X0 = np.array([0.01, 0.02, 0.03, 0.04])
 
@@ -184,6 +187,30 @@ def test_records_of_another_game_are_usage_errors(positive_game, monkeypatch):
         make_record(positive_game, np.zeros(3))
     with pytest.raises(UsageError, match="conjectures have length 5; the game has 4 agents"):
         make_record(positive_game, np.zeros(4), conjectures=np.zeros(5))
+
+
+def _global3():
+    return make_global_game(make_game(WeightedNetwork(z=COMPLETE3), alpha=0.1), beta=1.0, c=0.1)
+
+
+@pytest.mark.parametrize(
+    "call, name, length, agents",
+    [
+        (lambda g: is_sce(g, np.zeros(3), np.zeros(3)), "actions", 3, 4),
+        (lambda g: is_sce(g, np.zeros(4), np.zeros(5)), "conjectures", 5, 4),
+        (lambda g: learn_step(g, np.zeros(3)), "conjectures", 3, 4),
+        (lambda g: learn_step(g, np.zeros((2, 3))), "conjectures", 3, 4),
+        (lambda g: learn_step(g, np.zeros((2, 2, 4))), "conjectures", 16, 4),
+        (lambda g: global_spillover(_global3(), np.ones(2)), "actions", 2, 3),
+    ],
+    ids=["is_sce-actions", "is_sce-conjectures", "learn_step-profile", "learn_step-stack",
+         "learn_step-3d", "global_spillover"],
+)
+def test_wrong_lengths_are_named_with_the_agent_count(positive_game, call, name, length, agents):
+    """A profile, a stack row or an action vector of the wrong length is a
+    usage error that names its length and the game's, not a NumPy error."""
+    with pytest.raises(UsageError, match=f"^{name} have length {length}; the game has {agents} "):
+        call(positive_game)
 
 
 def test_cap_events_recorded():
