@@ -14,7 +14,9 @@ block with an exactly singular member is halved until that member stands
 alone. The kept profiles come back as one stack, and every record is built
 from a stack by one function: one aggregate, one mask for the Nash test
 and one sort into bitmask order, whose frozen result each record views.
-A single profile is a stack of one.
+A single profile is a stack of one. A Nash problem whose candidates
+provably contract (rho(|Z|) < 1, with margins) has one equilibrium, and a
+certificate decides all its supports from one solved support.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ CAP_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-9
 
 _MAX_ENUM_BITS = 20
+#: A support solution whose residual exceeds this times max(1, |alpha_K|)
+#: is "inconsistent" (``_solve_block``'s guard, read by the certificate too).
+_RESIDUAL_GUARD = 1e-7
+#: Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
 #: Supports solved per stacked LAPACK call (bounds the stack to a few MB).
 _SOLVE_BLOCK = 4096
 
@@ -110,11 +117,17 @@ def _is_frozen(arr: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Side information from an enumeration run."""
+    """Side information from an enumeration run.
+
+    ``examined`` counts the supports decided; ``certified`` says that a
+    certificate decided them all from one solved support instead of one
+    solve each (``solve_auxiliary_ne``).
+    """
 
     examined: int = 0
     singular: tuple = ()  # (active-set frozenset, "continuum" | "inconsistent")
     cap_hits: tuple = ()  # active sets whose solution pressed the cap
+    certified: bool = False
 
 
 def _check_agents(spec: GameSpec, stack: bool = False, **arrays) -> None:
@@ -222,7 +235,7 @@ def _solve_block(sub: np.ndarray, rhs: np.ndarray):
     # is finite spares the stack three masked copies.
     ok = ~bad if bad.any() else slice(None)
     resid = np.abs(np.matvec(sub[ok], sol[ok]) - rhs[ok]).max(axis=1, initial=0.0)
-    bad[ok] = resid > 1e-7 * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
+    bad[ok] = resid > _RESIDUAL_GUARD * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
     return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
 
 
@@ -320,6 +333,103 @@ def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
     return _records(spec, acts, aggregate(spec, acts)), diags
 
 
+def _certified_ne(spec: GameSpec, j: Sequence[int]):
+    """``solve_auxiliary_ne`` on the sorted candidates ``j`` from one solved
+    support, or None when the certificate below does not prove that
+    enumerating all 2^m supports (m = len(j)) gives exactly that support's
+    record and no singular or cap-bound support. The record comes from the
+    engine's own kernel and filters, so it is the one enumeration keeps,
+    bit for bit.
+
+    Why. Write Z for Z_JJ, |.| entrywise, |y|_v = max_i |y_i| / v_i for
+    v = (I - |Z|)^-1 1 > 0, and q for the largest (|Z| v)_i / v_i, inflated
+    for rounding. q < 1 proves rho(|Z|) < 1, so I - Z is a P-matrix and
+    a >= 0, w = a - alpha - Z a >= 0, a'w = 0 has exactly one solution a*
+    (Cottle, Pang & Stone 1992). For every support K:
+
+    1. its interior solution has |a_K| <= |Z_KK| |a_K| + |alpha_K|, so
+       |a_K| <= B = v |alpha|_v / (1 - q);
+    2. LAPACK solves (I - Z_KK + D) s = alpha_K with |D| <= gamma_3m |L||U|
+       (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+       Thm 9.4), whose row sums are at most beta = gamma_3m m^2 2^(m-1)
+       max(1, |z|) under partial pivoting's worst-case growth. With beta
+       (max v / min v) / (1 - q) <= 1/2 the perturbed system is nonsingular,
+       |s| <= 2B and the residual is at most 2 beta max B; that plus the
+       rounding r of evaluating it stays below the residual guard, so no
+       support is singular or inconsistent;
+    3. a profile b that passes enumeration's filters (a kept support, no
+       outside candidate above BOUNDARY_TOL) has natural residual
+       min(b, b - alpha - Z b) at most eps = max(guard, BOUNDARY_TOL) + r,
+       so |b - a*| <= |Z| |b - a*| + eps and |b - a*| <= E = v eps /
+       (min v (1 - q)) (Chen & Xiang, *Math. Program.* 106, 2006). A kept
+       support's solution lies within E of its interior solution the same
+       way, so when B + E is below a_max - CAP_MARGIN no support presses
+       the cap;
+    4. the candidate passes when each of its actions exceeds ACTIVE_TOL +
+       3E and each other candidate's -(alpha_i + x_i) exceeds BOUNDARY_TOL
+       + 3E. Any other passing b is within 2E of it. So an agent active
+       only in the candidate cannot play 0 in b. An agent active only in
+       b needs alpha_i + (Z b)_i > -eps there, but that is at most -3E + r
+       at the candidate and moves by at most 2qE, which leaves it below
+       -eps. So enumeration keeps exactly the candidate.
+
+    The candidate comes from an active-set loop of at most m + 2 small
+    solves; any guess would do, since step 4 checks it.
+    """
+    m = len(j)
+    if m == 0:
+        return None
+    idx = np.array(j, dtype=np.intp)
+    z = spec.net.z[idx[:, None], idx]
+    alpha = spec.alpha[idx]
+    az = np.abs(z)
+    with np.errstate(all="ignore"):
+        try:
+            v = np.linalg.solve(np.eye(m) - az, np.ones(m))
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(v).all() and v.min() > 0.0):
+            return None
+        q = (az @ v / v).max() * (1.0 + 2 * (m + 2) * _U)
+        if not q < 1.0:
+            return None
+        # One factor covers the rounding of every bound derived below.
+        span = (1.0 + 16 * m * _U) / (1.0 - q)
+        bound = v * ((np.abs(alpha) / v).max() * span)
+        top = max(1.0, np.abs(alpha).max())
+        gamma = 3 * m * _U / (1.0 - 3 * m * _U)
+        beta = gamma * m * m * 2.0 ** (m - 1) * max(1.0, az.max())
+        r = 2 * (spec.n + 2) * _U * (top + (1.0 + az.sum(axis=1).max()) * 2 * bound.max())
+        eps = max(_RESIDUAL_GUARD * top, BOUNDARY_TOL) * (1.0 + 2 * _U) + r
+        err = v * (eps / v.min() * span)
+        if not (
+            beta * v.max() / v.min() * span <= 0.5
+            and 2 * beta * bound.max() + r <= _RESIDUAL_GUARD / 2
+            and (bound + err < spec.a_max[idx] - CAP_MARGIN).all()
+        ):
+            return None
+    on = alpha > 0
+    for _ in range(m + 2):
+        k = np.flatnonzero(on)
+        a = np.zeros(m)
+        a[k] = np.linalg.solve(np.eye(len(k)) - z[k[:, None], k], alpha[k])
+        guess = np.where(on, a > 0, alpha + z @ a > 0)
+        if (guess == on).all():
+            break
+        on = guess
+    else:
+        return None
+    acts, _ = _solve_supports(spec, [idx[on][None]])
+    if not len(acts):
+        return None
+    x = aggregate(spec, acts)
+    clear = np.where(on, acts[0, idx] - ACTIVE_TOL, -(spec.alpha[idx] + x[0, idx]) - BOUNDARY_TOL)
+    if not (clear > 3 * err).all():
+        return None
+    declared = frozenset(range(spec.n)) - frozenset(j)
+    return _records(spec, acts, x, declared), SolveDiagnostics(examined=2**m, certified=True)
+
+
 def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     """All Nash equilibria of the game with agents outside ``candidates``
     clamped to zero.
@@ -329,12 +439,22 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     caps (by CAP_MARGIN), and no candidate outside K has a positive
     incentive (> BOUNDARY_TOL) at the profile. Returns (records,
     diagnostics), records sorted by active-set bitmask.
+
+    When ``_certified_ne`` proves that the game on the candidates has one
+    equilibrium that enumeration would keep alone, with no singular or
+    cap-bound support, that one support is solved instead of all of them;
+    the result is the same, and ``diagnostics.certified`` says which path
+    ran.
     """
     j = sorted(set(int(i) for i in candidates))
     for i in j:
         if not 0 <= i < spec.n:
             raise UsageError(f"agent index {i} out of range")
-    acts, diags = _solve_supports(spec, _subset_runs(j))
+    runs = _subset_runs(j)  # raises past the enumeration limit, before any solve
+    found = _certified_ne(spec, j)
+    if found is not None:
+        return found
+    acts, diags = _solve_supports(spec, runs)
     x = aggregate(spec, acts)
     # A kept profile is zero exactly off its support.
     outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)

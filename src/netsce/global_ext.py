@@ -137,6 +137,7 @@ def check_global_sce(
     observe exactly y (their network term vanishes), so y_hat must equal y
     and x_hat must justify staying out.
     """
+    _check_agents(g.base, actions=actions, x_hat=conjecture.x_hat, y_hat=conjecture.y_hat)
     a = np.asarray(actions, dtype=float)
     xh = np.asarray(conjecture.x_hat, dtype=float)
     yh = np.asarray(conjecture.y_hat, dtype=float)
@@ -170,6 +171,7 @@ class TrueCentrality:
 
 
 def true_centrality(g: GlobalGameSpec, actions) -> TrueCentrality:
+    _check_agents(g.base, actions=actions)
     a = np.asarray(actions, dtype=float)
     x = aggregate(g.base, a)
     y = global_spillover(g, a)

@@ -26,6 +26,7 @@ from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
 from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
+    _U,
     _active_records,
     _check_agents,
     _subset_runs,
@@ -69,8 +70,6 @@ PROBE_MAX_ITER = 20_000
 #: start. On 2^10 records of 10 agents with 100 samples each, `stability`
 #: takes 22 s when every record runs; a certified record runs none.
 _MAX_PROBE_RUNS = 1 << 17
-#: Unit roundoff of float64.
-_U = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)

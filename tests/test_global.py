@@ -220,6 +220,31 @@ def test_violations_reported(complete_game):
     assert {kind for _, kind, _ in bad.violations} == {"rationality", "confirmation"}
 
 
+def _right(n=3):
+    return GlobalConjecture(np.zeros(n), np.zeros(n))
+
+
+@pytest.mark.parametrize(
+    "call, name, length",
+    [
+        (lambda g: check_global_sce(g, np.ones(2), _right()), "actions", 2),
+        (lambda g: check_global_sce(g, np.ones(3), GlobalConjecture(np.zeros(2), np.zeros(3))),
+         "x_hat", 2),
+        (lambda g: check_global_sce(g, np.ones(3), GlobalConjecture(np.zeros(3), np.zeros(4))),
+         "y_hat", 4),
+        (lambda g: true_centrality(g, np.ones(2)), "actions", 2),
+    ],
+    ids=["check_global_sce-actions", "check_global_sce-x_hat", "check_global_sce-y_hat",
+         "true_centrality"],
+)
+def test_wrong_global_lengths_are_named_with_the_agent_count(line_game, call, name, length):
+    """A vector of the wrong length is a usage error that names its length
+    and the game's, raised before any aggregate is formed."""
+    g = make_global_game(line_game, beta=1.0, c=0.2)
+    with pytest.raises(UsageError, match=f"^{name} have length {length}; the game has 3 agents$"):
+        call(g)
+
+
 # ------------------------------------------------------- centrality analysis
 
 
