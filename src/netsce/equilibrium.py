@@ -334,12 +334,12 @@ def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
 
 
 def _certified_ne(spec: GameSpec, j: Sequence[int]):
-    """``solve_auxiliary_ne`` on the sorted candidates ``j`` from one solved
-    support, or None when the certificate below does not prove that
-    enumerating all 2^m supports (m = len(j)) gives exactly that support's
-    record and no singular or cap-bound support. The record comes from the
-    engine's own kernel and filters, so it is the one enumeration keeps,
-    bit for bit.
+    """The one profile (1, n) that ``solve_auxiliary_ne`` keeps on the
+    sorted candidates ``j``, and its aggregate, from one solved support; or
+    None when the certificate below does not prove that enumerating all 2^m
+    supports (m = len(j)) keeps exactly that support's profile and meets no
+    singular or cap-bound support. The profile comes from the engine's own
+    kernel and filters, so it is the one enumeration keeps, bit for bit.
 
     Why. Write Z for Z_JJ, |.| entrywise, |y|_v = max_i |y_i| / v_i for
     v = (I - |Z|)^-1 1 > 0, and q for the largest (|Z| v)_i / v_i, inflated
@@ -426,8 +426,7 @@ def _certified_ne(spec: GameSpec, j: Sequence[int]):
     clear = np.where(on, acts[0, idx] - ACTIVE_TOL, -(spec.alpha[idx] + x[0, idx]) - BOUNDARY_TOL)
     if not (clear > 3 * err).all():
         return None
-    declared = frozenset(range(spec.n)) - frozenset(j)
-    return _records(spec, acts, x, declared), SolveDiagnostics(examined=2**m, certified=True)
+    return acts, x
 
 
 def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
@@ -453,14 +452,17 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     runs = _subset_runs(j)  # raises past the enumeration limit, before any solve
     found = _certified_ne(spec, j)
     if found is not None:
-        return found
-    acts, diags = _solve_supports(spec, runs)
-    x = aggregate(spec, acts)
-    # A kept profile is zero exactly off its support.
-    outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
-    keep = ~((spec.alpha + x > BOUNDARY_TOL) & outside).any(axis=1)
+        acts, x = found
+        diags = SolveDiagnostics(examined=2 ** len(j), certified=True)
+    else:
+        acts, diags = _solve_supports(spec, runs)
+        x = aggregate(spec, acts)
+        # A kept profile is zero exactly off its support.
+        outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
+        keep = ~((spec.alpha + x > BOUNDARY_TOL) & outside).any(axis=1)
+        acts, x = acts[keep], x[keep]
     declared = frozenset(range(spec.n)) - frozenset(j)
-    return _records(spec, acts[keep], x[keep], declared), diags
+    return _records(spec, acts, x, declared), diags
 
 
 def solve_full_ne(spec: GameSpec):
