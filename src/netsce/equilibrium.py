@@ -130,13 +130,13 @@ class SolveDiagnostics:
     certified: bool = False
 
 
-def _check_agents(spec: GameSpec, stack: bool = False, **arrays) -> None:
+def _check_agents(spec: GameSpec, **arrays) -> None:
     """Raise unless each given array, None aside, holds one entry per agent:
-    shape (n,), or with ``stack`` also a (k, n) stack of profiles."""
+    shape (n,)."""
     for name, value in arrays.items():
         shape = np.shape(value)
-        if value is not None and (shape[-1:] != (spec.n,) or len(shape) > 1 + stack):
-            length = shape[-1] if 0 < len(shape) <= 1 + stack else np.size(value)
+        if value is not None and shape != (spec.n,):
+            length = shape[0] if len(shape) == 1 else np.size(value)
             raise UsageError(f"{name} have length {length}; the game has {spec.n} agents")
 
 
@@ -333,6 +333,18 @@ def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
     return _records(spec, acts, aggregate(spec, acts)), diags
 
 
+def _weights(az: np.ndarray) -> Optional[np.ndarray]:
+    """v = (I - az)^-1 1 for a nonnegative square ``az`` when that is finite
+    and positive, which holds exactly when rho(az) < 1 (Collatz-Wielandt:
+    az v = v - 1 < v); else None. Both contraction certificates weigh their
+    max-norm by v."""
+    try:
+        v = np.linalg.solve(np.eye(len(az)) - az, np.ones(len(az)))
+    except np.linalg.LinAlgError:
+        return None
+    return v if np.isfinite(v).all() and (v > 0.0).all() else None
+
+
 def _certified_ne(spec: GameSpec, j: Sequence[int]):
     """The one profile (1, n) that ``solve_auxiliary_ne`` keeps on the
     sorted candidates ``j``, and its aggregate, from one solved support; or
@@ -342,10 +354,10 @@ def _certified_ne(spec: GameSpec, j: Sequence[int]):
     kernel and filters, so it is the one enumeration keeps, bit for bit.
 
     Why. Write Z for Z_JJ, |.| entrywise, |y|_v = max_i |y_i| / v_i for
-    v = (I - |Z|)^-1 1 > 0, and q for the largest (|Z| v)_i / v_i, inflated
-    for rounding. q < 1 proves rho(|Z|) < 1, so I - Z is a P-matrix and
-    a >= 0, w = a - alpha - Z a >= 0, a'w = 0 has exactly one solution a*
-    (Cottle, Pang & Stone 1992). For every support K:
+    v = (I - |Z|)^-1 1 > 0 (``_weights``), and q for the largest
+    (|Z| v)_i / v_i, inflated for rounding. q < 1 proves rho(|Z|) < 1, so
+    I - Z is a P-matrix and a >= 0, w = a - alpha - Z a >= 0, a'w = 0 has
+    exactly one solution a* (Cottle, Pang & Stone 1992). For every support K:
 
     1. its interior solution has |a_K| <= |Z_KK| |a_K| + |alpha_K|, so
        |a_K| <= B = v |alpha|_v / (1 - q);
@@ -383,13 +395,10 @@ def _certified_ne(spec: GameSpec, j: Sequence[int]):
     z = spec.net.z[idx[:, None], idx]
     alpha = spec.alpha[idx]
     az = np.abs(z)
+    v = _weights(az)
+    if v is None:
+        return None
     with np.errstate(all="ignore"):
-        try:
-            v = np.linalg.solve(np.eye(m) - az, np.ones(m))
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.isfinite(v).all() and v.min() > 0.0):
-            return None
         q = (az @ v / v).max() * (1.0 + 2 * (m + 2) * _U)
         if not q < 1.0:
             return None

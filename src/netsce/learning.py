@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapBindingWarning, NumericError, UsageError
+from .errors import CapBindingWarning, UsageError
 from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
-# invert_feedback, realized_payoff and spectral_radius are not called here;
-# perfbench's span tracer wraps them under this module's names.
+# invert_feedback and realized_payoff are not called here; perfbench's span
+# tracer wraps them under this module's names.
 from .game import invert_feedback, realized_payoff  # noqa: F401
 from .equilibrium import (
     ACTIVE_TOL,
@@ -30,11 +30,12 @@ from .equilibrium import (
     _active_records,
     _check_agents,
     _subset_runs,
+    _weights,
     interior_conditions,
     is_sce,
     make_record,
 )
-from .network import spectral_radius, submatrix  # noqa: F401
+from .network import spectral_radius, submatrix
 
 __all__ = [
     "AnalyticStability",
@@ -79,8 +80,8 @@ class StepResult:
     actions: np.ndarray
     payoffs: np.ndarray
     conjectures_next: np.ndarray
-    capped: tuple  # agents (or (row, agent) pairs) whose action pressed the cap
-    clamped: tuple  # agents (or pairs) whose updated conjecture had to be clipped
+    capped: tuple  # agents whose action pressed the cap
+    clamped: tuple  # agents whose updated conjecture had to be clipped
 
 
 def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray) -> tuple:
@@ -116,14 +117,9 @@ def _warn_cap(capped: np.ndarray, stacklevel: int) -> None:
 
 
 def learn_step(spec: GameSpec, conjectures) -> StepResult:
-    """Advance the dynamics one period from the given conjectures.
-
-    ``conjectures`` is one profile of shape (n,) or a stack of profiles of
-    shape (k, n), each advanced on its own. For a stack, ``capped`` and
-    ``clamped`` hold (row, agent) pairs instead of agents.
-    """
+    """Advance the dynamics one period from one profile of conjectures."""
     xh = np.asarray(conjectures, dtype=float)
-    _check_agents(spec, stack=True, conjectures=xh)
+    _check_agents(spec, conjectures=xh)
     a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN)
     if np.count_nonzero(capped):
         _warn_cap(capped, stacklevel=2)
@@ -131,18 +127,9 @@ def learn_step(spec: GameSpec, conjectures) -> StepResult:
         actions=a,
         payoffs=m,
         conjectures_next=clipped,
-        capped=_where(capped),
-        clamped=_where(clamped),
+        capped=tuple(np.flatnonzero(capped).tolist()),
+        clamped=tuple(np.flatnonzero(clamped).tolist()),
     )
-
-
-def _where(mask: np.ndarray) -> tuple:
-    """True entries of a mask: agents for one row, (row, agent) pairs for a stack."""
-    if not np.count_nonzero(mask):
-        return ()
-    if mask.ndim == 1:
-        return tuple(int(i) for i in np.flatnonzero(mask))
-    return tuple((int(r), int(i)) for r, i in np.argwhere(mask))
 
 
 @dataclass(frozen=True)
@@ -485,9 +472,10 @@ def _stacks(spec: GameSpec, records) -> tuple:
 def _analytic(spec: GameSpec, records) -> list:
     """:func:`analytic_stability` for every record of ``records`` at once.
 
-    The active submatrices of one size go through one stacked ``eigvals``,
-    whose eigenvalues per matrix are those of its own call. A record's
-    margin is its first smallest inactive entry, as ``min`` picks it.
+    The active submatrices of one size go through one stacked
+    ``spectral_radius``, whose radius per matrix is that of its own call. A
+    record's margin is its first smallest inactive entry, as ``min`` picks
+    it.
     """
     conj = _stacks(spec, records)[0]
     count, n = len(records), spec.n
@@ -496,14 +484,10 @@ def _analytic(spec: GameSpec, records) -> list:
         active[r, list(rec.active_set)] = True
     sizes = active.sum(axis=1)
     rho = np.zeros(count)
-    for m in set(sizes.tolist()) - {0}:
+    for m in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == m)
         idx = np.nonzero(active[rows])[1].reshape(len(rows), m)
-        try:
-            ev = np.linalg.eigvals(spec.net.z[idx[:, :, None], idx[:, None, :]])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-            raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-        rho[rows] = np.abs(ev).max(axis=1)
+        rho[rows] = spectral_radius(spec.net.z[idx[:, :, None], idx[:, None, :]])
     gap = np.where(active, np.inf, -spec.alpha - conj)
     margins = gap[np.arange(count), gap.argmin(axis=1)]
     out = []
@@ -577,12 +561,13 @@ def _certificate(spec, witnesses, targets, epsilon, tol, max_iter):
     while each active action stays in (0, a_max - CAP_WARN_MARGIN) and each
     active belief in [x_lo, x_hi], a period is e <- Z_SS e + g, where g
     holds the record's own residuals and the rounding of :func:`_step`.
-    Weights v > 0 from rho = rho(|Z|), v = (I - |Z| / s)^-1 1 with s = (1 +
-    rho) / 2 when rho < 1, else v = 1, give the norm |e|_v = max |e_i| /
-    v_i, in which Z_SS contracts by q, the largest (|Z_SS| v_S)_i / v_i, and
-    |g|_v <= d. So |e_t|_v <= q^t |e_0|_v + d / (1 - q). With lo and hi the
-    least and largest v on S, a record certifies only when (2 to 5 and 7
-    each with a safety factor of 2):
+    Any weights v > 0 give the norm |e|_v = max |e_i| / v_i, in which Z_SS
+    contracts by q, the largest (|Z_SS| v_S)_i / v_i, and |g|_v <= d. One
+    solve gives them, the Nash certificate's: v = (I - |Z|)^-1 1 when that
+    is finite and positive (``equilibrium._weights``), else v = 1. So
+    |e_t|_v <= q^t |e_0|_v + d / (1 - q). With lo and hi the least and
+    largest v on S, a record certifies only when (2 to 5 and 7 each with a
+    safety factor of 2):
 
     1. q < 1;
     2. no false recurrence: (1 - q^2) lo / (2 hi) bounds a lag's defect
@@ -611,17 +596,11 @@ def _certificate(spec, witnesses, targets, epsilon, tol, max_iter):
     """
     n = spec.n
     z = np.abs(spec.net.z)
+    v = _weights(z)
+    if v is None:
+        v = np.ones(n)
     # q >= 1 overflows q ** t and 1 - q can vanish: such records fail a test.
     with np.errstate(all="ignore"):
-        v = np.ones(n)
-        rho = np.abs(np.linalg.eigvals(z)).max()
-        if rho < 1.0:
-            try:
-                v = np.linalg.solve(np.eye(n) - z / ((1.0 + rho) / 2.0), v)
-            except np.linalg.LinAlgError:  # exactly singular: keep v = 1
-                pass
-            if not np.all((v > 0) & np.isfinite(v)):
-                v = np.ones(n)
         on = targets > 0
         inv_v = np.where(on, 1.0 / v, 0.0)
 
@@ -743,8 +722,7 @@ def stable_sce_family(spec: GameSpec, record) -> StableFamily:
     """Construct the family of equilibria on subsets of a record's active set."""
     active = sorted(record.active_set)
     runs = list(_subset_runs(active))
-    report = interior_conditions(submatrix(spec.net, active)) if active else None
-    if active and not report.any_holds():
+    if not interior_conditions(submatrix(spec.net, active)).any_holds():
         return StableFamily(
             applicable=False,
             why="no interior-equilibrium condition holds on the active submatrix",

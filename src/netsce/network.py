@@ -77,16 +77,19 @@ class WeightedNetwork:
         return self.z.shape[0]
 
 
-def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> float:
-    """Largest eigenvalue modulus; 0 for an empty matrix."""
+def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> Union[float, np.ndarray]:
+    """Largest eigenvalue modulus; 0 for an empty matrix.
+
+    A (k, m, m) stack gives an array of k radii from one stacked
+    ``eigvals``, each the bits of its own matrix's call.
+    """
     z = m.z if isinstance(m, WeightedNetwork) else np.asarray(m, dtype=float)
-    if z.size == 0:
-        return 0.0
     try:
         ev = np.linalg.eigvals(z)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(ev)))
+    rho = np.abs(ev).max(axis=-1, initial=0.0)
+    return float(rho) if z.ndim == 2 else rho
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,9 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
     # The edge-by-edge ratio checks make z0 symmetric up to roundoff; equalize.
     z0 = (z0 + z0.T) / 2.0
 
-    if np.allclose(gamma, gamma[0], rtol=_REL_TOL, atol=0.0):
-        return Decomposition(z0=z0 * gamma[0], gamma=np.ones(n))
+    # gamma[:1] is empty with no agents, whose decomposition is uniform.
+    if np.allclose(gamma, gamma[:1], rtol=_REL_TOL, atol=0.0):
+        return Decomposition(z0=z0 * gamma[:1], gamma=np.ones(n))
     return Decomposition(z0=z0, gamma=gamma)
 
 
@@ -213,15 +217,15 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
     off = ~np.eye(n, dtype=bool)
 
     if assumption == "bounded":
-        bound = 1.0 / n
+        # With no agents the bound holds vacuously.
+        bound = 1.0 / n if n else math.inf
         absz = np.abs(z)
-        flat = int(np.argmax(absz))
-        i, j = divmod(flat, n)
-        max_abs = float(absz[i, j])
+        argmax = divmod(int(np.argmax(absz)), n) if n else None
+        max_abs = float(absz[argmax]) if n else 0.0
         return AssumptionReport(
             assumption,
             holds=bool(max_abs < bound),
-            witness={"bound": bound, "max_abs": max_abs, "argmax": (int(i), int(j))},
+            witness={"bound": bound, "max_abs": max_abs, "argmax": argmax},
         )
 
     if assumption == "same-sign":
@@ -261,8 +265,10 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
                 holds=True,
                 witness={"kind": dec.kind, "decomposition": dec},
             )
-        lam = dec.lambda_max()
-        rho = spectral_radius(dec.symmetrized())
+        # One symmetric spectrum, ascending, gives lambda_max as
+        # Decomposition.lambda_max does, and rho.
+        ev = np.linalg.eigvalsh(dec.symmetrized()) if n else np.zeros(1)
+        lam, rho = float(ev[-1]), float(np.abs(ev).max())
         return AssumptionReport(
             assumption,
             holds=bool(rho < 1.0),

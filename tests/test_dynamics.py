@@ -36,9 +36,12 @@ from netsce.learning import (
     CAP_WARN_MARGIN,
     PROBE_BLOCK,
     RECUR_TOL,
+    PROBE_MAX_ITER,
     RING,
     _analytic,
+    _certificate,
     _probe,
+    _stacks,
     _step,
     analytic_stability,
 )
@@ -614,7 +617,7 @@ def test_certified_rows_match_their_full_runs(monkeypatch):
     monkeypatch.setattr(learning, "_advance", recording)
     samples, seed = 8, 3
     sides = {}
-    for kind, game, recs, eps, tol, max_iter in _near_miss_games():
+    for kind, game, recs, eps, tol, max_iter in [*_near_miss_games(), *_drift_scenarios()]:
         blocks.clear()
         _probe(game, recs, eps, samples, seed, tol, max_iter)
         simulated = {row.tobytes() for block in blocks for row in block}
@@ -636,7 +639,119 @@ def test_certified_rows_match_their_full_runs(monkeypatch):
             elif kind == "recurrence":
                 assert len(rec.active_set) == 2
     assert sides == {kind: {True, False} for kind in
-                     ("rho", "nonnormal", "cap", "tiny", "bound", "asleep", "recurrence")}, sides
+                     ("rho", "nonnormal", "cap", "tiny", "bound", "asleep", "recurrence",
+                      "learn_contracting", "learn_drifting")}, sides
+
+
+def _drift_scenarios():
+    """(name, game, records, epsilon, tol, max_iter) of the shipped
+    ``learn_contracting`` and ``learn_drifting`` files, as ``netsce
+    stability`` probes them. Each has records on both sides of the
+    certificate."""
+    cases = []
+    for name in ("learn_contracting", "learn_drifting"):
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        cases.append((name, scn.game, enumerate_sce(scn.game)[0], scn.epsilon, scn.tol,
+                      PROBE_MAX_ITER))
+    return cases
+
+
+def reference_weights(az):
+    """The probe certificate's weights before it shared the Nash
+    certificate's: v = (I - az / s)^-1 1 with s = (1 + rho(az)) / 2 when
+    rho(az) < 1 and that v is finite and positive, else None (v = 1)."""
+    n = len(az)
+    with np.errstate(all="ignore"):
+        rho = np.abs(np.linalg.eigvals(az)).max()
+        if not rho < 1.0:
+            return None
+        try:
+            v = np.linalg.solve(np.eye(n) - az / ((1.0 + rho) / 2.0), np.ones(n))
+        except np.linalg.LinAlgError:
+            return None
+    return v if np.all((v > 0) & np.isfinite(v)) else None
+
+
+def _neg_game(n):
+    """``neg{n}``: z_ij = -U(0, 1) from ``default_rng(7)``, scaled so that
+    rho(|Z|) = 0.9, alpha = 1 and table1's other keys; 2^n records."""
+    z = -np.random.default_rng(7).uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(z, 0.0)
+    return make_game(WeightedNetwork(z=z * 0.9 / spectral_radius(np.abs(z))), alpha=1.0)
+
+
+def _stability_like_games(seed, blocks=17):
+    """Games built as ``perfbench``'s ``stability_cli`` seeds its own: signed
+    Z of n = 3..6, caps of 1, conjecture ranges just around the attainable
+    aggregates, and 0 to 2 "weak" agents that can justify inactivity."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(blocks):
+        for n, m in ((3, 0), (4, 1), (4, 1), (5, 2), (5, 2), (6, 1)):
+            span = rng.uniform(0.4, 0.7)
+            z = rng.uniform(-span / n, span / n, (n, n))
+            np.fill_diagonal(z, 0.0)
+            cap = np.ones(n)
+            lo = np.minimum(z, 0.0) @ cap
+            hi = np.maximum(z, 0.0) @ cap + 0.01
+            alpha = rng.uniform(0.05, 0.5, n)
+            weak = rng.choice(n, size=m, replace=False)
+            strong = np.setdiff1d(np.arange(n), weak)
+            alpha[strong] += 0.02 - lo[strong]
+            lo -= 0.01
+            lo[weak] = np.minimum(lo[weak], -alpha[weak] - 0.01)
+            games.append(make_game(WeightedNetwork(z=z), alpha=alpha, a_max=cap, x_lo=lo,
+                                   x_hi=hi))
+    return games
+
+
+def _certificate_batteries():
+    """(battery, game, records, epsilon, tol, max_iter): the near-miss
+    battery, the analytic cases, neg8-neg12, the shipped local scenarios and
+    stability_cli-like games of seeds 0-3, the last four probed at the
+    ``stability`` defaults."""
+    defaults = (1e-3, 1e-10, PROBE_MAX_ITER)
+    for kind, *case in _near_miss_games():
+        yield ("near-miss", *case)
+    for game, records in _analytic_cases():
+        yield ("analytic", game, records, *defaults)
+    for n in range(8, 13):
+        game = _neg_game(n)
+        yield ("neg", game, enumerate_sce(game)[0], *defaults)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scn = load_scenario(path)
+        if scn.mode == "local":
+            yield (path.stem, scn.game, enumerate_sce(scn.game)[0], scn.epsilon, scn.tol,
+                   PROBE_MAX_ITER)
+    for seed in range(4):
+        for game in _stability_like_games(seed):
+            yield ("stability_cli", game, enumerate_sce(game)[0], *defaults)
+
+
+def test_shared_weights_certify_every_record_the_scaled_weights_did(monkeypatch):
+    """The probe certificate on the Nash certificate's weights decides at
+    least every record it decided on the older s-scaled weights, on every
+    battery; on ``learn_contracting`` it decides 14 of 16 records instead
+    of 12."""
+    from netsce import learning
+
+    counts = {}
+    for battery, game, records, eps, tol, max_iter in _certificate_batteries():
+        if not records:
+            continue
+        witnesses, targets = _stacks(game, records)
+        new = _certificate(game, witnesses, targets, eps, tol, max_iter)
+        with monkeypatch.context() as patch:
+            patch.setattr(learning, "_weights", reference_weights)
+            old = _certificate(game, witnesses, targets, eps, tol, max_iter)
+        assert not (old & ~new).any(), (battery, np.flatnonzero(old & ~new))
+        seen = counts.setdefault(battery, [0, 0, 0])
+        seen[0] += int(old.sum())
+        seen[1] += int(new.sum())
+        seen[2] += len(records)
+    assert counts["learn_contracting"] == [12, 14, 16]
+    assert counts["learn_drifting"] == [6, 6, 12]
+    assert all(old > 0 for old, _, _ in counts.values()), counts
 
 
 def reference_analytic_stability(spec, record):
@@ -777,17 +892,13 @@ def _cap_message(agents):
 def test_learn_step_events_match_reference_step():
     warned = 0
     for game, xh in _kernel_cases(seed=78)[::3]:
-        refs = [reference_step(game, row) for row in xh]
+        ref = reference_step(game, xh[0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             one = learn_step(game, xh[0])
-            stack = learn_step(game, xh)
-        assert one.capped == refs[0][3] and one.clamped == refs[0][4]
-        assert one.conjectures_next.tobytes() == refs[0][2].tobytes()
-        assert stack.capped == tuple((r, i) for r, ref in enumerate(refs) for i in ref[3])
-        assert stack.clamped == tuple((r, i) for r, ref in enumerate(refs) for i in ref[4])
-        expected = [_cap_message(agents) for agents in
-                    (refs[0][3], {i for ref in refs for i in ref[3]}) if agents]
+        assert one.capped == ref[3] and one.clamped == ref[4]
+        assert one.conjectures_next.tobytes() == ref[2].tobytes()
+        expected = [_cap_message(ref[3])] if ref[3] else []
         assert [str(w.message) for w in caught] == expected
         warned += len(expected)
     assert warned

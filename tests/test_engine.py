@@ -539,6 +539,27 @@ def test_one_support_solver():
     assert guards == 1
 
 
+def test_one_spectral_kernel_and_one_weight_rule():
+    """``src/netsce`` calls ``np.linalg.eigvals`` once, inside
+    ``spectral_radius``, and both contraction certificates, ``_certified_ne``
+    and the probe's ``_certificate``, take their weights from ``_weights``."""
+    eigvals, weights = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "eigvals":
+                        eigvals.append(fn.name)
+                    elif name == "_weights":
+                        weights.add(fn.name)
+    assert eigvals == ["spectral_radius"]
+    assert weights == {"_certified_ne", "_certificate"}
+
+
 def test_runs_follow_subset_order():
     """_subset_runs and _complement_runs against itertools, one index array
     per size, for agent sets with gaps and for no agents at all."""

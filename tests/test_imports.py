@@ -3,7 +3,8 @@
 A module other than ``__init__.py`` may import a name only if its code uses
 it or its ``__all__`` re-exports it. An import kept on purpose for another
 reader (the benchmark's span tracer wraps some call sites by module name)
-carries ``# noqa: F401`` on its line.
+carries ``# noqa: F401`` on its line, and only while some name of that
+import is otherwise unused: a marker none of whose names needs it is stale.
 """
 
 import ast
@@ -15,9 +16,14 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "netsce"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+MARKER = "# noqa: F401"
+
+
 def unused_imports(source: str) -> list:
     """(line, name) of every imported name the module neither uses nor
-    lists in ``__all__``, unless its import statement is marked noqa F401."""
+    lists in ``__all__``, unless its import statement is marked noqa F401;
+    and (line, MARKER) of every marked import whose names are all used: a
+    stale marker."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -33,12 +39,12 @@ def unused_imports(source: str) -> list:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         text = "\n".join(lines[node.lineno - 1:node.end_lineno])
-        if "# noqa: F401" in text:
-            continue
-        for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            if name not in used:
-                unused.append((node.lineno, name))
+        names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        missing = [name for name in names if name not in used]
+        if MARKER not in text:
+            unused.extend((node.lineno, name) for name in missing)
+        elif not missing:
+            unused.append((node.lineno, MARKER))
     return unused
 
 
@@ -53,8 +59,9 @@ def test_detector_flags_unused_and_respects_marker():
         "import numpy as np\n"
         "from .game import aggregate  # noqa: F401\n"
         "from .network import Decomposition\n"
+        "from .network import spectral_radius, submatrix  # noqa: F401\n"
         "__all__ = ['Decomposition']\n"
         "def f(x: Iterable) -> None:\n"
-        "    return np.asarray(x)\n"
+        "    return np.asarray(spectral_radius(submatrix(x)))\n"
     )
-    assert unused_imports(source) == [(1, "Optional")]
+    assert unused_imports(source) == [(1, "Optional"), (5, MARKER)]

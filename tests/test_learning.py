@@ -199,16 +199,17 @@ def _global3():
         (lambda g: is_sce(g, np.zeros(3), np.zeros(3)), "actions", 3, 4),
         (lambda g: is_sce(g, np.zeros(4), np.zeros(5)), "conjectures", 5, 4),
         (lambda g: learn_step(g, np.zeros(3)), "conjectures", 3, 4),
-        (lambda g: learn_step(g, np.zeros((2, 3))), "conjectures", 3, 4),
+        (lambda g: learn_step(g, np.zeros((2, 4))), "conjectures", 8, 4),
         (lambda g: learn_step(g, np.zeros((2, 2, 4))), "conjectures", 16, 4),
         (lambda g: global_spillover(_global3(), np.ones(2)), "actions", 2, 3),
     ],
-    ids=["is_sce-actions", "is_sce-conjectures", "learn_step-profile", "learn_step-stack",
+    ids=["is_sce-actions", "is_sce-conjectures", "learn_step-profile", "learn_step-2d",
          "learn_step-3d", "global_spillover"],
 )
 def test_wrong_lengths_are_named_with_the_agent_count(positive_game, call, name, length, agents):
-    """A profile, a stack row or an action vector of the wrong length is a
-    usage error that names its length and the game's, not a NumPy error."""
+    """A profile or an action vector of the wrong length, or anything but one
+    profile (learn_step takes no stack), is a usage error that names its
+    size and the game's agent count, not a NumPy error."""
     with pytest.raises(UsageError, match=f"^{name} have length {length}; the game has {agents} "):
         call(positive_game)
 

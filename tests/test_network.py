@@ -9,6 +9,7 @@ from netsce import (
     UsageError,
     WeightedNetwork,
     check_assumption,
+    interior_conditions,
     random_symmetrizable,
     spectral_radius,
     submatrix,
@@ -55,6 +56,47 @@ def test_spectral_radius_empty_submatrix_is_zero():
     sub = submatrix(net, [])
     assert sub.n == 0
     assert spectral_radius(sub) == 0.0
+
+
+def test_spectral_radius_of_a_stack_is_each_matrix_own():
+    """A (k, m, m) stack gives k radii, each the bits of one call on its
+    own matrix, for every m down to 0."""
+    rng = np.random.default_rng(17)
+    for m in (0, 1, 2, 5, 9):
+        stack = rng.uniform(-1.0, 1.0, (7, m, m)) * rng.choice([0.1, 1.0, 30.0], (7, 1, 1))
+        got = spectral_radius(stack)
+        assert got.shape == (7,)
+        assert got.tobytes() == np.array([spectral_radius(z) for z in stack]).tobytes()
+
+
+EMPTY = submatrix(WeightedNetwork(z=0.2 * ADJ4), [])
+
+
+@pytest.mark.parametrize("name", [*ASSUMPTIONS, "interior_conditions", "symmetrize_decompose"])
+def test_network_with_no_agents(name):
+    """A 0-agent network passes every structural test vacuously: bounded by
+    an infinite bound, uniformly symmetrizable with spectrum {}, and with
+    all three interior conditions holding on an empty positive solution."""
+    if name == "interior_conditions":
+        report = interior_conditions(EMPTY)
+        assert [c.holds for c in report.conditions] == [True, True, True]
+        assert (report.solution.shape, report.positive, report.degenerate) == ((0,), True, False)
+    elif name == "symmetrize_decompose":
+        dec = symmetrize_decompose(EMPTY)
+        assert (dec.kind, dec.z0.shape, dec.gamma.shape) == ("uniform", (0, 0), (0,))
+        assert dec.lambda_max() == 0.0
+    else:
+        rep = check_assumption(EMPTY, name)
+        witness = {k: v for k, v in rep.witness.items() if k != "decomposition"}
+        assert rep.holds
+        assert witness == {
+            "bounded": {"bound": np.inf, "max_abs": 0.0, "argmax": None},
+            "same-sign": {"violation": None},
+            "negative": {"violation": None},
+            "limited": {"rho": 0.0},
+            "symmetrizable": {"kind": "uniform"},
+            "symmetrizable-limited": {"lambda_max": 0.0, "rho": 0.0},
+        }[name]
 
 
 def test_submatrix_keeps_labels():
@@ -173,6 +215,31 @@ def test_check_assumption_symmetrizable_limited():
     assert lam == pytest.approx(np.sqrt(0.4 * 0.2), rel=1e-10)
     rep = check_assumption(WeightedNetwork(z=4.0 * z), "symmetrizable-limited")
     assert not rep.holds
+
+
+def test_symmetrizable_limited_reads_rho_off_the_symmetric_spectrum():
+    """``symmetrizable-limited`` takes lambda_max and rho from one
+    ``eigvalsh``: lambda_max is Decomposition's, bit for bit, and rho agrees
+    with ``spectral_radius`` of the symmetrized form to 1e-12, with either
+    end of the spectrum on top."""
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(80):
+        n = int(rng.integers(2, 40))
+        net = random_symmetrizable(
+            RandomNetSpec(n=n, k=float(rng.uniform(1, n - 1)), mu=float(rng.uniform(0.02, 0.5)),
+                          sigma2=float(rng.choice([0.0, 1e-3])), seed=int(rng.integers(1 << 30)))
+        )
+        sign = float(rng.choice([-1.0, 1.0]))
+        net = WeightedNetwork(z=sign * net.z)
+        rep = check_assumption(net, "symmetrizable-limited")
+        dec = rep.witness["decomposition"]
+        rho = spectral_radius(dec.symmetrized())
+        assert rep.witness["lambda_max"] == dec.lambda_max()
+        assert rep.witness["rho"] == pytest.approx(rho, rel=1e-12)
+        assert rep.holds == (rho < 1.0)
+        seen.add((sign, rep.holds))
+    assert seen == {(-1.0, True), (-1.0, False), (1.0, True), (1.0, False)}, seen
 
 
 def test_check_assumption_unknown_name():
