@@ -206,13 +206,13 @@ class GlobalStep:
 def _resplit(g: GlobalGameSpec):
     """The re-split map of g, its arrays bound once: at actions a it returns
     x = Z a, the total externality e = a x + y, the divisor d = 1 + c a and
-    the local share c e / d. Callers check the learning regime first."""
+    the local share c e / d. Callers check the learning regime first. ``a``
+    may be a (k, n) stack of profiles; each row gets the bits of its own call."""
     z, c, beta, matvec, total = g.base.net.z, g.c, g.beta, np.matvec, np.add.reduce
 
     def at(a):
-        # axis None sums the whole array, as ndarray.sum did, for any shape
         x = matvec(z, a)
-        e = a * x + beta * (total(a, None) - a)
+        e = a * x + beta * (total(a, -1, keepdims=True) - a)
         d = 1.0 + c * a
         return x, e, d, c * e / d
 
@@ -330,42 +330,64 @@ def _seidel(g, alpha, tol, max_iter):
     return a, max_iter, False
 
 
+def _jacobian(g, a, x, e, d):
+    """The Jacobian of H at a, from x, e and d of ``_resplit`` there:
+    dH_i/da_j = c_i (a_i z_ij + beta) / d_i off the diagonal and
+    c_i (x_i d_i - c_i e_i) / d_i^2 - 1 on it (z_ii = 0)."""
+    c = g.c
+    jac = (c / d)[:, None] * (a[:, None] * g.base.net.z + g.beta)
+    jac.flat[:: g.n + 1] = c * (x * d - c * e) / (d * d) - 1.0
+    return jac
+
+
 def _newton(g, alpha, tol, max_iter):
-    """Damped Newton on H(a) = 0 from the common base payoff intercept,
-    which keeps it on the small-action branch when the system has several
-    solutions. Only the diagonal of its matrix is the analytic Jacobian: the
-    off-diagonal entries c_i (a_i z_ij + beta) / d_i^2 carry an extra factor
-    1 / d_i, so it is a quasi-Newton method and converges only linearly.
+    """Newton's method on H(a) = 0 with the analytic Jacobian, from the
+    common base payoff intercept, which keeps it on the small-action branch
+    when the system has several solutions.
+
+    A step s starts at t0 = min(1, 0.99 / max_i(-s_i / a_i)), which keeps 1 %
+    of every action, so a stays in the dynamics' domain a > 0. t halves from
+    t0 while t > 1e-12 until f = |H|^2 / 2 passes Armijo's test
+    f(a) - f(a + t s) > 2e-4 t f(a) (the slope of f along s is -2 f; an
+    overflowed f passes no t), else the solve stops. t0 is tried alone; the
+    other halvings are evaluated as one stack and the largest passing t wins.
     """
-    n = g.n
-    resplit, top, least = _resplit(g), np.maximum.reduce, np.minimum.reduce
-    coupling = g.beta * (1.0 - np.eye(n))
-    a = np.full(n, alpha)
+    resplit, top, total = _resplit(g), np.maximum.reduce, np.add.reduce
+    a = np.full(g.n, alpha)
     x, e, d, x_next = resplit(a)
     h = alpha + x_next - a
+    f = 0.5 * total(h * h, -1)
     for k in range(min(max_iter, 200)):
-        norm = top(np.abs(h))
-        if norm < tol * max(1.0, top(np.abs(a))):
+        if top(np.abs(h)) < tol * max(1.0, top(np.abs(a))):
             return a, k + 1, True
-        jac = (g.c / (d * d))[:, None] * (a[:, None] * g.base.net.z + coupling)
-        jac += np.diag(g.c * (x * d - g.c * e) / (d * d) - 1.0)
         try:
-            step = np.linalg.solve(jac, -h)
+            step = np.linalg.solve(_jacobian(g, a, x, e, d), -h)
         except np.linalg.LinAlgError:
             return a, k + 1, False
-        t = 1.0
-        while t > 1e-12:
-            cand = a + t * step
-            # stay in the dynamics' domain: genuine rest points have a > 0
-            if least(cand) > 0.0:
-                parts = resplit(cand)
-                h_cand = alpha + parts[3] - cand
-                if top(np.abs(h_cand)) < norm:
-                    a, h, (x, e, d, _) = cand, h_cand, parts
-                    break
-            t *= 0.5
-        else:
+        shrink = top(-step / a)
+        t = 0.99 / shrink if shrink > 0.99 else 1.0
+        if not t > 1e-12:
             return a, k + 1, False
+        cand = a + t * step
+        parts = resplit(cand)
+        h_cand = alpha + parts[3] - cand
+        f_cand = 0.5 * total(h_cand * h_cand, -1)
+        if not f - f_cand > 2e-4 * t * f:
+            ts = []
+            while (t := t * 0.5) > 1e-12:
+                ts.append(t)
+            ts = np.array(ts)
+            cands = a + ts[:, None] * step
+            stack = resplit(cands)
+            hs = alpha + stack[3] - cands
+            fs = 0.5 * total(hs * hs, -1)
+            passed = f - fs > 2e-4 * ts * f
+            if not passed.any():
+                return a, k + 1, False
+            i = int(passed.argmax())
+            cand, h_cand, f_cand = cands[i], hs[i], fs[i]
+            parts = tuple(p[i] for p in stack)
+        a, h, f, (x, e, d, _) = cand, h_cand, f_cand, parts
     return a, min(max_iter, 200), False
 
 
@@ -377,15 +399,19 @@ def solve_global_sce(
 ) -> GlobalSolve:
     """Solve the rest-point system of the split-belief dynamics.
 
-    ``method``: "iterate" replays the update map itself (fast on mild
+    ``method``: "newton" runs Newton's method with the analytic Jacobian
+    and a line search on the rest-point defect (a few steps wherever it
+    converges), "iterate" replays the update map itself (fast on mild
     networks, but it can blow up from a cold start on hot ones even inside
     the check_homeo2 window), "damped" averages it with the identity,
-    "seidel" sweeps the per-agent quadratic, "newton" runs damped Newton on
-    the rest-point defect, "auto" tries them in that order, skipping plain
-    iteration when the window test fails. The returned residual is
-    max |H_i| at the final actions; ``converged`` compares it against
-    ``tol`` scaled by the action size and additionally requires a strictly
-    positive profile, the domain on which the update rule is defined.
+    "seidel" sweeps the per-agent quadratic. "auto" tries them in that
+    order, skipping plain iteration when the window test fails, and stops
+    at the first that converges; ``iterations`` sums all attempts made,
+    and an unconverged solve returns the attempt with the smallest
+    residual. The returned residual is max |H_i| at the final actions;
+    ``converged`` compares it against ``tol`` scaled by the action size and
+    additionally requires a strictly positive profile, the domain on which
+    the update rule is defined.
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
@@ -400,7 +426,7 @@ def solve_global_sce(
         order = [method]
     elif method == "auto":
         window = _homeo2(g)[2].all()
-        order = (["iterate"] if window else []) + ["damped", "seidel", "newton"]
+        order = ["newton"] + (["iterate"] if window else []) + ["damped", "seidel"]
     else:
         raise UsageError(f"unknown method {method!r}")
 

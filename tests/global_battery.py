@@ -1,0 +1,38 @@
+"""Run ``solve_global_sce`` at its defaults on the 3000-draw global battery.
+
+The battery is ``test_global_solver._battery_game(rng, False)`` drawn from
+``default_rng(12345)``. The script prints how many games converge, which
+method wins them, the median iteration count of the games Newton wins and
+the wall time of all solves. pytest does not collect it (its name does not
+start with ``test_``). Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tests/global_battery.py [draws]
+"""
+
+import sys
+import time
+from collections import Counter
+
+import numpy as np
+
+from netsce import solve_global_sce
+from test_global_solver import _battery_game
+
+
+def main(draws=3000):
+    rng = np.random.default_rng(12345)
+    games = [_battery_game(rng, False) for _ in range(draws)]
+    start = time.perf_counter()
+    solves = [solve_global_sce(g) for g in games]
+    seconds = time.perf_counter() - start
+    won = [s for s in solves if s.converged]
+    winners = Counter(s.method for s in won)
+    newton = [s.iterations for s in won if s.method == "newton"]
+    print(f"draws {draws}, converged {len(won)}")
+    print("winners " + ", ".join(f"{m} {k}" for m, k in winners.most_common()))
+    print(f"newton median iterations {np.median(newton) if newton else float('nan'):g}")
+    print(f"time {seconds:.2f} s")
+
+
+if __name__ == "__main__":
+    main(*(int(arg) for arg in sys.argv[1:]))

@@ -157,7 +157,7 @@ def test_methods_agree_inside_contraction_window(line_game):
     for other in pts[1:]:
         assert np.allclose(pts[0], other, atol=1e-8)
     assert all(s.residual < 1e-8 for s in solved.values())
-    assert solve_global_sce(g).method == "iterate"  # auto starts with the map itself
+    assert solve_global_sce(g).method == "newton"  # auto starts with Newton
     with pytest.raises(UsageError):
         solve_global_sce(g, method="bisect")
 
