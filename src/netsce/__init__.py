@@ -65,7 +65,6 @@ from .global_ext import (
     check_global_sce,
     check_homeo2,
     global_learn_step,
-    global_spillover,
     make_global_game,
     phi_map,
     residual,

@@ -11,6 +11,7 @@ payoff to the exact aggregate, an inactive agent learns nothing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,14 @@ def _vec(value, n, name) -> np.ndarray:
 
 def _check_stopping(tol, max_iter) -> None:
     """Reject a stopping tolerance that is not finite and positive, or a
-    step budget below one; shared by every iterative solver."""
+    step budget that is not an integer of at least one; shared by every
+    iterative solver."""
     if not (np.isfinite(tol) and tol > 0):
         raise UsageError("tol must be a finite positive number")
+    try:
+        operator.index(max_iter)
+    except TypeError:
+        raise UsageError(f"max_iter must be an integer, not {max_iter!r}") from None
     if max_iter < 1:
         raise UsageError("max_iter must be at least 1")
 

@@ -41,7 +41,6 @@ __all__ = [
     "check_global_sce",
     "check_homeo2",
     "global_learn_step",
-    "global_spillover",
     "make_global_game",
     "phi_map",
     "residual",
@@ -99,10 +98,8 @@ def make_global_game(base: GameSpec, beta: float, c) -> GlobalGameSpec:
     return GlobalGameSpec(base=base, beta=beta, c=c)
 
 
-def global_spillover(g: GlobalGameSpec, actions) -> np.ndarray:
-    """y_i = beta * sum of others' actions."""
-    _check_agents(g.base, actions=actions)
-    a = np.asarray(actions, dtype=float)
+def _spillover(g: GlobalGameSpec, a: np.ndarray) -> np.ndarray:
+    """y_i = beta * sum of others' actions; callers check the length of a."""
     return g.beta * (a.sum() - a)
 
 
@@ -142,7 +139,7 @@ def check_global_sce(
     xh = np.asarray(conjecture.x_hat, dtype=float)
     yh = np.asarray(conjecture.y_hat, dtype=float)
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = _spillover(g, a)
     spec = g.base
     active = a > 0
     # Active agents best-respond to x_hat and must believe the realized
@@ -174,7 +171,7 @@ def true_centrality(g: GlobalGameSpec, actions) -> TrueCentrality:
     _check_agents(g.base, actions=actions)
     a = np.asarray(actions, dtype=float)
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = _spillover(g, a)
     defined = y != 0.0
     values = np.full(g.n, np.nan)
     np.divide(x, y, out=values, where=defined)
@@ -251,9 +248,10 @@ def residual(g: GlobalGameSpec, actions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Homeo2Report:
-    """Per-agent check of the contraction window for plain iteration.
+    """Per-agent check of the contraction window of the update map.
 
-    Agent i passes when 0 < c_i beta (n-1) < rowsum_i < 2.
+    Agent i passes when 0 < c_i beta (n-1) < rowsum_i < 2. The report is a
+    diagnostic of the game: no solver reads it.
     """
 
     lhs: np.ndarray  # c * beta * (n - 1)
@@ -262,16 +260,11 @@ class Homeo2Report:
     holds: bool
 
 
-def _homeo2(g: GlobalGameSpec) -> tuple:
-    """c beta (n - 1), row sums and per-agent window; regime checked by callers."""
-    lhs = g.c * g.beta * (g.n - 1)
-    row_sums = g.base.net.z.sum(axis=1)
-    return lhs, row_sums, (lhs > 0) & (lhs < row_sums) & (row_sums < 2.0)
-
-
 def check_homeo2(g: GlobalGameSpec) -> Homeo2Report:
     _require_learning_regime(g)
-    lhs, row_sums, per_agent = _homeo2(g)
+    lhs = g.c * g.beta * (g.n - 1)
+    row_sums = g.base.net.z.sum(axis=1)
+    per_agent = (lhs > 0) & (lhs < row_sums) & (row_sums < 2.0)
     return Homeo2Report(
         lhs=lhs, row_sums=row_sums, per_agent=per_agent, holds=bool(per_agent.all())
     )
@@ -279,7 +272,11 @@ def check_homeo2(g: GlobalGameSpec) -> Homeo2Report:
 
 @dataclass(frozen=True)
 class GlobalSolve:
-    """A solved (or best-effort) rest point of the split-belief dynamics."""
+    """A solved (or best-effort) rest point of the split-belief dynamics.
+
+    ``method`` names the kernel whose actions are returned: "newton",
+    "damped" or "seidel"; ``iterations`` sums every kernel that ran.
+    """
 
     actions: np.ndarray
     x_hat: np.ndarray
@@ -290,17 +287,15 @@ class GlobalSolve:
     converged: bool
 
 
-def _iterate(g, alpha, damping, tol, max_iter):
+def _damped(g, alpha, tol, max_iter):
     # In the learning regime (common alpha > 0, Z >= 0, c > 0) every re-split
     # c e / d of a positive profile is >= +0.0, so from x_hat = 0 the averaged
     # conjectures stay >= 0 and a = alpha + x_hat >= alpha > 0: the profile
-    # never leaves the domain of the update rule. It also makes the undamped
-    # step 0 * x_hat + 1 * v equal to v bit for bit.
+    # never leaves the domain of the update rule.
     resplit, top = _resplit(g), np.maximum.reduce
     xh = np.zeros(g.n)
     for k in range(max_iter):
-        v = resplit(alpha + xh)[3]
-        new = v if damping == 1.0 else (1.0 - damping) * xh + damping * v
+        new = 0.5 * xh + 0.5 * resplit(alpha + xh)[3]
         if not top(np.abs(new)) <= 1e12:  # also true for inf and nan
             return alpha + xh, k + 1, False
         if top(np.abs(new - xh)) < tol:
@@ -392,49 +387,28 @@ def _newton(g, alpha, tol, max_iter):
 
 
 def solve_global_sce(
-    g: GlobalGameSpec,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    method: str = "auto",
+    g: GlobalGameSpec, tol: float = 1e-10, max_iter: int = 100_000
 ) -> GlobalSolve:
     """Solve the rest-point system of the split-belief dynamics.
 
-    ``method``: "newton" runs Newton's method with the analytic Jacobian
-    and a line search on the rest-point defect (a few steps wherever it
-    converges), "iterate" replays the update map itself (fast on mild
-    networks, but it can blow up from a cold start on hot ones even inside
-    the check_homeo2 window), "damped" averages it with the identity,
-    "seidel" sweeps the per-agent quadratic. "auto" tries them in that
-    order, skipping plain iteration when the window test fails, and stops
-    at the first that converges; ``iterations`` sums all attempts made,
-    and an unconverged solve returns the attempt with the smallest
-    residual. The returned residual is max |H_i| at the final actions;
-    ``converged`` compares it against ``tol`` scaled by the action size and
-    additionally requires a strictly positive profile, the domain on which
-    the update rule is defined.
+    Three kernels run in a fixed order until one converges: Newton's method
+    with the analytic Jacobian and a line search on the rest-point defect
+    (a few steps wherever it converges), then the update map averaged with
+    the identity ("damped"), then Seidel sweeps of the per-agent quadratic.
+    ``iterations`` sums every kernel that ran, and an unconverged solve
+    returns the kernel with the smallest residual. The returned residual is
+    max |H_i| at the final actions; ``converged`` compares it against
+    ``tol`` scaled by the action size and additionally requires a strictly
+    positive profile, the domain on which the update rule is defined.
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
     resplit = _resplit(g)
-    attempts = {
-        "iterate": lambda: _iterate(g, alpha, 1.0, tol, max_iter),
-        "damped": lambda: _iterate(g, alpha, 0.5, tol, max_iter),
-        "seidel": lambda: _seidel(g, alpha, tol, max_iter),
-        "newton": lambda: _newton(g, alpha, tol, max_iter),
-    }
-    if method in attempts:
-        order = [method]
-    elif method == "auto":
-        window = _homeo2(g)[2].all()
-        order = ["newton"] + (["iterate"] if window else []) + ["damped", "seidel"]
-    else:
-        raise UsageError(f"unknown method {method!r}")
-
     total = 0
     best = None
-    for name in order:
+    for name, kernel in (("newton", _newton), ("damped", _damped), ("seidel", _seidel)):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, iters, ok = attempts[name]()
+            a, iters, ok = kernel(g, alpha, tol, max_iter)
         total += iters
         with np.errstate(invalid="ignore"):
             _, e, d, x_hat = resplit(a)

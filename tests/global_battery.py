@@ -2,7 +2,8 @@
 
 The battery is ``test_global_solver._battery_game(rng, False)`` drawn from
 ``default_rng(12345)``. The script prints how many games converge, which
-method wins them, the median iteration count of the games Newton wins and
+method wins them, the median iteration count of the games Newton wins,
+how many games fail every method and the wall time of their solves, and
 the wall time of all solves. pytest does not collect it (its name does not
 start with ``test_``). Run from the root of a checkout:
 
@@ -22,16 +23,20 @@ from test_global_solver import _battery_game
 def main(draws=3000):
     rng = np.random.default_rng(12345)
     games = [_battery_game(rng, False) for _ in range(draws)]
-    start = time.perf_counter()
-    solves = [solve_global_sce(g) for g in games]
-    seconds = time.perf_counter() - start
+    solves, seconds = [], []
+    for g in games:
+        start = time.perf_counter()
+        solves.append(solve_global_sce(g))
+        seconds.append(time.perf_counter() - start)
     won = [s for s in solves if s.converged]
+    failed = [t for s, t in zip(solves, seconds) if not s.converged]
     winners = Counter(s.method for s in won)
     newton = [s.iterations for s in won if s.method == "newton"]
     print(f"draws {draws}, converged {len(won)}")
     print("winners " + ", ".join(f"{m} {k}" for m, k in winners.most_common()))
     print(f"newton median iterations {np.median(newton) if newton else float('nan'):g}")
-    print(f"time {seconds:.2f} s")
+    print(f"failed {len(failed)}, time {sum(failed):.2f} s")
+    print(f"time {sum(seconds):.2f} s")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from netsce import (
     WeightedNetwork,
     aggregate,
     check_global_sce,
-    global_spillover,
     is_sce,
     make_game,
     make_global_game,
@@ -38,7 +37,7 @@ def loop_is_sce(spec, a, xh, tol=1e-9):
 
 def loop_check_global_sce(g, a, xh, yh, tol=1e-9):
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = g.beta * (a.sum() - a)
     spec = g.base
     bad = []
     for i in range(g.n):
@@ -110,7 +109,7 @@ def test_check_global_sce_matches_agent_loop():
         g = make_global_game(base, beta, c)
         a = rng.uniform(-0.3, 1.2, n) * base.a_max
         a[rng.random(n) < 0.3] = 0.0
-        x, y = aggregate(base, a), global_spillover(g, a)
+        x, y = aggregate(base, a), g.beta * (a.sum() - a)
         xh = _mostly_consistent(rng, n, x, rng.uniform(base.x_lo, 2 * base.x_hi))
         xh[a == 0] = _mostly_consistent(rng, n, np.full(n, -0.2), xh)[a == 0]
         yh = _mostly_consistent(rng, n, y + a * (x - xh), rng.uniform(-1, 2, n) * g.y_hi)

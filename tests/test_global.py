@@ -11,7 +11,6 @@ from netsce import (
     check_global_sce,
     check_homeo2,
     global_learn_step,
-    global_spillover,
     make_game,
     make_global_game,
     phi_map,
@@ -19,6 +18,7 @@ from netsce import (
     solve_global_sce,
     true_centrality,
 )
+from netsce.global_ext import _damped, _newton, _seidel, _spillover
 
 from conftest import COMPLETE3, LINE3
 
@@ -68,7 +68,7 @@ def test_spillover_and_payoff():
     )
     g = make_global_game(base, beta=0.5, c=0.2)
     a = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(global_spillover(g, a), [2.5, 2.0, 1.5])
+    assert np.allclose(_spillover(g, a), [2.5, 2.0, 1.5])
 
 
 def test_updating_regime_is_guarded(line_game):
@@ -151,21 +151,19 @@ def test_methods_agree_inside_contraction_window(line_game):
     window = check_homeo2(g)
     assert window.holds
     assert np.all(window.lhs < window.row_sums)
-    methods = ("iterate", "damped", "seidel", "newton")
-    solved = {m: solve_global_sce(g, method=m) for m in methods}
-    pts = [s.actions for s in solved.values()]
+    runs = [kernel(g, 0.1, 1e-10, 100_000) for kernel in (_newton, _damped, _seidel)]
+    assert all(ok for _, _, ok in runs)
+    pts = [a for a, _, _ in runs]
     for other in pts[1:]:
         assert np.allclose(pts[0], other, atol=1e-8)
-    assert all(s.residual < 1e-8 for s in solved.values())
-    assert solve_global_sce(g).method == "newton"  # auto starts with Newton
-    with pytest.raises(UsageError):
-        solve_global_sce(g, method="bisect")
+    assert all(np.max(np.abs(residual(g, a))) < 1e-8 for a in pts)
+    assert solve_global_sce(g).method == "newton"  # the solve starts with Newton
 
 
 def test_newton_on_a_hot_network():
     # Dense positive spillovers with perceived centralities near the edge of
     # solvability; the damped sweep stalls here while Newton lands in a few
-    # steps. All converging methods must agree on the rest point.
+    # steps. The converging kernels must agree on the rest point.
     z = np.array(
         [
             [0.0, 0.2661, 0.6581, 0.7264],
@@ -176,14 +174,15 @@ def test_newton_on_a_hot_network():
     )
     base = make_game(WeightedNetwork(z=z), alpha=np.full(4, 0.25), a_max=50.0)
     g = make_global_game(base, beta=1.0, c=np.array([0.3381, 0.2372, 0.1415, 0.1347]))
-    newton = solve_global_sce(g, method="newton", max_iter=2500)
-    assert newton.converged
-    assert newton.residual < 1e-9
-    assert newton.iterations <= 40
-    assert np.allclose(newton.actions, [1.120544, 0.854195, 0.714, 0.662016], atol=1e-5)
-    seidel = solve_global_sce(g, method="seidel", max_iter=2500)
-    assert seidel.converged
-    assert np.allclose(seidel.actions, newton.actions, atol=1e-8)
+    newton, iterations, ok = _newton(g, 0.25, 1e-10, 2500)
+    assert ok
+    assert np.max(np.abs(residual(g, newton))) < 1e-9
+    assert iterations <= 40
+    assert np.allclose(newton, [1.120544, 0.854195, 0.714, 0.662016], atol=1e-5)
+    seidel, _, ok = _seidel(g, 0.25, 1e-10, 2500)
+    assert ok
+    assert np.max(np.abs(residual(g, seidel))) < 1e-10 * np.max(seidel)
+    assert np.allclose(seidel, newton, atol=1e-8)
 
 
 def test_solver_rejects_nonpositive_rest_points():

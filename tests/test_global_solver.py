@@ -1,16 +1,18 @@
 """The global rest-point solver against its per-step-validated predecessor.
 
 ``reference_solve`` is the earlier driver: every learn step and every
-residual re-checks the learning regime, plain and damped iteration catch
+residual re-checks the learning regime, damped iteration catches
 ``UsageError`` to stop, the re-split c e / (1 + c a) is written out at each
 use, ``reference_seidel`` sweeps with NumPy scalars and ``reference_newton``
 builds its Jacobian and runs its line search in plain loops.
-``solve_global_sce``, ``residual`` and ``global_learn_step`` must reproduce
-it bit for bit, warnings included, on a seeded battery and through the CLI.
+``solve_global_sce``, its three kernels, ``residual`` and
+``global_learn_step`` must reproduce it bit for bit, warnings included, on
+a seeded battery and through the CLI.
 
 ``parent_solve`` is the cascade as it was before Newton used the analytic
-Jacobian and led ``auto``: a quasi-Newton step, tried last. Every game it
-solves must still be solved, at the same rest point.
+Jacobian and led: a quasi-Newton step, tried last, after plain iteration
+inside the contraction window. Every game it solves must still be solved,
+at the same rest point.
 """
 
 import warnings
@@ -36,18 +38,22 @@ from netsce.game import aggregate
 from netsce.global_ext import (
     GlobalSolve,
     GlobalStep,
+    _damped,
     _jacobian,
+    _newton,
     _require_learning_regime,
     _resplit,
-    global_spillover,
+    _seidel,
 )
 
 from conftest import SCENARIO_DIR
 
-METHODS = ("iterate", "damped", "seidel", "newton")
-
 
 # --------------------------------------------------------------- references
+
+
+def reference_spillover(g, a):
+    return g.beta * (a.sum() - a)
 
 
 def reference_learn_step(g, x_hat):
@@ -61,7 +67,7 @@ def reference_learn_step(g, x_hat):
             "the updating rule is defined for active profiles only"
         )
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = reference_spillover(g, a)
     e = a * x + y
     x_next = g.c * e / (1.0 + g.c * a)
     y_next = e / (1.0 + g.c * a)
@@ -73,7 +79,7 @@ def reference_residual(g, actions):
     alpha = _require_learning_regime(g)
     a = np.asarray(actions, dtype=float)
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = reference_spillover(g, a)
     return alpha + g.c * (a * x + y) / (1.0 + g.c * a) - a
 
 
@@ -91,6 +97,11 @@ def reference_iterate(g, damping, tol, max_iter):
             return new, k + 1, True
         xh = new
     return xh, max_iter, False
+
+
+def reference_damped(g, alpha, tol, max_iter):
+    xh, iters, ok = reference_iterate(g, 0.5, tol, max_iter)
+    return alpha + xh, iters, ok
 
 
 def reference_seidel(g, alpha, tol, max_iter):
@@ -125,7 +136,7 @@ def reference_newton(g, alpha, tol, max_iter):
         if float(np.max(np.abs(h))) < tol * max(1.0, float(np.max(np.abs(a)))):
             return a, k + 1, True
         x = aggregate(g.base, a)
-        e = a * x + global_spillover(g, a)
+        e = a * x + reference_spillover(g, a)
         d = 1.0 + c * a
         jac = np.empty((n, n))
         for i in range(n):
@@ -163,7 +174,7 @@ def parent_newton(g, alpha, tol, max_iter):
         if norm < tol * max(1.0, float(np.max(np.abs(a)))):
             return a, k + 1, True
         x = aggregate(g.base, a)
-        y = global_spillover(g, a)
+        y = reference_spillover(g, a)
         e = a * x + y
         d = 1.0 + g.c * a
         jac = (g.c / (d * d))[:, None] * (a[:, None] * z + g.beta * (1.0 - np.eye(n)))
@@ -186,30 +197,21 @@ def parent_newton(g, alpha, tol, max_iter):
     return a, min(max_iter, 200), False
 
 
-def _cascade(g, tol, max_iter, method, newton, newton_first):
+def _cascade(g, tol, max_iter, order, newton):
     alpha = _require_learning_regime(g)
     attempts = {
         "iterate": lambda: reference_iterate(g, 1.0, tol, max_iter),
-        "damped": lambda: reference_iterate(g, 0.5, tol, max_iter),
+        "damped": lambda: reference_damped(g, alpha, tol, max_iter),
         "seidel": lambda: reference_seidel(g, alpha, tol, max_iter),
         "newton": lambda: newton(g, alpha, tol, max_iter),
     }
-    if method in attempts:
-        order = [method]
-    elif method == "auto":
-        window = check_homeo2(g).holds
-        order = (["iterate"] if window else []) + ["damped", "seidel"]
-        order = ["newton"] + order if newton_first else order + ["newton"]
-    else:
-        raise UsageError(f"unknown method {method!r}")
-
     total = 0
     best = None
     for name in order:
         with np.errstate(over="ignore", invalid="ignore"):
             out, iters, ok = attempts[name]()
         total += iters
-        a = alpha + out if name in ("iterate", "damped") else out
+        a = alpha + out if name == "iterate" else out
         with np.errstate(invalid="ignore"):
             res = float(np.max(np.abs(reference_residual(g, a))))
         if not np.isfinite(res):
@@ -222,7 +224,7 @@ def _cascade(g, tol, max_iter, method, newton, newton_first):
 
     a, res, name = best
     x = aggregate(g.base, a)
-    y = global_spillover(g, a)
+    y = reference_spillover(g, a)
     e = a * x + y
     with np.errstate(invalid="ignore", over="ignore"):
         x_hat = g.c * e / (1.0 + g.c * a)
@@ -239,12 +241,24 @@ def _cascade(g, tol, max_iter, method, newton, newton_first):
     )
 
 
-def reference_solve(g, tol=1e-10, max_iter=100_000, method="auto"):
-    return _cascade(g, tol, max_iter, method, reference_newton, newton_first=True)
+def reference_solve(g, tol=1e-10, max_iter=100_000):
+    return _cascade(g, tol, max_iter, ("newton", "damped", "seidel"), reference_newton)
 
 
-def parent_solve(g, tol=1e-10, max_iter=100_000, method="auto"):
-    return _cascade(g, tol, max_iter, method, parent_newton, newton_first=False)
+def parent_solve(g, tol=1e-10, max_iter=100_000):
+    window = check_homeo2(g).holds
+    order = (["iterate"] if window else []) + ["damped", "seidel", "newton"]
+    return _cascade(g, tol, max_iter, order, parent_newton)
+
+
+# Each kernel of the library's cascade and the reference kernel it must
+# reproduce; all take (g, alpha, tol, max_iter) and return (a, iterations, ok).
+KERNELS = {
+    "newton": (_newton, reference_newton),
+    "damped": (_damped, reference_damped),
+    "seidel": (_seidel, reference_seidel),
+}
+METHODS = tuple(KERNELS)
 
 
 # ------------------------------------------------------------------ battery
@@ -311,16 +325,34 @@ def _hot_corner_game(rng):
 
 
 def _compare(g, tol, max_iter):
-    """Every method's solve of g against the reference; returns the
-    reference outcomes by method."""
-    refs = {}
-    for method in ("auto",) + METHODS:
-        got, got_warn = _outcome(solve_global_sce, g, tol=tol, max_iter=max_iter, method=method)
-        ref, ref_warn = _outcome(reference_solve, g, tol=tol, max_iter=max_iter, method=method)
-        assert _fields(got) == _fields(ref), method
-        assert got_warn == ref_warn, method
-        refs[method] = ref
-    return refs
+    """The solve of g and each kernel's run on it against the reference;
+    returns the reference solve and the reference kernel outcomes
+    (a, iterations, ok) by name, none where the regime check fails."""
+    got, got_warn = _outcome(solve_global_sce, g, tol=tol, max_iter=max_iter)
+    solve, ref_warn = _outcome(reference_solve, g, tol=tol, max_iter=max_iter)
+    assert _fields(got) == _fields(solve)
+    assert got_warn == ref_warn
+    if not isinstance(solve, GlobalSolve):
+        return solve, {}
+    alpha = _require_learning_regime(g)
+    runs = {}
+    for name, (kernel, ref_kernel) in KERNELS.items():
+        # as in the solve, overflow and invalid values are the kernels' stop signals
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, got_warn = _outcome(kernel, g, alpha, tol, max_iter)
+            ref, ref_warn = _outcome(ref_kernel, g, alpha, tol, max_iter)
+        assert (got[0].tobytes(),) + got[1:] == (ref[0].tobytes(),) + ref[1:], name
+        assert got_warn == ref_warn, name
+        runs[name] = ref
+    return solve, runs
+
+
+def _accepted(g, a, tol):
+    """The solve's verdict on a kernel's actions: a positive profile whose
+    residual is below tol scaled by the action size."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.max(np.abs(reference_residual(g, a))))
+    return bool(np.all(a > 0.0)) and res < tol * max(1.0, float(np.max(np.abs(a))))
 
 
 def _compare_steps(g, rng):
@@ -348,33 +380,36 @@ def test_solver_matches_reference_bit_for_bit():
         g = _battery_game(rng, heterogeneous=k % 12 == 0)
         max_iter = (1, 3, 50, 1000)[k % 4]
         tol = (1e-10, 1e-6)[(k // 4) % 2]
-        for method, ref in _compare(g, tol, max_iter).items():
-            if not isinstance(ref, GlobalSolve):
-                errors += 1
-                assert "common intercept" in ref[1]
-                continue
-            if method == "auto" and ref.converged:
-                winners[ref.method] += 1
-            if method != "auto" and not ref.converged:
-                if ref.iterations == _budget(method, max_iter):
+        solve, runs = _compare(g, tol, max_iter)
+        if not isinstance(solve, GlobalSolve):
+            errors += 1
+            assert "common intercept" in solve[1]
+        elif solve.converged:
+            winners[solve.method] += 1
+        for name, (a, iters, _) in runs.items():
+            if not _accepted(g, a, tol):
+                if iters == _budget(name, max_iter):
                     exhausted += 1
                 else:
                     nonconverged += 1
         _compare_steps(g, rng)
     assert winners == {"newton": 107, "damped": 6}
     assert nonconverged > 0 and exhausted > 0
-    assert errors == 20 * (1 + len(METHODS))
+    assert errors == 20
 
-    # Hot corners: every method fails, and each one also stops early
+    # Hot corners: every kernel fails, and each one also stops early
     # (blow-up, a bad discriminant, an exhausted line search) on some game.
     early = set()
     for k in range(24):
         g = _hot_corner_game(rng)
         max_iter = (50, 300)[k % 2]
-        for method, ref in _compare(g, (1e-10, 1e-6)[(k // 2) % 2], max_iter).items():
-            assert not ref.converged, (k, method)
-            if ref.iterations < _budget(method, max_iter):
-                early.add(method)
+        tol = (1e-10, 1e-6)[(k // 2) % 2]
+        solve, runs = _compare(g, tol, max_iter)
+        assert not solve.converged, k
+        for name, (a, iters, _) in runs.items():
+            assert not _accepted(g, a, tol), (k, name)
+            if iters < _budget(name, max_iter):
+                early.add(name)
     assert early >= set(METHODS)
 
     # n = 20 and 50: the profile sums run NumPy's blocked pairwise summation.
@@ -383,7 +418,7 @@ def test_solver_matches_reference_bit_for_bit():
         _compare(g, 1e-10, (3, 50)[(k // 2) % 2])
 
     # Weights near the float limit: the first step overflows to inf, or to
-    # nan through inf / inf, and every method must stop on it. Newton alone
+    # nan through inf / inf, and every kernel must stop on it. Newton alone
     # starts from the defect itself, which is still finite (about 1e149) at
     # weights of 1e150 and alpha = 1; there its first step lowers the
     # defect. The reference computes some overflowing terms twice (1 + c a
@@ -397,15 +432,17 @@ def test_solver_matches_reference_bit_for_bit():
         base = make_game(WeightedNetwork(z=g.base.net.z * scale), alpha=alpha, a_max=1.0)
         g = make_global_game(base, beta=g.beta, c=g.c * scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            refs = _compare(g, 1e-10, 50)
+            solve, runs = _compare(g, 1e-10, 50)
             _compare_steps(g, rng)
             start = float(np.max(np.abs(reference_residual(g, np.full(g.n, alpha)))))
-        for method in METHODS:
-            assert not refs[method].converged
-            if method == "newton" and np.isfinite(start):
-                assert refs[method].iterations > 1 and refs[method].residual < start
+            newton_end = float(np.max(np.abs(reference_residual(g, runs["newton"][0]))))
+        assert not solve.converged
+        for name, (a, iters, _) in runs.items():
+            assert not _accepted(g, a, 1e-10)
+            if name == "newton" and np.isfinite(start):
+                assert iters > 1 and newton_end < start
             else:
-                assert refs[method].iterations == 1
+                assert iters == 1
 
 
 def _central_differences(g, a):
@@ -516,6 +553,9 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
         {"tol": float("inf")},
         {"tol": float("nan")},
         {"max_iter": 0},
+        {"max_iter": 2.5},
+        {"max_iter": np.float64(3.0)},
+        {"max_iter": None},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
@@ -526,7 +566,7 @@ def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("the solver started before its arguments were checked")
 
-    for name in ("_resplit", "_iterate", "_seidel", "_newton"):
+    for name in ("_resplit", "_damped", "_seidel", "_newton"):
         monkeypatch.setattr(global_ext, name, no_work)
     with pytest.raises(UsageError):
         solve_global_sce(g, **kwargs)

@@ -10,8 +10,8 @@ from netsce import (
     aggregate,
     analytic_stability,
     enumerate_sce,
-    global_spillover,
     is_sce,
+    load_scenario,
     learn_step,
     make_game,
     make_global_game,
@@ -19,9 +19,10 @@ from netsce import (
     probe_stability,
     run_learning,
     stable_sce_family,
+    true_centrality,
 )
 
-from conftest import ADJ4, COMPLETE3, MIXED4, by_active
+from conftest import ADJ4, COMPLETE3, MIXED4, SCENARIO_DIR, by_active
 
 X0 = np.array([0.01, 0.02, 0.03, 0.04])
 
@@ -140,7 +141,15 @@ def test_run_learning_validations(positive_game):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tol": float("inf")}, {"tol": float("nan")}, {"tol": 0.0}, {"max_iter": 0}],
+    [
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+        {"max_iter": 0},
+        {"max_iter": 2.5},
+        {"max_iter": np.float64(3.0)},
+        {"max_iter": None},
+    ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_run_learning_checks_stopping_rule_before_any_step(positive_game, kwargs, monkeypatch):
@@ -164,6 +173,22 @@ def test_probe_rejects_infinite_tol(positive_game, monkeypatch):
     rec = enumerate_sce(positive_game)[0][0]
     with pytest.raises(UsageError, match="tol must be a finite positive number"):
         probe_stability(positive_game, rec, tol=float("inf"))
+
+
+def test_probe_rejects_a_non_integral_budget_on_a_certified_record(monkeypatch):
+    """The certificate decides every table1 record without a run, so only
+    the argument check stands between a fractional budget and a verdict."""
+    from netsce import learning
+
+    def no_runs(*args, **kw):
+        raise AssertionError("a certified record ran")
+
+    monkeypatch.setattr(learning, "_advance", no_runs)
+    game = load_scenario(SCENARIO_DIR / "table1.json").game
+    rec = enumerate_sce(game)[0][-1]
+    assert probe_stability(game, rec, max_iter=20000).return_fraction == 1.0
+    with pytest.raises(UsageError, match="max_iter must be an integer"):
+        probe_stability(game, rec, max_iter=20000.5)
 
 
 def test_records_of_another_game_are_usage_errors(positive_game, monkeypatch):
@@ -201,10 +226,10 @@ def _global3():
         (lambda g: learn_step(g, np.zeros(3)), "conjectures", 3, 4),
         (lambda g: learn_step(g, np.zeros((2, 4))), "conjectures", 8, 4),
         (lambda g: learn_step(g, np.zeros((2, 2, 4))), "conjectures", 16, 4),
-        (lambda g: global_spillover(_global3(), np.ones(2)), "actions", 2, 3),
+        (lambda g: true_centrality(_global3(), np.ones(2)), "actions", 2, 3),
     ],
     ids=["is_sce-actions", "is_sce-conjectures", "learn_step-profile", "learn_step-2d",
-         "learn_step-3d", "global_spillover"],
+         "learn_step-3d", "true_centrality"],
 )
 def test_wrong_lengths_are_named_with_the_agent_count(positive_game, call, name, length, agents):
     """A profile or an action vector of the wrong length, or anything but one
