@@ -28,7 +28,10 @@ one period of one probe block, whose rows may belong to several records.
 
 ``ne``, ``sce`` and ``stability`` count on stderr, in one ``netsce: note:``
 line, the supports that yield no record: singular (continuum or
-inconsistent) or cap-bound. The note changes neither CSV nor exit code.
+inconsistent) or cap-bound. ``global-sce`` and ``phi-map`` count, in one
+such line, the points where the solver proved that no rest point exists
+and those it left undetermined; the line is printed only when a count is
+not zero. The notes change neither CSV nor exit code.
 
 Exit codes: 0 success; 1 usage error (bad flags, malformed scenario, wrong
 mode); 2 numeric failure (divergence, max-iter, non-convergence) — partial
@@ -153,6 +156,16 @@ def _solved(solve, spec):
     return records
 
 
+def _note_unsolved(sols):
+    """One stderr note counting the rest-point solves that proved no rest
+    point exists and those left undetermined, if any."""
+    verdicts = [sol.verdict for sol in sols]
+    counts = (verdicts.count("no_rest_point"), verdicts.count("undetermined"))
+    if any(counts):
+        note = "unsolved points: %d with no rest point, %d undetermined"
+        print("netsce: note: " + note % counts, file=sys.stderr)
+
+
 def _cmd_check(scn: Scenario, args) -> int:
     reports = [check_assumption(scn.game.net, name) for name in ASSUMPTIONS]
     _write_csv(args.output, [
@@ -235,6 +248,7 @@ def _cmd_stability(scn: Scenario, args) -> int:
 def _cmd_global_sce(scn: Scenario, args) -> int:
     g = scn.global_game()
     sol = solve_global_sce(g, tol=scn.tol, max_iter=scn.max_iter)
+    _note_unsolved([sol])
     _write_csv(args.output, [
         ("agent", range(scn.n)),
         ("c", g.c),
@@ -251,6 +265,7 @@ def _cmd_phi_map(scn: Scenario, args) -> int:
     entries = phi_map(scn.game, scn.beta, [t * scn.c for t in ts], tol=scn.tol,
                       max_iter=scn.max_iter)
     sols = [entry.solve for entry in entries]
+    _note_unsolved(sols)
     _write_csv(args.output, [
         ("k", range(1, m + 1)),
         ("t", ts),

@@ -11,6 +11,8 @@ payoff to the exact aggregate, an inactive agent learns nothing.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -51,11 +53,11 @@ def _vec(value, n, name) -> np.ndarray:
 
 
 def _check_stopping(tol, max_iter) -> None:
-    """Reject a stopping tolerance that is not finite and positive, or a
-    step budget that is not an integer of at least one; shared by every
-    iterative solver."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise UsageError("tol must be a finite positive number")
+    """Reject a stopping tolerance that is not a finite positive real
+    scalar, or a step budget that is not an integer of at least one; shared
+    by every iterative solver."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be a finite positive number, not {tol!r}")
     try:
         operator.index(max_iter)
     except TypeError:

@@ -276,6 +276,9 @@ class GlobalSolve:
 
     ``method`` names the kernel whose actions are returned: "newton",
     "damped" or "seidel"; ``iterations`` sums every kernel that ran.
+    ``verdict`` is "converged" when ``converged`` holds, "no_rest_point"
+    when a certificate proved that no profile passes the acceptance rule
+    (the solve then stops after Newton), and "undetermined" otherwise.
     """
 
     actions: np.ndarray
@@ -285,6 +288,7 @@ class GlobalSolve:
     iterations: int
     method: str
     converged: bool
+    verdict: str
 
 
 def _damped(g, alpha, tol, max_iter):
@@ -386,6 +390,132 @@ def _newton(g, alpha, tol, max_iter):
     return a, min(max_iter, 200), False
 
 
+#: Shifted power steps on Z^T that pick the certificate's weights u.
+_POWER_STEPS = 20
+
+
+@dataclass(frozen=True)
+class _Proof:
+    """The numbers behind a "no rest point" verdict; see ``_no_rest_point``.
+
+    ``low`` is the last lower bound of the sweep chain and ``sweeps`` its
+    length; with B <= 0 the chain is not needed, and ``intercept`` and
+    ``low`` are None.
+    """
+
+    u: np.ndarray
+    lam: float
+    tol: float
+    kappa: float
+    bound: float
+    intercept: float | None
+    low: np.ndarray | None
+    sweeps: int
+
+
+def _sweep_down(g, p, low, gam):
+    """One Jacobi sweep of the root map at intercept p from the lower bound
+    ``low``, rounded down: each input and the root lose a relative gam, and
+    b = 1 - c (p + x), which cancels, gains gam (1 + c (p + x))."""
+    c, beta, down = g.c, g.beta, 1.0 - gam
+    x = np.matvec(g.base.net.z, low) * down
+    y = np.maximum(beta * (np.add.reduce(low) * down - low) * down, 0.0)
+    cx = c * (p + x)
+    b = (1.0 - cx) + gam * (1.0 + cx)
+    k = (p + c * y) * down
+    root = np.sqrt(b * b + 4.0 * c * k)
+    # 2k / (b + root) and (root - b) / 2c are the same root; each adds only
+    # nonnegative terms on its side of b = 0.
+    s = np.where(b > 0.0, 2.0 * k / (b + root), (root - b) / (2.0 * c)) * down
+    return np.maximum(low, s)
+
+
+def _no_rest_point(g, alpha, tol, max_iter):
+    """Prove that no profile passes ``solve_global_sce``'s acceptance rule:
+    a > 0 whose float residual is below tol max(1, max a). Returns a
+    ``_Proof``, or None when the check is undetermined.
+
+    Let H(a) = h at such a profile, M = max a and eps = t max(1, M), where t
+    is tol raised by the rounding of the float residual (below). Then
+    |h_i| < eps, and with alpha'_i = alpha - h_i,
+
+        a_i - x_i = alpha'_i - 1/c_i + (alpha'_i / c_i + y_i) / a_i.
+
+    **Upper bound.** The last term is >= -t / c_i when t <= alpha and
+    t <= beta c_i: it is >= 0 when h_i <= alpha; otherwise eps > alpha >= t,
+    so M > 1, and either y_i >= beta M >= eps / c_i (i is not the largest
+    agent) or a_i = M and the term is >= -eps / (c_i M) = -t / c_i. Take u > 0
+    from a few power steps on Z^T and lam = min_j (u^T Z)_j / u_j, so that
+    u^T Z >= lam u^T for this u (Collatz-Wielandt; no eigenvalue solve).
+    Weighting by u, with a >= 0 and eps <= t (1 + u^T a / min u),
+
+        kappa u^T a < B,  kappa = lam - 1 - t sum(u) / min(u),
+                          B = sum_i u_i ((1 + t) / c_i - alpha + t).
+
+    With kappa > 0, B <= 0 already contradicts u^T a > 0. Otherwise
+    u^T a < B / kappa, hence M < B / (kappa min u) and eps < eps_max.
+
+    **Lower bound.** The positive root of c s^2 + (1 - c (p + x_i)) s -
+    (p + c y_i) rises with p, x_i and y_i, so the Jacobi root map is
+    order-preserving. Every such profile is its fixed point at the agents'
+    alpha'_i > p = alpha - eps_max > 0 and lies above p. The sweeps
+    l_0 = p, l_{k+1} = max(l_k, root map at p of l_k), rounded down, are
+    therefore lower bounds of every such profile (Ortega & Rheinboldt,
+    1970, 13.2). The proof ends when kappa u^T l_k >= B.
+
+    **Rounding.** gam = (n + 16) 2^-52 bounds twice over the relative error
+    of any n-term sum of nonnegative terms followed by a few operations.
+    Every quantity is rounded by gam towards the side the proof needs:
+    u^T Z and lam down, t, B and eps_max up, kappa, p and u^T l_k down, and
+    each sweep's inputs and root down. t adds to tol the error of the float
+    residual at a positive profile, gam (alpha + 1 + max row sum of Z +
+    n beta max c) max(1, M).
+
+    Undetermined: t too large for the conditions above, kappa <= 0, p <= 0,
+    a sweep that does not raise u^T l_k (the iterates stall below a rest
+    point) or leaves the floats, or ``max_iter`` sweeps without a proof.
+    """
+    z, c, beta, n = g.base.net.z, g.c, g.beta, g.n
+    gam = (n + 16) * 2.0**-52
+    down, up = 1.0 - gam, 1.0 + gam
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.ones(n)
+        for _ in range(_POWER_STEPS):
+            u = u + np.matvec(z.T, u)  # (I + Z)^T u stays positive
+            u /= np.maximum.reduce(u)
+        lam = float(np.min(np.matvec(z.T, u) / u)) * down
+        rows, cmax, cmin = float(np.max(z.sum(axis=1))), float(c.max()), float(c.min())
+        t = (float(tol) + gam * (alpha + 1.0 + rows + n * beta * cmax)) * up
+        if not (t <= alpha and t <= beta * cmin * down and lam < math.inf):
+            return None
+        umin, usum = float(u.min()), float(u.sum()) * up
+        slack = t * usum / umin * up
+        kappa = (lam - 1.0 - slack) - gam * (lam + 1.0 + slack)
+        if not kappa > 0.0:
+            return None
+        terms = u * ((1.0 + t) / c - alpha + t)
+        size = u * ((1.0 + t) / c + alpha + t)
+        bound = float(terms.sum()) + gam * float(size.sum())
+        if not bound < math.inf:
+            return None
+        if bound <= 0.0:
+            return _Proof(u, lam, t, kappa, bound, None, None, 0)
+        top = bound / kappa * up
+        p = (alpha - t * max(1.0, top / umin * up) * up) * down
+        if not p > 0.0:
+            return None
+        low = np.full(n, p)
+        reached = float(u @ low) * down
+        for k in range(max_iter):
+            low = _sweep_down(g, p, low, gam)
+            last, reached = reached, float(u @ low) * down
+            if not (last < reached < math.inf):
+                return None
+            if reached >= top:
+                return _Proof(u, lam, t, kappa, bound, p, low, k + 1)
+    return None
+
+
 def solve_global_sce(
     g: GlobalGameSpec, tol: float = 1e-10, max_iter: int = 100_000
 ) -> GlobalSolve:
@@ -395,17 +525,23 @@ def solve_global_sce(
     with the analytic Jacobian and a line search on the rest-point defect
     (a few steps wherever it converges), then the update map averaged with
     the identity ("damped"), then Seidel sweeps of the per-agent quadratic.
-    ``iterations`` sums every kernel that ran, and an unconverged solve
-    returns the kernel with the smallest residual. The returned residual is
-    max |H_i| at the final actions; ``converged`` compares it against
-    ``tol`` scaled by the action size and additionally requires a strictly
-    positive profile, the domain on which the update rule is defined.
+    When Newton fails, a certificate (``_no_rest_point``) first tries to
+    prove that no profile can pass the acceptance rule; if it does, the
+    solve returns Newton's point with ``verdict="no_rest_point"`` and runs
+    neither damped iteration nor Seidel. ``iterations`` sums every kernel
+    that ran (the certificate's sweeps are not counted), and an unconverged
+    solve returns the kernel with the smallest residual. The returned
+    residual is max |H_i| at the final actions; ``converged`` compares it
+    against ``tol`` scaled by the action size and additionally requires a
+    strictly positive profile, the domain on which the update rule is
+    defined.
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
     resplit = _resplit(g)
     total = 0
     best = None
+    proved = False
     for name, kernel in (("newton", _newton), ("damped", _damped), ("seidel", _seidel)):
         with np.errstate(over="ignore", invalid="ignore"):
             a, iters, ok = kernel(g, alpha, tol, max_iter)
@@ -421,6 +557,9 @@ def solve_global_sce(
             best = (a, x_hat, y_hat, res, name, accepted)
         if ok and accepted:
             break
+        if name == "newton" and _no_rest_point(g, alpha, tol, max_iter) is not None:
+            proved = True
+            break
 
     a, x_hat, y_hat, res, name, accepted = best
     return GlobalSolve(
@@ -431,6 +570,7 @@ def solve_global_sce(
         iterations=total,
         method=name,
         converged=accepted,
+        verdict="converged" if accepted else "no_rest_point" if proved else "undetermined",
     )
 
 

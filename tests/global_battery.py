@@ -3,8 +3,9 @@
 The battery is ``test_global_solver._battery_game(rng, False)`` drawn from
 ``default_rng(12345)``. The script prints how many games converge, which
 method wins them, the median iteration count of the games Newton wins,
-how many games fail every method and the wall time of their solves, and
-the wall time of all solves. pytest does not collect it (its name does not
+how many games fail every method and the wall time of their solves, the
+same two figures for each verdict of the failed solves ("no_rest_point"
+and "undetermined"), and the wall time of all solves. pytest does not collect it (its name does not
 start with ``test_``). Run from the root of a checkout:
 
     PYTHONPATH=src python3 tests/global_battery.py [draws]
@@ -36,6 +37,9 @@ def main(draws=3000):
     print("winners " + ", ".join(f"{m} {k}" for m, k in winners.most_common()))
     print(f"newton median iterations {np.median(newton) if newton else float('nan'):g}")
     print(f"failed {len(failed)}, time {sum(failed):.2f} s")
+    for verdict in ("no_rest_point", "undetermined"):
+        times = [t for s, t in zip(solves, seconds) if s.verdict == verdict]
+        print(f"{verdict} {len(times)}, time {sum(times):.2f} s")
     print(f"time {sum(seconds):.2f} s")
 
 

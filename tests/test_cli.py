@@ -16,8 +16,10 @@ from netsce import (
     CapBindingWarning,
     analytic_stability,
     check_assumption,
+    emit_scenario,
     enumerate_sce,
     load_scenario,
+    parse_scenario,
     phi_map,
     probe_stability,
     run_learning,
@@ -29,6 +31,7 @@ from netsce.cli import _COMMANDS, _build_parser, main
 from netsce.learning import PROBE_MAX_ITER, _probe
 
 from conftest import CAPPED4, SCENARIO_DIR, SIGNED4
+from test_global_solver import _hot_corner_game
 
 
 def run(tmp_path, command, scenario, *flags, out="out.csv"):
@@ -730,6 +733,47 @@ def test_cap_bound_supports_get_one_note(tmp_path, capsys):
 def test_no_note_when_nothing_is_dropped(capsys, command):
     assert main([command, "-i", str(SCENARIO_DIR / "table1.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------------------ unsolved points
+
+UNSOLVED = "netsce: note: unsolved points: %d with no rest point, %d undetermined\n"
+
+
+def _hot_corner_scenario(tmp_path):
+    """A 4-agent hot corner: Newton fails at t >= 3/4 of its ray of
+    centralities, where the certificate proves that no rest point exists."""
+    g = _hot_corner_game(np.random.default_rng(1))
+    raw = {"mode": "global", "n": g.n, "z": g.base.net.z.tolist(),
+           "alpha": float(g.base.alpha[0]), "a_max": 50.0, "beta": g.beta,
+           "c": g.c.tolist(), "samples": 4}
+    path = tmp_path / "hot.json"
+    path.write_text(emit_scenario(parse_scenario(raw)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, scenario, counts",
+    [
+        ("global-sce", "hot", (1, 0)),
+        ("phi-map", "hot", (2, 0)),
+        ("global-sce", "global-max-iter", (0, 1)),
+        ("global-sce", "global_line.json", (0, 0)),
+        ("phi-map", "global_complete.json", (0, 0)),
+    ],
+)
+def test_unsolved_points_get_one_note(tmp_path, capsys, command, scenario, counts):
+    """One stderr note counts the points without a converged rest point by
+    verdict; the CSV and exit code are those of the library's solves."""
+    path = (_hot_corner_scenario(tmp_path) if scenario == "hot"
+            else EXTRA_SCENARIOS[scenario](tmp_path) if scenario in EXTRA_SCENARIOS
+            else SCENARIO_DIR / scenario)
+    table, code, _ = REFERENCE_TABLES[command](load_scenario(path))
+    assert main([command, "-i", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out.encode() == table
+    assert err == (UNSOLVED % counts if any(counts) else "")
+    assert code == (2 if any(counts) else 0)
 
 
 # ------------------------------------------------------------- global & maps

@@ -9,6 +9,12 @@ builds its Jacobian and runs its line search in plain loops.
 ``global_learn_step`` must reproduce it bit for bit, warnings included, on
 a seeded battery and through the CLI.
 
+When Newton fails, the reference asks the library's certificate
+``_no_rest_point`` whether any rest point can pass, and stops after Newton
+when it proves none, as the solver does; the certificate's soundness is
+tested against the kernels and an exact rational re-derivation in
+``test_global_certificate.py``, not here.
+
 ``parent_solve`` is the cascade as it was before Newton used the analytic
 Jacobian and led: a quasi-Newton step, tried last, after plain iteration
 inside the contraction window. Every game it solves must still be solved,
@@ -41,6 +47,7 @@ from netsce.global_ext import (
     _damped,
     _jacobian,
     _newton,
+    _no_rest_point,
     _require_learning_regime,
     _resplit,
     _seidel,
@@ -197,7 +204,7 @@ def parent_newton(g, alpha, tol, max_iter):
     return a, min(max_iter, 200), False
 
 
-def _cascade(g, tol, max_iter, order, newton):
+def _cascade(g, tol, max_iter, order, newton, certify):
     alpha = _require_learning_regime(g)
     attempts = {
         "iterate": lambda: reference_iterate(g, 1.0, tol, max_iter),
@@ -207,6 +214,7 @@ def _cascade(g, tol, max_iter, order, newton):
     }
     total = 0
     best = None
+    proved = False
     for name in order:
         with np.errstate(over="ignore", invalid="ignore"):
             out, iters, ok = attempts[name]()
@@ -220,6 +228,9 @@ def _cascade(g, tol, max_iter, order, newton):
             best = (a, res, name)
         if ok and np.all(a > 0.0) and res < tol * max(1.0, float(np.max(np.abs(a)))):
             best = (a, res, name)
+            break
+        if certify and name == "newton" and _no_rest_point(g, alpha, tol, max_iter):
+            proved = True
             break
 
     a, res, name = best
@@ -238,17 +249,19 @@ def _cascade(g, tol, max_iter, order, newton):
         iterations=total,
         method=name,
         converged=good,
+        verdict="converged" if good else "no_rest_point" if proved else "undetermined",
     )
 
 
 def reference_solve(g, tol=1e-10, max_iter=100_000):
-    return _cascade(g, tol, max_iter, ("newton", "damped", "seidel"), reference_newton)
+    order = ("newton", "damped", "seidel")
+    return _cascade(g, tol, max_iter, order, reference_newton, certify=True)
 
 
 def parent_solve(g, tol=1e-10, max_iter=100_000):
     window = check_homeo2(g).holds
     order = (["iterate"] if window else []) + ["damped", "seidel", "newton"]
-    return _cascade(g, tol, max_iter, order, parent_newton)
+    return _cascade(g, tol, max_iter, order, parent_newton, certify=False)
 
 
 # Each kernel of the library's cascade and the reference kernel it must
@@ -285,6 +298,7 @@ def _fields(value):
             value.iterations,
             value.method,
             value.converged,
+            value.verdict,
         )
     if isinstance(value, GlobalStep):
         return tuple(
@@ -520,8 +534,11 @@ def test_resplit_stack_rows_equal_their_own_calls():
 
 
 def test_regime_is_checked_once_per_solve(monkeypatch):
-    # the game of test_solver_rejects_nonpositive_rest_points: every method
-    # runs and none converges, so the solve takes hundreds of steps
+    # The game of test_solver_rejects_nonpositive_rest_points: Newton fails
+    # and the certificate proves that no rest point passes. In the second
+    # game rho(Z) = 1.001, too close to 1 for the certificate to finish in
+    # 1000 sweeps, so every kernel runs, none converges and the solve takes
+    # hundreds of steps.
     z = np.array(
         [
             [0.0, 0.62, 0.55, 0.48],
@@ -531,7 +548,9 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
         ]
     )
     base = make_game(WeightedNetwork(z=z), alpha=np.full(4, 0.25), a_max=50.0)
-    g = make_global_game(base, beta=1.0, c=0.42)
+    proved = make_global_game(base, beta=1.0, c=0.42)
+    base = make_game(WeightedNetwork(z=0.5005 * (np.ones((3, 3)) - np.eye(3))), alpha=0.12)
+    open_game = make_global_game(base, beta=1.0, c=0.6)
     calls = []
 
     def counted(spec):
@@ -539,10 +558,13 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
         return _require_learning_regime(spec)
 
     monkeypatch.setattr(global_ext, "_require_learning_regime", counted)
-    out = solve_global_sce(g, max_iter=1000)
-    assert not out.converged
-    assert out.iterations > 100
+    out = solve_global_sce(proved, max_iter=1000)
+    assert not out.converged and out.verdict == "no_rest_point"
     assert len(calls) == 1
+    out = solve_global_sce(open_game, max_iter=1000)
+    assert not out.converged and out.verdict == "undetermined"
+    assert out.iterations > 100
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -552,6 +574,10 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
         {"tol": -1e-10},
         {"tol": float("inf")},
         {"tol": float("nan")},
+        {"tol": None},
+        {"tol": "1e-10"},
+        {"tol": 1e-10 + 0j},
+        {"tol": np.array([1e-10, 1e-10])},
         {"max_iter": 0},
         {"max_iter": 2.5},
         {"max_iter": np.float64(3.0)},
@@ -566,7 +592,7 @@ def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("the solver started before its arguments were checked")
 
-    for name in ("_resplit", "_damped", "_seidel", "_newton"):
+    for name in ("_resplit", "_damped", "_seidel", "_newton", "_no_rest_point"):
         monkeypatch.setattr(global_ext, name, no_work)
     with pytest.raises(UsageError):
         solve_global_sce(g, **kwargs)

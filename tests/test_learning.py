@@ -145,6 +145,10 @@ def test_run_learning_validations(positive_game):
         {"tol": float("inf")},
         {"tol": float("nan")},
         {"tol": 0.0},
+        {"tol": None},
+        {"tol": "1e-10"},
+        {"tol": 1e-10 + 0j},
+        {"tol": np.array([1e-10, 1e-10])},
         {"max_iter": 0},
         {"max_iter": 2.5},
         {"max_iter": np.float64(3.0)},
