@@ -52,18 +52,23 @@ def _vec(value, n, name) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name, least=1) -> None:
+    """Reject ``value`` unless it is an integer of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        raise UsageError(f"{name} must be at least {least}")
+
+
 def _check_stopping(tol, max_iter) -> None:
     """Reject a stopping tolerance that is not a finite positive real
     scalar, or a step budget that is not an integer of at least one; shared
     by every iterative solver."""
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise UsageError(f"tol must be a finite positive number, not {tol!r}")
-    try:
-        operator.index(max_iter)
-    except TypeError:
-        raise UsageError(f"max_iter must be an integer, not {max_iter!r}") from None
-    if max_iter < 1:
-        raise UsageError("max_iter must be at least 1")
+    _check_count(max_iter, "max_iter")
 
 
 @dataclass(frozen=True)

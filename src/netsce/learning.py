@@ -8,7 +8,10 @@ frozen. Inactivity is therefore absorbing, and the trajectory of inactive
 sets is weakly increasing.
 
 Runs are classified as converged, diverged, oscillating (a recurring state
-or a recurring increment pattern riding on a drift), or max-iter.
+or a recurring increment pattern riding on a drift), or max-iter. The
+engine steps a stack of runs a block of periods at a time and then applies
+the stopping rules to the whole block in one pass, period by period, so a
+run stops, warns and records exactly as one stepped a period at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapBindingWarning, UsageError
-from .game import _RANGE_SLACK, GameSpec, _check_stopping, best_reply
+from .game import _RANGE_SLACK, GameSpec, _check_count, _check_stopping, best_reply
 # invert_feedback and realized_payoff are not called here; perfbench's span
 # tracer wraps them under this module's names.
 from .game import invert_feedback, realized_payoff  # noqa: F401
@@ -50,7 +53,7 @@ __all__ = [
     "stable_sce_family",
 ]
 
-#: Ring-buffer length for recurrence detection.
+#: Recurrence window: the newest entries a period's recurrence scan compares.
 RING = 64
 #: Tolerance for declaring two states (or increments) recurrent.
 RECUR_TOL = 1e-9
@@ -62,14 +65,22 @@ WINDOW = 3
 DIVERGENCE_CAP = 1e9
 #: Probe rows, (record, sample) pairs, advanced together, and samples drawn
 #: at a time. Bounds the probe's memory whatever the sample and record
-#: counts: a ring of 4 * RING * PROBE_BLOCK * n floats.
+#: counts: a history of 4 * RING * PROBE_BLOCK * n floats.
 PROBE_BLOCK = 128
+#: Periods of a stack's first block, and most periods of any block: the
+#: stopping rules take each block in one pass.
+_FIRST_BLOCK = 8
+_BLOCK = 32
+#: Most elements of one temporary of a block's recurrence scan, 2 k n
+#: (RING - 2) per period of k rows of n agents: it caps the block length.
+_SCAN_BUDGET = 1 << 16
 #: Most periods of one probe run: the ``stability`` command's budget and
 #: the default of :func:`probe_stability`.
 PROBE_MAX_ITER = 20_000
 #: Most probe runs, uncertified records times samples, one probe call may
 #: start. On 2^10 records of 10 agents with 100 samples each, `stability`
-#: takes 22 s when every record runs; a certified record runs none.
+#: takes about 15 s on a 2-vCPU VM when every record runs; a certified
+#: record runs none.
 _MAX_PROBE_RUNS = 1 << 17
 
 
@@ -165,14 +176,14 @@ def _varying(hist: np.ndarray, tol: float) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(span > tol))
 
 
-def _recurrence(win: np.ndarray) -> Optional[np.ndarray]:
-    """Per row, the smallest lag >= 2 at which the newest entry of ``win``
-    repeats (0 where none does), or None when it repeats in no row.
+def _lags(win: np.ndarray) -> Optional[np.ndarray]:
+    """Per row and period, the smallest lag >= 2 at which the newest entry
+    of ``win`` repeats (0 where none does), or None when it repeats nowhere.
 
-    ``win`` holds up to ``RING`` entries per row and agent, oldest first
-    along the last axis: (k, n, m). An entry holding NaN never matches.
-    A true cycle of this piecewise-linear map is hit exactly once the
-    transient dies, so its recurrence defect sits many orders below the
+    ``win`` is (rows, n, periods, m): each period's window of its m <=
+    ``RING`` newest entries, oldest first. An entry holding NaN never
+    matches. A true cycle of this piecewise-linear map is hit exactly once
+    the transient dies, so its recurrence defect sits many orders below the
     cycle amplitude. A geometrically decaying tail also produces small lag
     differences (alternating modes shrink them below any absolute tolerance
     while still converging), but there the defect stays a fixed FRACTION of
@@ -180,68 +191,38 @@ def _recurrence(win: np.ndarray) -> Optional[np.ndarray]:
     ``RECUR_TOL`` absolutely and a millionth of the window span, and the
     window itself must not be flat (that would be convergence).
     """
-    m = win.shape[2]
-    if m < 3:
+    count, _, size, m = win.shape
+    # Column j of the (rows, periods, m - 2) tables below is lag j + 2. A lag
+    # is near only where each agent's entries are; one agent per row, the
+    # one that moved most into the newest entry, screens them first.
+    probe = np.abs(win[:, :, -1, -1] - win[:, :, -1, -2]).argmax(axis=1)
+    one = win[np.arange(count), probe]
+    rows, periods, cols = np.nonzero(np.abs(one[..., -3::-1] - one[..., -1:]) <= RECUR_TOL)
+    if not len(rows):
         return None
-    # Column j of the (k, m - 2) tables below is lag j + 2.
-    defect = np.abs(win[:, :, :-2] - win[:, :, -1:]).max(axis=1)[:, ::-1]
-    near = defect <= RECUR_TOL
+    gap = np.abs(win[rows, :, periods, m - 3 - cols] - win[rows, :, periods, m - 1]).max(axis=1)
+    near = np.zeros((count, size, m - 2), dtype=bool)
+    near[rows, periods, cols] = gap <= RECUR_TOL
     if not np.count_nonzero(near):
         return None
-    k = len(near)
-    rows = np.flatnonzero(near.any(axis=1))
-    if len(rows) < k:
-        win, defect, near = win[rows], defect[rows], near[rows]
-    # Lag j's window is the j newest entries, so no window reaches past the
-    # m - 1 newest: when those are flat in every row, no lag passes the span
-    # test. Their running extremes, newest first, give every window's span.
-    back = win[:, :, :0:-1]
-    if (back.max(axis=2) - back.min(axis=2)).max() <= RECUR_TOL:
-        return None
+    defect = np.zeros((count, size, m - 2))
+    defect[rows, periods, cols] = gap
+    rows, periods = np.nonzero(near.any(axis=2))
+    # Lag j's window is the j newest entries, so no lag past the longest
+    # near one needs more. Their running extremes, newest first, give every
+    # window's span.
+    longest = int(np.flatnonzero(near.any(axis=(0, 1)))[-1]) + 2
+    back = win[rows, :, periods, : -longest - 1 : -1]
     span = np.maximum.accumulate(back, axis=2) - np.minimum.accumulate(back, axis=2)
     span = span.max(axis=1)[:, 1:]
-    ok = near & (span > RECUR_TOL) & (defect <= 1e-6 * span)
+    defect = defect[rows, periods, : longest - 1]
+    ok = near[rows, periods, : longest - 1] & (span > RECUR_TOL) & (defect <= 1e-6 * span)
     found = ok.any(axis=1)
     if not np.count_nonzero(found):
         return None
-    lags = np.zeros(k, dtype=int)
-    lags[rows[found]] = ok[found].argmax(axis=1) + 2
+    lags = np.zeros(win.shape[::2], dtype=int)
+    lags[rows[found], periods[found]] = ok[found].argmax(axis=1) + 2
     return lags
-
-
-class _Ring:
-    """The last ``RING`` states and increments of a (k, n) stack.
-
-    The buffer is (2k, n, 2 * RING): rows [0, k) hold the states, rows
-    [k, 2k) the increments that led to them, so one recurrence scan covers
-    both, and periods run along the last axis. Each entry is stored twice,
-    RING slots apart, so the newest ``m`` entries always sit contiguously,
-    oldest first.
-    """
-
-    def __init__(self, x0: np.ndarray):
-        k, n = x0.shape
-        self.buf = np.empty((2 * k, n, 2 * RING))
-        # The first state has no increment: NaN never matches, as if the
-        # increment window were one entry shorter.
-        self.buf[:k, :, 0] = self.buf[:k, :, RING] = x0
-        self.buf[k:, :, 0] = self.buf[k:, :, RING] = np.nan
-        self.count = 1
-
-    def push(self, state: np.ndarray, incr: np.ndarray) -> None:
-        i = self.count % RING
-        k = len(state)
-        self.buf[:k, :, i] = self.buf[:k, :, i + RING] = state
-        self.buf[k:, :, i] = self.buf[k:, :, i + RING] = incr
-        self.count += 1
-
-    def last(self, m: int = RING) -> np.ndarray:
-        m = min(m, self.count)
-        end = (self.count - 1) % RING + RING + 1
-        return self.buf[:, :, end - m : end]
-
-    def keep(self, rows: np.ndarray) -> None:
-        self.buf = self.buf[np.concatenate((rows, rows))]
 
 
 @dataclass(frozen=True)
@@ -254,19 +235,47 @@ class _Runs:
     final: np.ndarray  # last conjectures, (k, n)
 
 
-def _advance(spec, x0, tol, max_iter, window, on_step=None) -> _Runs:
+def _settling(change, quiet, tol, window) -> float:
+    """Periods until every row meets the quiet rule if its sup-norm change
+    keeps shrinking by the ratio of its last two, ``change`` (k, periods)
+    and the rows' quiet runs ``quiet``: inf when a moving row's change does
+    not shrink or a block is one period."""
+    c = change[:, -1]
+    calm = c < tol
+    need = np.where(calm, window - quiet, np.inf)
+    if change.shape[1] > 1:
+        c0 = change[:, -2]
+        shrink = ~calm & (c <= 0.999 * c0)
+        c, c0 = c[shrink], c0[shrink]
+        need[shrink] = np.floor((np.log(tol) - np.log(c)) / np.log(c / c0)) + window
+    return need.max()
+
+
+def _advance(spec, x0, tol, max_iter, window, on_block=None) -> _Runs:
     """Run the dynamics from every row of ``x0`` (k, n) at once.
 
-    Each period advances all live rows with one :func:`_step` call, warns
-    once if any action presses its cap, and then applies the stopping rules
-    row by row, in order: ``window`` consecutive sup-norm changes below
+    The live stack steps a block of periods, one :func:`_step` call each,
+    and then applies the stopping rules to the whole block in one pass, per
+    row and period in order: ``window`` consecutive sup-norm changes below
     ``tol`` (converged); an action or conjecture beyond ``DIVERGENCE_CAP``
     in magnitude (diverged); the same state recurrence, or else increment
     recurrence while the state still moves, found in two consecutive
-    periods (oscillating). A row leaves the stack the period it stops; rows
-    live after ``max_iter`` periods are max-iter. ``on_step(t, actions,
-    payoffs, conjectures_next, capped, clamped)`` sees every step of the
-    live stack, the last two as masks.
+    periods (oscillating). A row stops at its first such period and leaves
+    the stack after the block; rows live after ``max_iter`` periods are
+    max-iter. Periods a row steps past its stop leave no trace: they warn
+    of no cap and reach no caller.
+
+    The first block is ``_FIRST_BLOCK`` periods. Each later one is at most
+    twice the last and ``_BLOCK`` long, and no longer than the slowest row
+    needs to settle at its latest rate (:func:`_settling`), so a converging
+    run steps few periods past its stop. Where the game's bounds or
+    intercepts would let a run diverge or overflow, blocks are one period;
+    a block is also cut to keep the recurrence scan's temporaries within
+    ``_SCAN_BUDGET`` elements, one period at least.
+
+    ``on_block(t, actions, payoffs, conjectures_next, capped, clamped)``
+    sees each block from its first period ``t`` up to the period its last
+    row stops, as (periods, k, n) stacks, the last two as masks.
     """
     k, n = x0.shape
     classification = ["max-iter"] * k
@@ -275,86 +284,128 @@ def _advance(spec, x0, tol, max_iter, window, on_step=None) -> _Runs:
     final = x0.copy()
     cap_at = spec.a_max - CAP_WARN_MARGIN
     # Actions stay in [0, a_max] and conjectures in [x_lo, x_hi]: when those
-    # bounds are within the cap no run can diverge.
-    can_diverge = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max()) > DIVERGENCE_CAP
+    # bounds are within the cap no run can diverge. When alpha is within it
+    # too, no period a row steps past its stop can overflow.
+    bound = max(spec.a_max.max(), -spec.x_lo.min(), spec.x_hi.max())
+    can_diverge = bound > DIVERGENCE_CAP
+    longest = 1 if max(bound, np.abs(spec.alpha).max()) > DIVERGENCE_CAP else _BLOCK
 
     live = np.arange(k)
-    xh = x0.copy()
-    ring = _Ring(xh)
+    xh = x0
+    # States in rows [0, k) and the increments that led to them in rows
+    # [k, 2k), periods along the last axis; column ``end`` takes the next
+    # state, and the RING - 1 columns before it hold the preceding entries,
+    # NaN before x0 and in x0's own increment: NaN never matches.
+    hist = np.full((2 * k, n, 2 * RING), np.nan)
+    end = RING - 1
+    hist[:k, :, end - 1] = x0
     quiet = np.zeros(k, dtype=int)
-    # Pending recurrence per row: +lag for a state recurrence, -lag for an
-    # increment one, 0 for none, and how many consecutive periods found it.
-    code = np.zeros(k, dtype=int)
-    seen = np.zeros(k, dtype=int)
+    # Recurrence hit of each row's latest period: +lag for a state
+    # recurrence, -lag for an increment one, 0 for none.
+    last = np.zeros(k, dtype=int)
 
-    for t in range(max_iter):
-        a, m, new, capped, clamped = _step(spec, xh, cap_at)
-        if np.count_nonzero(capped):
-            _warn_cap(capped, stacklevel=1)
-        if on_step is not None:
-            on_step(t, a, m, new, capped, clamped)
-        incr = new - xh
+    t = 0
+    size = min(_FIRST_BLOCK, longest)
+    while t < max_iter:
+        k = len(live)
+        size = min(size, max_iter - t, max(1, _SCAN_BUDGET // (2 * k * n * RING)))
+        if end + size > hist.shape[2]:
+            hist[:, :, : RING - 1] = hist[:, :, end - RING + 1 : end]
+            end = RING - 1
+        acts, pays, states = np.empty((3, size, k, n))
+        caps, clamps = np.empty((2, size, k, n), dtype=bool)
+        for p in range(size):
+            acts[p], pays[p], states[p], caps[p], clamps[p] = _step(spec, xh, cap_at)
+            xh = states[p]
+        new = hist[:k, :, end : end + size]
+        new[...] = states.transpose(1, 2, 0)
+        incr = hist[k:, :, end : end + size]
+        np.subtract(new, hist[:k, :, end - 1 : end + size - 1], out=incr)
         change = np.abs(incr).max(axis=1)
-        xh = new
-        ring.push(new, incr)
-
         moving = change >= tol
-        quiet += 1
-        quiet[moving] = 0
-        converged = quiet >= window
+
+        idx = np.arange(size)
+        if np.count_nonzero(moving) == moving.size:
+            quiet = np.zeros(k, dtype=int)
+            converged = np.zeros((k, size), dtype=bool)
+        else:
+            # The quiet run ending at each period, continued from the last block.
+            mark = np.maximum.accumulate(np.where(moving, idx, -1), axis=1)
+            run = np.where(mark >= 0, idx - mark, quiet[:, None] + idx + 1)
+            quiet = run[:, -1]
+            converged = run >= window
         stop = converged
         diverged = None
         if can_diverge:
             diverged = ~converged & (
-                (np.abs(a).max(axis=1) > DIVERGENCE_CAP)
+                (np.abs(acts).max(axis=2).T > DIVERGENCE_CAP)
                 | (np.abs(new).max(axis=1) > DIVERGENCE_CAP)
             )
             stop = stop | diverged
-        stopping = np.count_nonzero(stop)
-
-        # Rows stopping anyway need no recurrence test; a frozen state (change
-        # below tol) has no increment pattern, so without a moving row the
-        # scan covers the states alone.
-        live_k = len(live)
-        if stopping < live_k:
-            win = ring.last()
-            lags = _recurrence(win if np.count_nonzero(moving) else win[:live_k])
+        # Rows stopping at the block's first period anyway need no recurrence
+        # test; a frozen state (change below tol) has no increment pattern,
+        # so without a moving row the scan covers the states alone.
+        hit = None
+        if np.count_nonzero(stop[:, 0]) < k:
+            scanned = 2 * k if np.count_nonzero(moving) else k
+            # The last period's window needs no entry before x0: t + size + 1.
+            width = min(RING, t + size + 1)
+            # Window p of row r is hist[r, :, end + p - width + 1 : end + p + 1];
+            # a view made by hand, without sliding_window_view's overhead.
+            s0, s1, s2 = hist.strides
+            win = np.ndarray((scanned, n, size, width), hist.dtype, hist,
+                             (end - width + 1) * s2, (s0, s1, s2, s2))
+            lags = _lags(win)
             if lags is not None:
-                hit = lags[:live_k]
-                if len(lags) > live_k:
-                    hit = np.where(hit > 0, hit, np.where(moving, -lags[live_k:], 0))
-                seen = (np.where(hit == code, seen, 0) + 1) * (hit != 0)
-                code = hit
-                stop = stop | (seen >= 2)
-                stopping = np.count_nonzero(stop)
+                hit = lags[:k]
+                if scanned > k:
+                    hit = np.where(hit > 0, hit, np.where(moving, -lags[k:], 0))
+                # Two consecutive periods with the same hit confirm it.
+                before = np.concatenate((last[:, None], hit[:, :-1]), axis=1)
+                stop = stop | ((hit != 0) & (hit == before))
+                last = hit[:, -1]
             else:
-                seen.fill(0)
+                last = np.zeros(k, dtype=int)
 
-        if not stopping:
-            continue
-        for r in np.flatnonzero(stop):
-            row = int(live[r])
-            steps[row] = t + 1
-            final[row] = xh[r]
-            if converged[r]:
-                classification[row] = "converged"
-            elif diverged is not None and diverged[r]:
-                classification[row] = "diverged"
-            else:
-                classification[row] = "oscillating"
-                period = abs(int(code[r]))
-                is_state = code[r] > 0
-                oscillation[row] = (
-                    "state" if is_state else "increment",
-                    period,
-                    _varying(ring.last(period)[r if is_state else live_k + r], RECUR_TOL),
-                )
-        if stopping == live_k:
-            break
-        keep = ~stop
-        live, xh, quiet = live[keep], xh[keep], quiet[keep]
-        code, seen = code[keep], seen[keep]
-        ring.keep(keep)
+        done = stop.any(axis=1)
+        stopping = np.count_nonzero(done)
+        first = np.where(done, stop.argmax(axis=1), size)
+        if np.count_nonzero(caps):
+            pressed = caps & (idx[:, None] <= first)[:, :, None]
+            for p in np.flatnonzero(pressed.any(axis=(1, 2))).tolist():
+                _warn_cap(pressed[p], stacklevel=1)
+        if on_block is not None:
+            shown = min(size, int(first.max()) + 1)
+            on_block(t, acts[:shown], pays[:shown], states[:shown], caps[:shown],
+                     clamps[:shown])
+        if stopping:
+            for r in np.flatnonzero(done).tolist():
+                p = int(first[r])
+                row = int(live[r])
+                steps[row] = t + p + 1
+                final[row] = states[p, r]
+                if converged[r, p]:
+                    classification[row] = "converged"
+                elif diverged is not None and diverged[r, p]:
+                    classification[row] = "diverged"
+                else:
+                    classification[row] = "oscillating"
+                    code = int(hit[r, p])
+                    period = abs(code)
+                    cycle = win[r if code > 0 else k + r, :, p, -period:]
+                    oscillation[row] = ("state" if code > 0 else "increment", period,
+                                        _varying(cycle, RECUR_TOL))
+            if stopping == k:
+                break
+            keep = ~done
+            live, xh, quiet, last = live[keep], xh[keep], quiet[keep], last[keep]
+            change = change[keep]
+            hist = hist[np.concatenate((keep, keep))]
+        end += size
+        t += size
+        # Each block is at most twice as long as the last, and no longer
+        # than the slowest row needs to settle at its latest rate.
+        size = int(min(2 * size, longest, _settling(change, quiet, tol, window)))
     else:  # rows still live after max_iter periods
         final[live] = xh
 
@@ -377,6 +428,8 @@ def run_learning(
     ``DIVERGENCE_CAP`` in magnitude (diverged); a state recurring within the
     last 64 periods, or a conjecture increment recurring while the state
     drifts (oscillating, smallest period at least 2); ``max_iter`` periods.
+    The run advances in blocks of periods; the trajectory, events and cap
+    warnings end at the period it stops.
 
     The limit record of a converged run keeps the trajectory's own final
     conjectures as witnesses, so frozen beliefs of agents who dropped out
@@ -384,8 +437,7 @@ def run_learning(
     ``max(1e-9, 100 * tol)`` to absorb the stopping slack.
     """
     _check_stopping(tol, max_iter)
-    if window < 1:
-        raise UsageError("window must be at least 1")
+    _check_count(window, "window")
     xh = np.asarray(initial, dtype=float).copy()
     _check_agents(spec, **{"initial conjectures": xh})
     outside = (xh < spec.x_lo - _RANGE_SLACK) | (xh > spec.x_hi + _RANGE_SLACK)
@@ -395,18 +447,16 @@ def run_learning(
             f"initial conjecture for agent {i} lies outside its admissible range"
         )
 
-    conj_hist = [xh]
-    act_hist, pay_hist = [], []
+    conj_hist, act_hist, pay_hist = [xh[None]], [], []
     clamp_events, cap_events = [], []
 
     def record(t, a, m, new, capped, clamped):
-        act_hist.append(a[0])
-        pay_hist.append(m[0])
-        conj_hist.append(new[0])
-        if np.count_nonzero(clamped):
-            clamp_events.extend((t, i) for i in np.flatnonzero(clamped).tolist())
-        if np.count_nonzero(capped):
-            cap_events.extend((t, i) for i in np.flatnonzero(capped).tolist())
+        act_hist.append(a[:, 0])
+        pay_hist.append(m[:, 0])
+        conj_hist.append(new[:, 0])
+        for events, mask in ((clamp_events, clamped), (cap_events, capped)):
+            periods, agents = np.nonzero(mask[:, 0])
+            events.extend(zip((periods + t).tolist(), agents.tolist()))
 
     runs = _advance(spec, xh[None], tol, max_iter, window, record)
     classification = runs.classification[0]
@@ -426,9 +476,9 @@ def run_learning(
         limit_is_sce = is_sce(spec, a_inf, final, tol=max(1e-9, 100 * tol)).ok
 
     return Trajectory(
-        conjectures=np.asarray(conj_hist),
-        actions=np.asarray(act_hist),
-        payoffs=np.asarray(pay_hist),
+        conjectures=np.concatenate(conj_hist),
+        actions=np.concatenate(act_hist),
+        payoffs=np.concatenate(pay_hist),
         classification=classification,
         period=period,
         period_kind=period_kind,
@@ -659,11 +709,13 @@ def _probe(spec, records, epsilon, samples, seed, tol, max_iter) -> list:
     probe_stability gives sample k of record r alone. A chunk's rows run
     record-major in blocks of at most ``PROBE_BLOCK`` rows, one
     :func:`_advance` call each, so a block's runs stop at nearly the same
-    period. Raises before any draw when the uncertified records times
-    samples exceed ``_MAX_PROBE_RUNS``.
+    period. Raises before the certificate when ``samples`` is not an
+    integer of at least 1 or ``seed`` one of at least 0, and before any
+    draw when the uncertified records times samples exceed
+    ``_MAX_PROBE_RUNS``.
     """
-    if samples < 1:
-        raise UsageError("probe needs at least one sample")
+    _check_count(samples, "samples")
+    _check_count(seed, "seed", 0)
     # The draws span [-epsilon, epsilon], whose width must be finite too.
     if not (epsilon > 0 and np.isfinite(2 * epsilon)):
         raise UsageError("epsilon must be positive, and 2 * epsilon finite")

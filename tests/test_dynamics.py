@@ -942,6 +942,223 @@ def test_small_cycles_are_caught_like_reference_loop():
     assert kinds == {"state", "increment"}
 
 
+# --------------------------------------------------------- block boundaries
+
+
+def _assert_same_run(game, x0, **kw):
+    """``run_learning`` against ``reference_run_learning``, bit for bit, and
+    its warnings: one ``CapBindingWarning`` per capped period of the
+    reference run, naming that period's agents, and nothing else (no
+    floating-point warning either). Returns the reference run."""
+    ref = reference_run_learning(game, x0, **kw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = run_learning(game, np.asarray(x0, dtype=float), **kw)
+    for name in ("classification", "period", "period_kind", "cycle_agents", "steps",
+                 "limit_is_sce", "clamp_events", "cap_events"):
+        assert getattr(new, name) == ref[name], (name, kw)
+    for name in ("conjectures", "actions", "payoffs"):
+        assert getattr(new, name).shape == ref[name].shape, (name, kw)
+        assert getattr(new, name).tobytes() == ref[name].tobytes(), (name, kw)
+    if ref["limit"] is None:
+        assert new.limit is None
+    else:
+        assert new.limit.actions.tobytes() == ref["limit"].actions.tobytes()
+        assert new.limit.conjectures.tobytes() == ref["limit"].conjectures.tobytes()
+    by_period = {}
+    for t, i in ref["cap_events"]:
+        by_period.setdefault(t, []).append(i)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (CapBindingWarning, _cap_message(agents)) for _, agents in sorted(by_period.items())]
+    return ref
+
+
+def _late_cycles(kind, count=8):
+    """Games whose cycle is confirmed at ``count`` consecutive periods: a
+    two-agent cycle (kind "state") or the drifting ``ADJ4`` head of the
+    battery (kind "increment"), beside a decoupled pair that decays by half
+    a period from d = 2.5e-3 / 2^j, j = 3, 4, ...; the recurrence holds
+    only once the pair has settled within ``RECUR_TOL``."""
+    if kind == "state":
+        head, x_head, a_head = -(np.ones((2, 2)) - np.eye(2)), [-0.3, -0.3], [1.0, 1.0]
+    else:
+        head, x_head, a_head = 1.0 * ADJ4, [0.01, 0.02, 0.03, 0.04], [0.1] * 4
+    m = len(head)
+    z = np.zeros((m + 2, m + 2))
+    z[:m, :m] = head
+    z[m:, m:] = [[0.0, 0.5], [0.5, 0.0]]
+    game = make_game(WeightedNetwork(z=z), alpha=a_head + [0.1, 0.1])
+    # x = 0.5 (0.1 + x) is the pair's rest point
+    return [(game, np.concatenate([x_head, 0.1 + 2.5e-3 * 2.0 ** -j * np.array([1.0, -1.0])]))
+            for j in range(3, 3 + count)]
+
+
+def test_stopping_rules_fire_at_every_offset_of_a_block(monkeypatch):
+    """With blocks of B = ``_FIRST_BLOCK`` periods, every stopping rule
+    fires at every offset of a block, each run bit for bit like the scalar
+    loop. ``max_iter`` sweeps 1..3B+1 and ``window`` 1..4 on battery games
+    that converge at assorted periods, cycle, drift, clamp and press the
+    cap, so quiet runs and cap warnings cross block edges; the late cycles
+    are confirmed at every offset, offset 0 with the first of their two
+    periods in the previous block. Two diverging games, one stopped by the
+    budget, step one period a block."""
+    from netsce import learning
+
+    block = learning._FIRST_BLOCK
+    monkeypatch.setattr(learning, "_BLOCK", block)
+    monkeypatch.setattr(learning, "_settling", lambda *args: np.inf)
+    two = WeightedNetwork(z=np.array([[0.0, 2.0], [2.0, 0.0]]))
+    fast = make_game(two, alpha=1.0, a_max=1e12, x_lo=-4e12, x_hi=4e12)
+    swept = [BATTERY[i][:2] for i in (0, 1, 2, 5, 6, 8, 17, 38, 44, 45)] + [(fast, [1e6, 1e6])]
+    offsets = {}
+    for cases, windows, budgets in (
+        (swept, range(1, 5), range(1, 3 * block + 2)),
+        (_late_cycles("state") + _late_cycles("increment"), (3,), (3 * block + 1,)),
+        ([BATTERY[3][:2]], (3,), (100_000,)),
+    ):
+        for game, x0 in cases:
+            for window in windows:
+                for max_iter in budgets:
+                    ref = _assert_same_run(game, x0, max_iter=max_iter, window=window)
+                    rule = ref["classification"] + (f"-{ref['period_kind']}"
+                                                     if ref["period_kind"] else "")
+                    offsets.setdefault(rule, set()).add((ref["steps"] - 1) % block)
+    # a game that can diverge steps one period a block: no offset to sweep
+    assert offsets.pop("diverged")
+    assert offsets == {rule: set(range(block)) for rule in (
+        "converged", "max-iter", "oscillating-state", "oscillating-increment")}, offsets
+
+
+def test_cycles_at_the_longest_lag_of_the_window_are_caught():
+    """Cyclic shifts of 7 and 9 agents recur after lcm(7, 9) = 63 = RING - 1
+    periods, the longest lag the window holds: the states themselves with
+    alpha = 0, their increments while the states drift with alpha = 0.1."""
+    z = np.zeros((16, 16))
+    for first, size in ((0, 7), (7, 9)):
+        for i in range(size):
+            z[first + i, first + (i + 1) % size] = 1.0
+    x0 = np.random.default_rng(1).uniform(0.0, 0.3, 16)
+    assert RING - 1 == 63
+    for alpha, kind in ((0.0, "state"), (0.1, "increment")):
+        ref = _assert_same_run(make_game(WeightedNetwork(z=z), alpha=alpha), x0, max_iter=400)
+        assert (ref["classification"], ref["period_kind"], ref["period"]) == (
+            "oscillating", kind, RING - 1)
+
+
+def _fuzz_cases(count=400, seed=26):
+    """(game, start, stopping rule): contracting and drifting games,
+    near-complete negative graphs, games capped at 1e12 and games at 1e-6
+    scale, in turn. Drifting games are bipartite with nonnegative weights
+    at spectral radius 1 (eigenvalues 1 and -1), so increments recur while
+    the state drifts; negative ones are complete graphs less a matching,
+    regular at spectral radius 1, so states cycle; the capped ones have
+    spectral radius 1.1 to 2 and bounds past ``DIVERGENCE_CAP``. Starts are
+    drawn as the battery's are, nonnegative in drifting games and
+    nonpositive in negative ones so that agents start active."""
+    rng = np.random.default_rng(seed)
+    kinds = ("contracting", "drifting", "negative", "capped", "tiny")
+    cases = []
+    for g in range(count):
+        kind = kinds[g % len(kinds)]
+        n = int(rng.integers(2, 7))
+        alpha = rng.uniform(-0.2, 0.5, n)
+        bounds = {}
+        if kind in ("contracting", "tiny", "capped"):
+            z = rng.uniform(-1.0, 1.0, (n, n))
+            np.fill_diagonal(z, 0.0)
+            rho = rng.uniform(1.1, 2.0) if kind == "capped" else rng.uniform(0.3, 0.95)
+            z *= rho / spectral_radius(z)
+        if kind == "drifting":
+            m = n // 2
+            z = np.zeros((n, n))
+            z[:m, m:] = rng.uniform(0.5, 1.0, (m, n - m))
+            z[m:, :m] = rng.uniform(0.5, 1.0, (n - m, m))
+            z /= spectral_radius(z)
+            alpha = rng.uniform(0.05, 0.5, n)
+            bounds = dict(a_max=100.0)
+        elif kind == "negative":
+            z = 1.0 - np.eye(n)
+            pairs = rng.permutation(n)[: 2 * (n // 2 - 1)].reshape(-1, 2)
+            z[pairs[:, 0], pairs[:, 1]] = z[pairs[:, 1], pairs[:, 0]] = 0.0
+            z /= -spectral_radius(z)
+            alpha = np.full(n, rng.uniform(0.5, 1.5))
+            bounds = dict(a_max=1.5 * alpha)
+        elif kind == "capped":
+            bounds = dict(a_max=1e12, x_lo=2e12 * np.minimum(z, 0.0).sum(axis=1) - 1.0,
+                          x_hi=2e12 * np.maximum(z, 0.0).sum(axis=1) + 1.0)
+        elif kind == "tiny":
+            alpha *= 1e-6
+            bounds = dict(a_max=1e-6)
+        game = make_game(WeightedNetwork(z=z), alpha=alpha, **bounds)
+        x0 = rng.uniform(game.x_lo, game.x_hi) * rng.choice([1e-3, 0.1, 1.0])
+        if kind == "drifting":
+            x0 = np.abs(x0)
+        elif kind == "negative":
+            x0 = -np.abs(x0)
+        rule = dict(tol=float(rng.choice([1e-10, 1e-6, 1e-3])), window=int(rng.integers(1, 6)),
+                    max_iter=int(rng.choice([3, 10, 40, 200, 2000], p=[0.15, 0.2, 0.3, 0.25, 0.1])))
+        cases.append((game, x0, rule))
+    return cases
+
+
+def test_run_learning_matches_scalar_loop_on_seeded_fuzz():
+    """Seeded differential fuzz of ``run_learning`` against the scalar loop
+    at the default block schedule: bytes, events, limits and warnings."""
+    seen = set()
+    for game, x0, rule in _fuzz_cases():
+        ref = _assert_same_run(game, x0, **rule)
+        seen.add(ref["classification"] + (f"-{ref['period_kind']}" if ref["period_kind"] else ""))
+    assert seen == {"converged", "diverged", "oscillating-state", "oscillating-increment",
+                    "max-iter"}, seen
+
+
+def test_probe_stack_warns_only_for_rows_not_yet_stopped(monkeypatch):
+    """Each ``_advance`` call of a probe warns in each period with the
+    union of the capped agents of the rows still live in it, as its rows'
+    reference runs press the cap, and its statistics are the reference
+    probe's. In the capped game, rows of the record (0, 0, 0, 0.08) stop at
+    different periods of one block: one settles on the cap at period 6
+    while a row live after it presses the cap only from period 15, so a
+    stopped row's later presses cannot hide in a live row's."""
+    from netsce import learning
+
+    calls = []
+
+    def recording(spec, x0, *args):
+        calls.append(x0.copy())
+        return advance(spec, x0, *args)
+
+    advance = learning._advance
+    monkeypatch.setattr(learning, "_advance", recording)
+    game = make_game(WeightedNetwork(z=SIGNED4), **CAPPED4)
+    recs = enumerate_sce(game)[0]
+    hidden = 0
+    for group in ([recs[7]], recs[7:10]):
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _probe(game, group, 0.1, 12, 5, 1e-10, 2000)
+        expected = []
+        for x0 in calls:
+            refs = [reference_run_learning(game, row, max_iter=2000) for row in x0]
+            by_period = {}
+            for ref in refs:
+                for t, i in ref["cap_events"]:
+                    by_period.setdefault(t, set()).add(i)
+            expected += [_cap_message(agents) for _, agents in sorted(by_period.items())]
+            stops = [ref["steps"] for ref in refs]
+            for ref in refs:
+                last = {i for t, i in ref["cap_events"] if t == ref["steps"] - 1}
+                hidden += bool(last and max(stops) > ref["steps"] + 1
+                               and not last <= by_period.get(ref["steps"], set()))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (CapBindingWarning, message) for message in expected]
+        assert len(calls) == 1 and sum(map(len, calls)) == 12 * len(group)
+        assert [(e.return_fraction, e.belief_stay_fraction, e.nonconverged) for e in got] == [
+            reference_probe(game, rec, 0.1, 12, 5, max_iter=2000) for rec in group]
+    assert hidden
+
+
 # ----------------------------------------------------------- probe arguments
 
 
@@ -957,16 +1174,26 @@ def test_small_cycles_are_caught_like_reference_loop():
         {"tol": -1e-10},
         {"max_iter": 0},
         {"samples": 0},
+        {"samples": 2.5},
+        {"samples": "3"},
+        {"samples": None},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": None},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_probe_rejects_bad_arguments_before_any_run(positive_game, kwargs, monkeypatch):
+    """Bad arguments are usage errors before the certificate decides any
+    record, so a certified record and an uncertified one fail alike."""
     from netsce import learning
 
     def no_runs(*args, **kw):
         raise AssertionError("a run started before the arguments were checked")
 
     monkeypatch.setattr(learning, "_step", no_runs)
-    rec = enumerate_sce(positive_game)[0][0]
-    with pytest.raises(UsageError):
-        probe_stability(positive_game, rec, **kwargs)
+    monkeypatch.setattr(learning, "_certificate", no_runs)
+    knife2, edge = _probe_cases()[1][:2]
+    for game, rec in ((positive_game, enumerate_sce(positive_game)[0][0]), (knife2, edge)):
+        with pytest.raises(UsageError):
+            probe_stability(game, rec, **kwargs)

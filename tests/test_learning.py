@@ -153,6 +153,12 @@ def test_run_learning_validations(positive_game):
         {"max_iter": 2.5},
         {"max_iter": np.float64(3.0)},
         {"max_iter": None},
+        {"window": 0},
+        {"window": 2.5},
+        {"window": float("nan")},
+        {"window": np.float64(3.0)},
+        {"window": "3"},
+        {"window": None},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
@@ -163,7 +169,7 @@ def test_run_learning_checks_stopping_rule_before_any_step(positive_game, kwargs
         raise AssertionError("a step ran before the arguments were checked")
 
     monkeypatch.setattr(learning, "_step", no_steps)
-    with pytest.raises(UsageError, match="tol must be a finite|max_iter must be"):
+    with pytest.raises(UsageError, match="tol must be a finite|max_iter must be|window must be"):
         run_learning(positive_game, np.zeros(4), **kwargs)
 
 
