@@ -1000,8 +1000,8 @@ def test_stopping_rules_fire_at_every_offset_of_a_block(monkeypatch):
     that converge at assorted periods, cycle, drift, clamp and press the
     cap, so quiet runs and cap warnings cross block edges; the late cycles
     are confirmed at every offset, offset 0 with the first of their two
-    periods in the previous block. Two diverging games, one stopped by the
-    budget, step one period a block."""
+    periods in the previous block. Games that can diverge step one period
+    a block, so their stops have no offset to sweep."""
     from netsce import learning
 
     block = learning._FIRST_BLOCK
