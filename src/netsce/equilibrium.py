@@ -9,12 +9,12 @@ Candidate equilibria are found by active-set enumeration: for an active set
 K the interior first-order conditions are the linear system
 (I - Z_KK) a_K = alpha_K, and a candidate is kept when the solution is
 strictly positive, clears the action caps, and no agent outside K wants in.
-Supports travel as one index array per size, solved in stacked blocks; a
-block with an exactly singular member is halved until that member stands
-alone. The kept profiles come back as one stack, and every record is built
-from a stack by one function: one aggregate, one mask for the Nash test
-and one sort into bitmask order, whose frozen result each record views.
-A single profile is a stack of one. A Nash problem whose candidates
+Supports travel as one index array per size, in chunks of at most
+_SOLVE_BLOCK: one stacked solve per size in a chunk, halved around an
+exactly singular member, then one filter pass per chunk. One function
+builds every record from a stack (one aggregate, Nash mask and sort into
+bitmask order), and the records view its frozen rows, accepted as they
+are. A single profile is a stack of one. A Nash problem whose candidates
 provably contract (rho(|Z|) < 1, with margins) has one equilibrium, and a
 certificate decides all its supports from one solved support.
 """
@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import GameSpec, aggregate, justifiable_inactivity_set
+from .game import GameSpec, _check_tol, aggregate, justifiable_inactivity_set
 from .network import WeightedNetwork, _try_symmetrize, check_assumption, spectral_radius
 
 __all__ = [
@@ -60,8 +60,9 @@ _MAX_ENUM_BITS = 20
 #: A support solution whose residual exceeds this times max(1, |alpha_K|)
 #: is "inconsistent" (``_solve_block``'s guard, read by the certificate too).
 _RESIDUAL_GUARD = 1e-7
-#: Unit roundoff of float64.
+#: Unit roundoff of float64, and its dtype.
 _U = np.finfo(float).eps / 2
+_FLOAT = np.dtype(float)
 #: Supports solved per stacked LAPACK call (bounds the stack to a few MB).
 _SOLVE_BLOCK = 4096
 
@@ -90,7 +91,9 @@ class EquilibriumRecord:
     def __post_init__(self):
         for name in ("actions", "conjectures"):
             arr = getattr(self, name)
-            if not (type(arr) is np.ndarray and arr.dtype == np.float64 and _is_frozen(arr)):
+            # Frozen: over bytes, as ``_freeze``'s result and its views are.
+            if not (type(arr) is np.ndarray and arr.dtype is _FLOAT
+                    and type(getattr(arr.base, "base", arr.base)) is bytes):
                 object.__setattr__(self, name, _freeze(np.asarray(arr, dtype=float)))
 
     def __reduce__(self):
@@ -107,12 +110,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     """A copy of ``arr`` over an immutable ``bytes`` object: neither it nor
     any view of it can be made writable again."""
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
-
-
-def _is_frozen(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is ``_freeze``'s result or a view of it."""
-    owner = arr.base if isinstance(arr.base, np.ndarray) else arr
-    return type(owner.base) is bytes
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,16 @@ def _check_agents(spec: GameSpec, **arrays) -> None:
             raise UsageError(f"{name} have length {length}; the game has {spec.n} agents")
 
 
+def _agent_set(spec: GameSpec, entries: Iterable, name: str) -> frozenset:
+    """``entries`` as a frozenset; raise unless each is an agent index: an
+    int or np.integer, not a bool, in range(n)."""
+    entries = tuple(entries)
+    for i in entries:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < spec.n:
+            raise UsageError(f"{name} holds {i!r}: not an agent index in range({spec.n})")
+    return frozenset(entries)
+
+
 def make_record(
     spec: GameSpec,
     actions: np.ndarray,
@@ -157,12 +164,7 @@ def make_record(
     conjectures must hold one entry per agent.
     """
     _check_agents(spec, actions=actions, conjectures=conjectures)
-    declared = frozenset(declared_inactive)
-    for i in declared:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < spec.n:
-            raise UsageError(
-                f"declared_inactive holds {i!r}: not an agent index in range({spec.n})"
-            )
+    declared = _agent_set(spec, declared_inactive, "declared_inactive")
     acts = np.asarray(actions, dtype=float)[None]
     witnesses = None if conjectures is None else np.asarray(conjectures, dtype=float)[None]
     rec = _records(spec, acts, aggregate(spec, acts), declared, witnesses)[0]
@@ -239,41 +241,53 @@ def _solve_block(sub: np.ndarray, rhs: np.ndarray):
     return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
 
 
-def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
-    """Interior solutions on the sorted supports in the rows of ``runs``,
-    one (C, m) index array per size, each gathered once into blocks of at
-    most _SOLVE_BLOCK systems I - Z_KK, alpha_K and solved by
-    ``_solve_block``.
-
-    Returns (acts, diagnostics): the rows of ``acts`` (k, n) are the kept
-    profiles in support order. A solution is kept when strictly positive
-    (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN), so a kept row's
-    active set is exactly its support and it is 0 elsewhere. Singular
-    supports and cap-bound solutions, the only ones made frozensets, are
-    reported in the diagnostics.
-    """
-    stacks, singular, cap_hits = [np.zeros((0, spec.n))], [], []
-    examined = 0
+def _chunks(runs: Iterable[np.ndarray]):
+    """The rows of ``runs`` in order, as lists of row slices of at most
+    _SOLVE_BLOCK rows in all: a size may span chunks."""
+    chunk, room = [], _SOLVE_BLOCK
     for run in runs:
-        for start in range(0, len(run), _SOLVE_BLOCK):
-            idx = run[start : start + _SOLVE_BLOCK]
-            examined += len(idx)
-            sub = np.eye(idx.shape[1]) - spec.net.z[idx[:, :, None], idx[:, None, :]]
-            sol, bad, why = _solve_block(sub, spec.alpha[idx])
-            low = (sol <= ACTIVE_TOL).any(axis=1)
-            cap = (sol > spec.a_max[idx] - CAP_MARGIN).any(axis=1)
-            singular.extend(
-                (frozenset(idx[r].tolist()), w) for r, w in zip(np.flatnonzero(bad), why)
-            )
-            cap_hits.extend(frozenset(idx[r].tolist()) for r in np.flatnonzero(cap & ~low & ~bad))
-            kept = np.flatnonzero(~(bad | low | cap))
-            acts = np.zeros((len(kept), spec.n))
-            acts[np.arange(len(kept))[:, None], idx[kept]] = sol[kept]
-            stacks.append(acts)
-    diags = SolveDiagnostics(
-        examined=examined, singular=tuple(singular), cap_hits=tuple(cap_hits)
-    )
-    return np.concatenate(stacks), diags
+        while len(run):
+            chunk.append(run[:room])
+            run, room = run[room:], room - len(chunk[-1])
+            if not room:
+                yield chunk
+                chunk, room = [], _SOLVE_BLOCK
+    if chunk:
+        yield chunk
+
+
+def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
+    """Interior solutions on the sorted supports in the rows of ``runs``
+    (one (C, m) index array per size), in ``_chunks``: per size in a chunk
+    ``_solve_block`` solves the gathered I - Z_KK, alpha_K, then one pass
+    per chunk scatters a profile stack and support mask and keeps the rows
+    strictly positive (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN).
+
+    Returns (acts, diagnostics): the kept profiles (k, n) in support order,
+    each active exactly on its support and 0 elsewhere, and the singular
+    and cap-bound supports, the only ones made frozensets.
+    """
+    n, z, top = spec.n, spec.net.z, spec.a_max - CAP_MARGIN
+    stacks, singular, cap_hits, examined = [np.zeros((0, n))], [], [], 0
+    for chunk in _chunks(runs):
+        sols, bads, whys = zip(*(
+            _solve_block(np.eye(k.shape[1]) - z[k[:, :, None], k[:, None, :]], spec.alpha[k])
+            for k in chunk
+        ))
+        bad = np.concatenate(bads)
+        examined += len(bad)
+        # Supports are sorted, so row r's solution fills its row of ``on`` in order.
+        width = np.repeat([k.shape[1] for k in chunk], [len(k) for k in chunk])
+        acts, on = np.zeros((len(bad), n)), np.zeros((len(bad), n), dtype=bool)
+        on[np.repeat(np.arange(len(bad)), width), np.concatenate(chunk, axis=None)] = True
+        acts[on] = np.concatenate(sols, axis=None)
+        low = ((acts <= ACTIVE_TOL) & on).any(axis=1)
+        cap = ((acts > top) & on).any(axis=1)
+        support = lambda r: frozenset(np.flatnonzero(on[r]).tolist())
+        singular += zip(map(support, np.flatnonzero(bad)), itertools.chain(*whys))
+        cap_hits += map(support, np.flatnonzero(cap & ~low & ~bad))
+        stacks.append(acts[~(bad | low | cap)])
+    return np.concatenate(stacks), SolveDiagnostics(examined, tuple(singular), tuple(cap_hits))
 
 
 def _records(
@@ -290,9 +304,8 @@ def _records(
     alpha_i + x_i is at most BOUNDARY_TOL. Row r of a stacked ``aggregate``
     equals the product for that row alone, so a record does not depend on
     its stack. Without ``witnesses``, ``x`` is overwritten.
-    Both stacks are sorted and frozen by one ``_freeze`` each, and each
-    record holds row views of them: a record keeps its call's records'
-    rows alive.
+    Both stacks are sorted and frozen by one ``_freeze`` each; a record
+    holds row views of them, so it keeps its call's records' rows alive.
     """
     active = acts > ACTIVE_TOL
     is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
@@ -310,19 +323,13 @@ def _records(
     acts, x = _freeze(acts[order]), _freeze(witnesses[order])
     agents = range(spec.n)
     everyone = frozenset(agents)
-    records = []
-    for a, xr, mask, ne in zip(acts, x, active[order].tolist(), is_ne[order].tolist()):
-        on = frozenset(itertools.compress(agents, mask))
-        records.append(
-            EquilibriumRecord(
-                actions=a,
-                conjectures=xr,
-                active_set=on,
-                declared_inactive=everyone - on if declared is None else declared,
-                kind="NE" if ne else "SCE-non-NE",
-            )
+    return [
+        EquilibriumRecord(
+            a, xr, on := frozenset(itertools.compress(agents, mask)),
+            everyone - on if declared is None else declared, "NE" if ne else "SCE-non-NE",
         )
-    return records
+        for a, xr, mask, ne in zip(acts, x, active[order].tolist(), is_ne[order].tolist())
+    ]
 
 
 def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
@@ -452,12 +459,10 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     equilibrium that enumeration would keep alone, with no singular or
     cap-bound support, that one support is solved instead of all of them;
     the result is the same, and ``diagnostics.certified`` says which path
-    ran.
+    ran. A candidate that is not an agent index (an int or np.integer, not
+    a bool, in range(n)) raises before any solve.
     """
-    j = sorted(set(int(i) for i in candidates))
-    for i in j:
-        if not 0 <= i < spec.n:
-            raise UsageError(f"agent index {i} out of range")
+    j = sorted(map(int, _agent_set(spec, candidates, "candidates")))
     runs = _subset_runs(j)  # raises past the enumeration limit, before any solve
     found = _certified_ne(spec, j)
     if found is not None:
@@ -502,13 +507,15 @@ class SceCheck:
 
 
 def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
-    """Check subjective rationality and confirmation at a profile.
+    """Check subjective rationality and confirmation at a profile, to within
+    ``tol``: a finite real >= 0, where 0 asks for an exact test.
 
     Violations are reported per agent: "range" (action or conjecture out of
     bounds), "rationality" (action is not the best reply to the conjecture),
     "confirmation" (an active agent's conjecture differs from its true
     aggregate).
     """
+    _check_tol(tol)
     _check_agents(spec, actions=actions, conjectures=conjectures)
     a = np.asarray(actions, dtype=float)
     xh = np.asarray(conjectures, dtype=float)

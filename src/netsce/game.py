@@ -71,6 +71,13 @@ def _check_stopping(tol, max_iter) -> None:
     _check_count(max_iter, "max_iter")
 
 
+def _check_tol(tol) -> None:
+    """Reject a test tolerance that is not a finite real scalar >= 0 (0 asks
+    for an exact test); shared by the pointwise equilibrium checks."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tol must be a finite number >= 0, not {tol!r}")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A fully specified game: network, intercepts, caps, conjecture ranges.

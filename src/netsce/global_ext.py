@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .equilibrium import SceCheck, _check_agents, _violations
-from .game import _RANGE_SLACK, GameSpec, _check_stopping, _vec, aggregate
+from .game import _RANGE_SLACK, GameSpec, _check_stopping, _check_tol, _vec, aggregate
 from .network import WeightedNetwork
 
 __all__ = [
@@ -127,13 +127,15 @@ class GlobalConjecture:
 def check_global_sce(
     g: GlobalGameSpec, actions, conjecture: GlobalConjecture, tol: float = 1e-9
 ) -> SceCheck:
-    """Selfconfirming test with the two-channel conjecture.
+    """Selfconfirming test with the two-channel conjecture, to within
+    ``tol`` (a finite real >= 0; 0 asks for an exact test).
 
     Active agents must best-respond to x_hat and believe a payoff equal to
     the realized one, which pins y_hat = y + a (x - x_hat). Inactive agents
     observe exactly y (their network term vanishes), so y_hat must equal y
     and x_hat must justify staying out.
     """
+    _check_tol(tol)
     _check_agents(g.base, actions=actions, x_hat=conjecture.x_hat, y_hat=conjecture.y_hat)
     a = np.asarray(actions, dtype=float)
     xh = np.asarray(conjecture.x_hat, dtype=float)

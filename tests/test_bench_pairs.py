@@ -1,0 +1,121 @@
+"""The summary of ``tools/bench_pairs.py`` on canned run.py output.
+
+The script's runs spawn ``perfbench/run.py``; its summary is a pure
+function of the kept results, checked here without any subprocess.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"ops_per_s": "higher", "op_ms_p50": "lower"}
+
+
+def _stdout(ops, p50, failed=0, correct=True, family_ms=1.0):
+    result = {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {
+            "ops_per_s": {"value": ops, "unit": "1/s"},
+            "op_ms_p50": {"value": p50, "unit": "ms"},
+        },
+    }
+    return "\n".join([
+        "workload=enumerate seed=1 size=full trace=0",
+        "op_ms_tail                                  5.1 ms  (p90 of 117 ops, median of 5 passes)",
+        f"  shipped: 5 ops, median {family_ms:.4g} ms",
+        f"  certified-n6: 10 ops, median {2 * family_ms:.4g} ms",
+        json.dumps(result),
+    ])
+
+
+def _runs(workload, values):
+    """Runs of ``workload`` from (pair, side, stdout) triples, as the
+    script keeps them."""
+    runs = []
+    for pair, side, stdout in values:
+        families, result = bench_pairs.parse_output(stdout)
+        runs.append({"workload": workload, "seed": 10 + pair, "side": side, "pair": pair,
+                     "exit": 0, "families": families, "result": result})
+    return runs
+
+
+def test_pairs_alternate_parent_first_on_even_indexes():
+    assert [bench_pairs.pair_order(p) for p in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_parse_output_keeps_the_last_line_and_the_family_lines():
+    families, result = bench_pairs.parse_output(_stdout(300.0, 2.5, family_ms=1.25))
+    assert families == "  shipped: 5 ops, median 1.25 ms;  certified-n6: 10 ops, median 2.5 ms;"
+    assert result["metrics"]["op_ms_p50"]["value"] == 2.5
+    assert bench_pairs.parse_output("perfbench: error: out of time\n") == ("", None)
+    assert bench_pairs.parse_output("") == ("", None)
+
+
+def test_summary_medians_quartiles_and_won_pairs():
+    parent = [(300.0, 2.6), (310.0, 2.5), (290.0, 2.7), (305.0, 2.4)]
+    change = [(350.0, 2.2), (340.0, 2.3), (280.0, 2.8), (360.0, 2.1)]
+    triples = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        sides = [("parent", p), ("change", c)]
+        for side, (ops, p50) in sides if pair % 2 == 0 else sides[::-1]:
+            triples.append((pair, side, _stdout(ops, p50)))
+    summary = bench_pairs.summarize(_runs("enumerate", triples), BETTER)
+    row = summary["enumerate"]
+    assert list(row) == ["ops_per_s", "op_ms_p50", "failed_ops", "all_correct"]
+    ops = row["ops_per_s"]
+    # parent 290, 300, 305, 310: median 302.5, quartiles 297.5 and 306.25
+    assert ops["parent_median"] == 302.5
+    assert ops["parent_q1_q3"] == [297.5, 306.25]
+    assert ops["parent_iqr"] == 8.75
+    # change 280, 340, 350, 360: median 345
+    assert ops["change_median"] == 345.0
+    assert ops["change_q1_q3"] == [325.0, 352.5]
+    assert ops["change_vs_parent"] == round(345.0 / 302.5 - 1.0, 4)
+    assert (ops["change_better_pairs"], ops["pairs"]) == (3, 4)
+    p50 = row["op_ms_p50"]
+    assert p50["parent_median"] == 2.55
+    assert p50["change_median"] == 2.25
+    # lower is better for the latency: three pairs won, one lost
+    assert (p50["change_better_pairs"], p50["pairs"]) == (3, 4)
+    assert row["failed_ops"] == {"parent": 0, "change": 0}
+    assert row["all_correct"] is True
+
+
+def test_summary_skips_broken_pairs_and_counts_failures():
+    triples = [
+        (0, "parent", _stdout(100.0, 5.0)),
+        (0, "change", _stdout(120.0, 4.0, failed=2, correct=False)),
+        (1, "change", _stdout(130.0, 3.0)),
+        (1, "parent", "perfbench: error: workload process exited with code 1"),
+    ]
+    runs = _runs("learn", triples) + _runs("global_sweep", [(0, "parent", _stdout(1.0, 1.0))])
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert list(summary) == ["learn", "global_sweep"]
+    learn = summary["learn"]
+    # pair 1 lacks the parent's result, so only pair 0 is compared
+    assert learn["ops_per_s"]["pairs"] == 1
+    assert learn["ops_per_s"]["parent_q1_q3"] == [100.0, 100.0]
+    assert learn["ops_per_s"]["change_better_pairs"] == 1
+    assert learn["op_ms_p50"]["change_vs_parent"] == -0.2
+    assert learn["failed_ops"] == {"parent": 0, "change": 2}
+    assert learn["all_correct"] is False
+    # a workload without a complete pair reports no metric
+    assert summary["global_sweep"] == {"failed_ops": {"parent": 0, "change": 0},
+                                       "all_correct": True}
+
+
+@pytest.mark.parametrize("text", ["enumerate", "enumerate:", "enumerate:0", ":3", "learn:x"])
+def test_workload_argument_needs_a_name_and_a_pair_count(text):
+    with pytest.raises(Exception, match="NAME:PAIRS"):
+        bench_pairs._workload_arg(text)
+    assert bench_pairs._workload_arg("learn:12") == ("learn", 12)

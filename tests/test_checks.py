@@ -6,9 +6,11 @@ masked checks must return the same violation tuples in the same order.
 """
 
 import numpy as np
+import pytest
 
 from netsce import (
     GlobalConjecture,
+    UsageError,
     WeightedNetwork,
     aggregate,
     check_global_sce,
@@ -123,3 +125,41 @@ def test_check_global_sce_matches_agent_loop():
     assert kinds >= {("range", True), ("range", False), ("rationality", True),
                      ("rationality", False), ("confirmation", True),
                      ("confirmation", False), ("ok", True)}, kinds
+
+
+# ------------------------------------------------------------ tolerance
+
+
+def _tol_cases():
+    """A 3-agent game and a = (5, -3, 0.7) with zero conjectures: out of
+    range and off the best reply, so no tolerance >= 0 passes it; the same
+    profile for the two-channel check."""
+    z = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.3], [0.1, 0.3, 0.0]])
+    spec = make_game(WeightedNetwork(z=z), alpha=0.1, a_max=1.0)
+    g = make_global_game(spec, 0.05, 0.5)
+    a, zero = np.array([5.0, -3.0, 0.7]), np.zeros(3)
+    return {
+        "is_sce": lambda tol: is_sce(spec, a, zero, tol=tol),
+        "check_global_sce": lambda tol: check_global_sce(g, a, GlobalConjecture(zero, zero), tol=tol),
+    }
+
+
+@pytest.mark.parametrize("check", ["is_sce", "check_global_sce"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, None, "1e-9", [1e-9]],
+                         ids=["nan", "inf", "-inf", "negative", "None", "str", "list"])
+def test_checks_reject_a_tolerance_that_is_not_finite_and_nonnegative(check, tol):
+    """nan and inf used to pass the out-of-range, off-reply profile, and
+    None or a string ended in a bare TypeError."""
+    with pytest.raises(UsageError, match="tol must be a finite number >= 0"):
+        _tol_cases()[check](tol)
+
+
+@pytest.mark.parametrize("check", ["is_sce", "check_global_sce"])
+def test_checks_take_zero_and_finite_tolerances(check):
+    """0 is an exact test; every finite tolerance still fails the profile,
+    with the same range violations."""
+    run = _tol_cases()[check]
+    verdicts = [run(tol) for tol in (0, 0.0, np.float64(1e-9), 1e-9, 1)]
+    assert not any(chk.ok for chk in verdicts)
+    for chk in verdicts:
+        assert {(i, why) for i, why, _ in chk.violations} >= {(0, "range"), (1, "range")}

@@ -518,6 +518,73 @@ def test_singular_blocks_are_halved(monkeypatch):
     assert labels[frozenset({2, 3})] == labels[frozenset({6, 7})] == "inconsistent"
 
 
+def _chunk_edges(block):
+    """(pair, supports of ``_pairs_game``) for each of its singular and
+    1 - 1e-12 pairs: the pair first and last in the first chunk of
+    ``block`` rows and alone in the final chunk, around fillers whose size
+    changes every three supports."""
+    pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    by_size = [
+        [k for k in itertools.combinations(range(8), r) if not any(set(p) <= set(k) for p in pairs)]
+        for r in (1, 2, 3)
+    ]
+    fillers = [k for t in range(0, 24, 3) for run in by_size for k in run[t : t + 3]] * 3
+    for pair in pairs:
+        head = [pair] + fillers[: block - 2] + [pair] if block > 1 else [pair]
+        yield pair, head + fillers[-block:] + [pair]
+
+
+def test_chunks_cut_inside_and_across_sizes(monkeypatch):
+    """At blocks of 1, 2, 5, 7 and 64 supports, chunks cut size runs and
+    hold several sizes: the kept rows' bytes and the diagnostics equal one
+    solve per support, on subsets (the Nash order) and complements (the
+    selfconfirming order) of the kernel battery's games up to n = 9 and on
+    ``_pairs_game``'s singular and guarded pairs placed at chunk edges.
+    Every chunk but the last holds exactly ``_SOLVE_BLOCK`` rows, the
+    supports in order."""
+    cuts = []  # the supports of each chunk
+    chunker = equilibrium._chunks
+
+    def chunks(runs):
+        for chunk in chunker(runs):
+            cuts.append([tuple(row) for piece in chunk for row in piece.tolist()])
+            yield chunk
+
+    monkeypatch.setattr(equilibrium, "_chunks", chunks)
+    battery = []
+    for spec in _kernel_battery():
+        if spec.n <= 9:
+            subsets = [k for r in range(spec.n + 1) for k in itertools.combinations(range(spec.n), r)]
+            everyone = frozenset(range(spec.n))
+            complements = [tuple(sorted(everyone - frozenset(k))) for k in subsets]
+            battery += [(spec, subsets), (spec, complements)]
+    refs = {}
+    seen = {"mixed": 0, "spanning": 0, "singular": 0, "cap_hits": 0}
+    for block in (1, 2, 5, 7, 64):
+        monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
+        edges = list(_chunk_edges(block))
+        for t, (spec, supports) in enumerate(battery + [(_pairs_game(), s) for _, s in edges]):
+            key = t if t < len(battery) else (block, t)
+            if key not in refs:
+                refs[key] = _ref_solve_supports(spec, supports)
+            ref_found, ref_diags = refs[key]
+            cuts.clear()
+            acts, diags = equilibrium._solve_supports(spec, iter(_as_runs(supports)))
+            assert [a.tobytes() for a in acts] == [a.tobytes() for _, a in ref_found]
+            assert diags == ref_diags
+            assert [k for cut in cuts for k in cut] == list(supports)
+            assert all(len(cut) == block for cut in cuts[:-1]) and 0 < len(cuts[-1]) <= block
+            if t >= len(battery):
+                pair = edges[t - len(battery)][0]
+                assert cuts[0][0] == cuts[0][-1] == pair and cuts[-1] == [pair]
+            sizes = [{len(k) for k in cut} for cut in cuts]
+            seen["mixed"] += sum(len(s) > 1 for s in sizes)
+            seen["spanning"] += sum(bool(a & b) for a, b in zip(sizes, sizes[1:]))
+            seen["singular"] += len(diags.singular)
+            seen["cap_hits"] += len(diags.cap_hits)
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_one_support_solver():
     """``src/netsce`` solves supports on one path: no per-support
     ``_solve_active`` or ``_solve_halving``, one ``lstsq`` call and one

@@ -1,4 +1,5 @@
 import copy
+import re
 import pickle
 
 import numpy as np
@@ -241,6 +242,35 @@ def test_make_record_rejects_declared_entries_that_are_not_agents(entry):
     game = make_game(WeightedNetwork(z=np.zeros((3, 3))), alpha=0.1, x_lo=-1.0, x_hi=1.0)
     with pytest.raises(UsageError, match=f"declared_inactive holds {entry}: "):
         make_record(game, np.array([0.1, 0.1, 0.0]), declared_inactive=frozenset({entry}))
+
+
+@pytest.mark.parametrize(
+    "entry", [1.7, True, "1", np.float64(2.0), -1, 3],
+    ids=["float", "bool", "str", "float64", "negative", "past-n"],
+)
+def test_auxiliary_ne_rejects_candidates_that_are_not_agents(entry, monkeypatch):
+    """On three agents, [0, 1.7] used to solve {0, 1}, [True, 2] {1, 2} and
+    ["1"] {1}: each entry that is not an int or np.integer in range(n), or
+    is a bool, now raises the make_record rule's UsageError, before any
+    solve, whatever its place among the candidates."""
+    game = make_game(WeightedNetwork(z=np.zeros((3, 3))), alpha=0.1, x_lo=-1.0, x_hi=1.0)
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    for candidates in ([0, entry], [entry, 2], [entry]):
+        with pytest.raises(UsageError, match=re.escape(f"candidates holds {entry!r}: not an agent")):
+            solve_auxiliary_ne(game, candidates)
+    with pytest.raises(UsageError, match=re.escape(f"declared_inactive holds {entry!r}: ")):
+        make_record(game, np.array([0.1, 0.1, 0.0]), declared_inactive=[entry])
+    assert solves == []
+
+
+def test_auxiliary_ne_takes_numpy_integer_candidates(mixed_game):
+    """np.integer entries and duplicates name the same candidate set."""
+    want = solve_auxiliary_ne(mixed_game, [0, 2])
+    got = solve_auxiliary_ne(mixed_game, np.array([2, 0, 2]))
+    assert got[1] == want[1]
+    assert [r.actions.tobytes() for r in got[0]] == [r.actions.tobytes() for r in want[0]]
+    assert all(type(i) is int for rec in got[0] for i in rec.declared_inactive)
 
 
 # ---------------------------------------------------------- record sharing
