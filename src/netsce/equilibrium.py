@@ -63,7 +63,8 @@ _RESIDUAL_GUARD = 1e-7
 #: Unit roundoff of float64, and its dtype.
 _U = np.finfo(float).eps / 2
 _FLOAT = np.dtype(float)
-#: Supports solved per stacked LAPACK call (bounds the stack to a few MB).
+#: Supports per chunk, so at most this many per stacked LAPACK call and per
+#: filter pass (bounds the stacks to a few MB).
 _SOLVE_BLOCK = 4096
 
 

@@ -73,8 +73,9 @@ def _check_stopping(tol, max_iter) -> None:
 
 def _check_tol(tol) -> None:
     """Reject a test tolerance that is not a finite real scalar >= 0 (0 asks
-    for an exact test); shared by the pointwise equilibrium checks."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    for an exact test), or is a bool; shared by the pointwise checks."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol >= 0):
         raise UsageError(f"tol must be a finite number >= 0, not {tol!r}")
 
 

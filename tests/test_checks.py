@@ -145,11 +145,12 @@ def _tol_cases():
 
 
 @pytest.mark.parametrize("check", ["is_sce", "check_global_sce"])
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, None, "1e-9", [1e-9]],
-                         ids=["nan", "inf", "-inf", "negative", "None", "str", "list"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, None, "1e-9", [1e-9], True],
+                         ids=["nan", "inf", "-inf", "negative", "None", "str", "list", "bool"])
 def test_checks_reject_a_tolerance_that_is_not_finite_and_nonnegative(check, tol):
-    """nan and inf used to pass the out-of-range, off-reply profile, and
-    None or a string ended in a bare TypeError."""
+    """nan and inf used to pass the out-of-range, off-reply profile, None
+    or a string ended in a bare TypeError, and True ran as a tolerance of
+    1."""
     with pytest.raises(UsageError, match="tol must be a finite number >= 0"):
         _tol_cases()[check](tol)
 

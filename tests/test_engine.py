@@ -539,9 +539,10 @@ def test_chunks_cut_inside_and_across_sizes(monkeypatch):
     hold several sizes: the kept rows' bytes and the diagnostics equal one
     solve per support, on subsets (the Nash order) and complements (the
     selfconfirming order) of the kernel battery's games up to n = 9 and on
-    ``_pairs_game``'s singular and guarded pairs placed at chunk edges.
-    Every chunk but the last holds exactly ``_SOLVE_BLOCK`` rows, the
-    supports in order."""
+    ``_pairs_game``'s singular and guarded pairs placed at chunk edges,
+    and on its subsets with agent 7 capped below CAP_MARGIN, which only
+    the supports holding 7 may hit. Every chunk but the last holds exactly
+    ``_SOLVE_BLOCK`` rows, the supports in order."""
     cuts = []  # the supports of each chunk
     chunker = equilibrium._chunks
 
@@ -558,12 +559,15 @@ def test_chunks_cut_inside_and_across_sizes(monkeypatch):
             everyone = frozenset(range(spec.n))
             complements = [tuple(sorted(everyone - frozenset(k))) for k in subsets]
             battery += [(spec, subsets), (spec, complements)]
+    pairs = _pairs_game()
+    tiny = make_game(pairs.net, pairs.alpha, a_max=np.r_[np.full(7, 1e6), 0.5 * CAP_MARGIN])
+    battery.append((tiny, [k for r in range(9) for k in itertools.combinations(range(8), r)]))
     refs = {}
     seen = {"mixed": 0, "spanning": 0, "singular": 0, "cap_hits": 0}
     for block in (1, 2, 5, 7, 64):
         monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
         edges = list(_chunk_edges(block))
-        for t, (spec, supports) in enumerate(battery + [(_pairs_game(), s) for _, s in edges]):
+        for t, (spec, supports) in enumerate(battery + [(pairs, s) for _, s in edges]):
             key = t if t < len(battery) else (block, t)
             if key not in refs:
                 refs[key] = _ref_solve_supports(spec, supports)
