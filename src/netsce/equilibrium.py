@@ -257,12 +257,15 @@ def _chunks(runs: Iterable[np.ndarray]):
         yield chunk
 
 
-def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
+def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray], keep=None):
     """Interior solutions on the sorted supports in the rows of ``runs``
     (one (C, m) index array per size), in ``_chunks``: per size in a chunk
     ``_solve_block`` solves the gathered I - Z_KK, alpha_K, then one pass
     per chunk scatters a profile stack and support mask and keeps the rows
-    strictly positive (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN).
+    strictly positive (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN),
+    and, when ``keep`` is given, whose row of ``keep(rows)`` is true: a
+    row-wise test applied before the next chunk, so that what is held
+    between chunks is only what passes it.
 
     Returns (acts, diagnostics): the kept profiles (k, n) in support order,
     each active exactly on its support and 0 elsewhere, and the singular
@@ -287,7 +290,8 @@ def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray]):
         support = lambda r: frozenset(np.flatnonzero(on[r]).tolist())
         singular += zip(map(support, np.flatnonzero(bad)), itertools.chain(*whys))
         cap_hits += map(support, np.flatnonzero(cap & ~low & ~bad))
-        stacks.append(acts[~(bad | low | cap)])
+        rows = acts[~(bad | low | cap)]
+        stacks.append(rows if keep is None else rows[keep(rows)])
     return np.concatenate(stacks), SolveDiagnostics(examined, tuple(singular), tuple(cap_hits))
 
 
@@ -470,12 +474,17 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
         acts, x = found
         diags = SolveDiagnostics(examined=2 ** len(j), certified=True)
     else:
-        acts, diags = _solve_supports(spec, runs)
-        x = aggregate(spec, acts)
-        # A kept profile is zero exactly off its support.
-        outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
-        keep = ~((spec.alpha + x > BOUNDARY_TOL) & outside).any(axis=1)
-        acts, x = acts[keep], x[keep]
+        candidate, kept_x = np.isin(np.arange(spec.n), j), [np.zeros((0, spec.n))]
+
+        def is_nash(acts):
+            # A kept profile is zero exactly off its support.
+            x = aggregate(spec, acts)
+            nash = ~((spec.alpha + x > BOUNDARY_TOL) & (acts == 0.0) & candidate).any(axis=1)
+            kept_x.append(x[nash])
+            return nash
+
+        acts, diags = _solve_supports(spec, runs, is_nash)
+        x = np.concatenate(kept_x)
     declared = frozenset(range(spec.n)) - frozenset(j)
     return _records(spec, acts, x, declared), diags
 

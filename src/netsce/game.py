@@ -64,9 +64,10 @@ def _check_count(value, name, least=1) -> None:
 
 def _check_stopping(tol, max_iter) -> None:
     """Reject a stopping tolerance that is not a finite positive real
-    scalar, or a step budget that is not an integer of at least one; shared
-    by every iterative solver."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+    scalar, or is a bool, or a step budget that is not an integer of at
+    least one; shared by every iterative solver."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise UsageError(f"tol must be a finite positive number, not {tol!r}")
     _check_count(max_iter, "max_iter")
 

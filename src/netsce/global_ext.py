@@ -70,21 +70,30 @@ class GlobalGameSpec:
     def __post_init__(self):
         n = self.base.n
         beta = float(self.beta)
-        if not np.isfinite(beta) or beta <= 0:
+        if not (math.isfinite(beta) and beta > 0):
             raise UsageError("beta must be positive and finite")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "c", _vec(self.c, n, "c"))
-        y_hi = beta * (self.base.a_max.sum() - self.base.a_max)
-        object.__setattr__(self, "y_lo", _vec(0.0, n, "y_lo"))
-        object.__setattr__(self, "y_hi", _vec(y_hi, n, "y_hi"))
-        if np.any(self.c <= 0):
-            i = int(np.flatnonzero(self.c <= 0)[0])
+        c = _vec(self.c, n, "c")
+        object.__setattr__(self, "c", c)
+        # a_max is the base game's checked (n,) vector: only its sum can
+        # leave the floats.
+        a_max = self.base.a_max
+        y_lo, y_hi = np.zeros(n), beta * (a_max.sum() - a_max)
+        if not np.isfinite(y_hi).all():
+            raise UsageError("y_hi must be finite")
+        for name, arr in (("y_lo", y_lo), ("y_hi", y_hi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        low = c <= 0
+        if low.any():
+            i = int(low.argmax())
             raise UsageError(f"c[{i}] must be strictly positive")
         bound = self.base.net.z.sum(axis=1) / beta
-        if np.any(self.c > bound + _RANGE_SLACK):
-            i = int(np.flatnonzero(self.c > bound + _RANGE_SLACK)[0])
+        over = c > bound + _RANGE_SLACK
+        if over.any():
+            i = int(over.argmax())
             raise UsageError(
-                f"c[{i}]={self.c[i]:.6g} exceeds the admissible bound "
+                f"c[{i}]={c[i]:.6g} exceeds the admissible bound "
                 f"{bound[i]:.6g} (row weight sum over beta)"
             )
 
@@ -341,7 +350,17 @@ def _jacobian(g, a, x, e, d):
     return jac
 
 
+#: 2^-1 .. 2^-40: the halvings t 2^-k of a step length t <= 1 pass 1e-12
+#: by k = 40, and each is exact.
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 41))
+
+
 def _newton(g, alpha, tol, max_iter):
+    """``_newton_point`` without its point's re-split and defect."""
+    return _newton_point(g, alpha, tol, max_iter)[:3]
+
+
+def _newton_point(g, alpha, tol, max_iter):
     """Newton's method on H(a) = 0 with the analytic Jacobian, from the
     common base payoff intercept, which keeps it on the small-action branch
     when the system has several solutions.
@@ -352,44 +371,47 @@ def _newton(g, alpha, tol, max_iter):
     f(a) - f(a + t s) > 2e-4 t f(a) (the slope of f along s is -2 f; an
     overflowed f passes no t), else the solve stops. t0 is tried alone; the
     other halvings are evaluated as one stack and the largest passing t wins.
+
+    Returns (a, iterations, ok, parts, h): ``_resplit``'s (x, e, d, c e / d)
+    and the defect H at the returned a, as ``_resplit`` gives them there.
     """
     resplit, top, total = _resplit(g), np.maximum.reduce, np.add.reduce
     a = np.full(g.n, alpha)
-    x, e, d, x_next = resplit(a)
+    parts = resplit(a)
+    x, e, d, x_next = parts
     h = alpha + x_next - a
     f = 0.5 * total(h * h, -1)
     for k in range(min(max_iter, 200)):
         if top(np.abs(h)) < tol * max(1.0, top(np.abs(a))):
-            return a, k + 1, True
+            return a, k + 1, True, parts, h
         try:
             step = np.linalg.solve(_jacobian(g, a, x, e, d), -h)
         except np.linalg.LinAlgError:
-            return a, k + 1, False
+            return a, k + 1, False, parts, h
         shrink = top(-step / a)
         t = 0.99 / shrink if shrink > 0.99 else 1.0
         if not t > 1e-12:
-            return a, k + 1, False
+            return a, k + 1, False, parts, h
         cand = a + t * step
-        parts = resplit(cand)
-        h_cand = alpha + parts[3] - cand
+        cand_parts = resplit(cand)
+        h_cand = alpha + cand_parts[3] - cand
         f_cand = 0.5 * total(h_cand * h_cand, -1)
         if not f - f_cand > 2e-4 * t * f:
-            ts = []
-            while (t := t * 0.5) > 1e-12:
-                ts.append(t)
-            ts = np.array(ts)
+            ts = t * _HALVINGS
+            ts = ts[ts > 1e-12]
             cands = a + ts[:, None] * step
             stack = resplit(cands)
             hs = alpha + stack[3] - cands
             fs = 0.5 * total(hs * hs, -1)
             passed = f - fs > 2e-4 * ts * f
             if not passed.any():
-                return a, k + 1, False
+                return a, k + 1, False, parts, h
             i = int(passed.argmax())
             cand, h_cand, f_cand = cands[i], hs[i], fs[i]
-            parts = tuple(p[i] for p in stack)
-        a, h, f, (x, e, d, _) = cand, h_cand, f_cand, parts
-    return a, min(max_iter, 200), False
+            cand_parts = tuple(p[i] for p in stack)
+        a, h, f, parts = cand, h_cand, f_cand, cand_parts
+        x, e, d, _ = parts
+    return a, min(max_iter, 200), False, parts, h
 
 
 #: Shifted power steps on Z^T that pick the certificate's weights u.
@@ -540,30 +562,35 @@ def solve_global_sce(
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
-    resplit = _resplit(g)
+    resplit, top = _resplit(g), np.maximum.reduce
+
+    def point(a):
+        parts = resplit(a)
+        return parts, alpha + parts[3] - a
+
     total = 0
     best = None
     proved = False
-    for name, kernel in (("newton", _newton), ("damped", _damped), ("seidel", _seidel)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, iters, ok = kernel(g, alpha, tol, max_iter)
-        total += iters
-        with np.errstate(invalid="ignore"):
-            _, e, d, x_hat = resplit(a)
-            y_hat = e / d
-            res = float(np.max(np.abs(alpha + x_hat - a)))
-        if not np.isfinite(res):
-            res = float("inf")
-        accepted = bool(np.all(a > 0.0)) and res < tol * max(1.0, float(np.max(np.abs(a))))
-        if best is None or res < best[3] or (ok and accepted):
-            best = (a, x_hat, y_hat, res, name, accepted)
-        if ok and accepted:
-            break
-        if name == "newton" and _no_rest_point(g, alpha, tol, max_iter) is not None:
-            proved = True
-            break
-
-    a, x_hat, y_hat, res, name, accepted = best
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, kernel in (("newton", _newton_point), ("damped", _damped), ("seidel", _seidel)):
+            # Newton returns the re-split and defect at its point; the others
+            # are re-split here.
+            a, iters, ok, *known = kernel(g, alpha, tol, max_iter)
+            (_, e, d, x_hat), h = known or point(a)
+            total += iters
+            res = float(top(np.abs(h)))
+            if not math.isfinite(res):
+                res = math.inf
+            accepted = bool((a > 0.0).all()) and res < tol * max(1.0, float(top(np.abs(a))))
+            if best is None or res < best[4] or (ok and accepted):
+                best = (a, x_hat, e, d, res, name, accepted)
+            if ok and accepted:
+                break
+            if name == "newton" and _no_rest_point(g, alpha, tol, max_iter) is not None:
+                proved = True
+                break
+        a, x_hat, e, d, res, name, accepted = best
+        y_hat = e / d
     return GlobalSolve(
         actions=a,
         x_hat=x_hat,

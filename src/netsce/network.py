@@ -48,6 +48,18 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _allclose(x: np.ndarray, y: np.ndarray) -> bool:
+    """``np.allclose(x, y, rtol=_REL_TOL, atol=0.0)``: the same verdict on
+    every input, inf and nan included, without its call overhead. Equal
+    arrays, such as an exactly symmetric z0 and its transpose, settle it at
+    once."""
+    if (x == y).all():
+        return True
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(x - y) <= _REL_TOL * np.abs(y)) & np.isfinite(y)
+    return bool((close | (x == y)).all())
+
+
 @dataclass(frozen=True)
 class WeightedNetwork:
     """A weighted externality network.
@@ -112,7 +124,7 @@ class Decomposition:
         if np.any(g <= 0):
             raise UsageError("diagonal scaling must be strictly positive")
         object.__setattr__(self, "gamma", _as_readonly(g))
-        if not np.allclose(self.z0, self.z0.T, rtol=1e-9, atol=0.0):
+        if not _allclose(self.z0, self.z0.T):
             raise UsageError(f"{self.kind} decomposition needs a symmetric z0")
 
     @property
@@ -140,27 +152,50 @@ class Decomposition:
         return float(np.linalg.eigvalsh(zt)[-1])
 
 
-def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
-    """Factor Z as diag(gamma) @ z0 with gamma > 0 and z0 symmetric.
+def _float_walk(z: np.ndarray):
+    """gamma as a list, by a depth-first walk over the support of Z that
+    sets gamma_j = gamma_i / (z_ij / z_ji) on reaching j and checks the
+    ratio on every other edge; None when a ratio or gamma leaves (0, inf).
 
-    gamma is normalized to 1 at the first agent of each connected component
-    (connectivity taken over the undirected support of Z). Raises
-    :class:`NotSymmetrizableError` when the sign pattern is asymmetric or the
-    weight ratios are inconsistent around a cycle.
+    Neighbours are taken in ascending order from row-major lists, and every
+    number is a Python float, whose division rounds as NumPy's does; off
+    (0, inf) NumPy's scalars warn, and its nan marks an agent unreached, so
+    ``_scalar_walk`` decides those networks.
     """
-    z = net.z
-    n = net.n
-    # Sign-symmetric support is necessary: z_ij and z_ji must vanish together
-    # and agree in sign.
-    iu, ju = np.triu_indices(n, k=1)
-    a, b = z[iu, ju], z[ju, iu]
-    bad = np.flatnonzero(((a == 0) != (b == 0)) | (a * b < 0))
-    if bad.size:
-        k = int(bad[0])
-        raise NotSymmetrizableError("sign", (int(iu[k]), int(ju[k])))
+    n = z.shape[0]
+    rows, cols = np.nonzero(z)
+    heads = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    js, fwd, back = cols.tolist(), z[rows, cols].tolist(), z[cols, rows].tolist()
+    gamma, inf = [0.0] * n, math.inf  # 0.0: not reached
+    for root in range(n):
+        if gamma[root]:
+            continue
+        gamma[root] = 1.0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            gi = gamma[i]
+            for k in range(heads[i], heads[i + 1]):
+                j, ratio = js[k], fwd[k] / back[k]
+                if not 0.0 < ratio < inf:
+                    return None
+                gj = gamma[j]
+                if not gj:
+                    gj = gamma[j] = gi / ratio
+                    if not 0.0 < gj < inf:
+                        return None
+                    stack.append(j)
+                elif not math.isclose(q := gi / gj, ratio, rel_tol=_REL_TOL):
+                    if q == inf:
+                        return None
+                    raise NotSymmetrizableError("cycle", (i, j))
+    return gamma
 
-    # Propagate gamma ratios over the support graph: z = Gamma z0 with z0
-    # symmetric forces gamma_i / gamma_j = z_ij / z_ji on every edge.
+
+def _scalar_walk(z: np.ndarray) -> np.ndarray:
+    """``_float_walk`` in NumPy scalars, with nan for an unreached agent,
+    for the networks whose ratios or gammas overflow or underflow."""
+    n = z.shape[0]
     gamma = np.full(n, np.nan)
     for root in range(n):
         if not np.isnan(gamma[root]):
@@ -176,13 +211,37 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
                     stack.append(int(j))
                 elif not math.isclose(gamma[i] / gamma[j], ratio, rel_tol=_REL_TOL):
                     raise NotSymmetrizableError("cycle", (i, int(j)))
+    return gamma
+
+
+def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
+    """Factor Z as diag(gamma) @ z0 with gamma > 0 and z0 symmetric.
+
+    gamma is normalized to 1 at the first agent of each connected component
+    (connectivity taken over the undirected support of Z). Raises
+    :class:`NotSymmetrizableError` when the sign pattern is asymmetric or the
+    weight ratios are inconsistent around a cycle.
+    """
+    z = net.z
+    n = net.n
+    # Sign-symmetric support is necessary: z_ij and z_ji must vanish together
+    # and agree in sign. The mask is symmetric with a false diagonal, so its
+    # first entry in row-major order is the first bad pair i < j.
+    bad = ((z == 0) != (z.T == 0)) | (z * z.T < 0)
+    if bad.any():
+        raise NotSymmetrizableError("sign", divmod(int(bad.argmax()), n))
+
+    # Propagate gamma ratios over the support graph: z = Gamma z0 with z0
+    # symmetric forces gamma_i / gamma_j = z_ij / z_ji on every edge.
+    gamma = _float_walk(z)
+    gamma = _scalar_walk(z) if gamma is None else np.array(gamma, dtype=float)
 
     z0 = z / gamma[:, None]
     # The edge-by-edge ratio checks make z0 symmetric up to roundoff; equalize.
     z0 = (z0 + z0.T) / 2.0
 
     # gamma[:1] is empty with no agents, whose decomposition is uniform.
-    if np.allclose(gamma, gamma[:1], rtol=_REL_TOL, atol=0.0):
+    if _allclose(gamma, gamma[:1]):
         return Decomposition(z0=z0 * gamma[:1], gamma=np.ones(n))
     return Decomposition(z0=z0, gamma=gamma)
 
@@ -214,7 +273,6 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
     """
     z = net.z
     n = net.n
-    off = ~np.eye(n, dtype=bool)
 
     if assumption == "bounded":
         # With no agents the bound holds vacuously.
@@ -230,7 +288,7 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
 
     if assumption == "same-sign":
         s = np.sign(z)
-        bad = np.argwhere((s != s.T) & off)
+        bad = np.argwhere((s != s.T) & ~np.eye(n, dtype=bool))
         if bad.size:
             i, j = (int(v) for v in bad[0])
             return AssumptionReport(
@@ -241,7 +299,7 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
         return AssumptionReport(assumption, holds=True, witness={"violation": None})
 
     if assumption == "negative":
-        bad = np.argwhere((z >= 0) & off)
+        bad = np.argwhere((z >= 0) & ~np.eye(n, dtype=bool))
         if bad.size:
             i, j = (int(v) for v in bad[0])
             return AssumptionReport(

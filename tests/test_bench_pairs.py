@@ -119,3 +119,39 @@ def test_workload_argument_needs_a_name_and_a_pair_count(text):
     with pytest.raises(Exception, match="NAME:PAIRS"):
         bench_pairs._workload_arg(text)
     assert bench_pairs._workload_arg("learn:12") == ("learn", 12)
+
+
+def _traced(workload, side, values):
+    result = {"correct": True, "attempted": 36, "failed": 0,
+              "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+    return {"workload": workload, "seed": 1, "side": side, "exit": 0, "result": result, "trace": 1}
+
+
+def test_traced_rows_pair_each_per_layer_metric():
+    runs = [
+        _traced("global_sweep", "parent", {"network.check_assumption_s": 0.02,
+                                           "global_ext.self_s": 0.5, "global_ext.solves": 36}),
+        _traced("global_sweep", "change", {"network.check_assumption_s": 0.01,
+                                           "global_ext.self_s": 0.4, "global_ext.solves": 36}),
+        _traced("learn", "change", {"global_ext.solves": 0, "global_ext.self_s": 0.0}),
+        _traced("learn", "parent", {"global_ext.solves": 0, "global_ext.self_s": 0.0}),
+        {"workload": "enumerate", "seed": 1, "side": "parent", "exit": 1, "result": None},
+        _traced("enumerate", "change", {"global_ext.solves": 0}),
+    ]
+    names = ["global_ext.solves", "global_ext.self_s", "network.check_assumption_s"]
+    rows = bench_pairs.compare_traced(runs, names)
+    assert list(rows) == ["global_sweep", "learn", "enumerate"]
+    sweep = rows["global_sweep"]
+    assert list(sweep) == names
+    assert sweep["network.check_assumption_s"] == {
+        "parent": 0.02, "change": 0.01, "change_vs_parent": -0.5}
+    assert sweep["global_ext.self_s"]["change_vs_parent"] == -0.2
+    assert sweep["global_ext.solves"]["change_vs_parent"] == 0.0
+    # a zero parent has no relative change
+    assert rows["learn"]["global_ext.self_s"] == {
+        "parent": 0.0, "change": 0.0, "change_vs_parent": None}
+    # a metric a run does not report, and a side without a result, read None
+    assert rows["learn"]["network.check_assumption_s"] == {
+        "parent": None, "change": None, "change_vs_parent": None}
+    assert rows["enumerate"]["global_ext.solves"] == {
+        "parent": None, "change": 0, "change_vs_parent": None}

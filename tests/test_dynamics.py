@@ -1172,6 +1172,8 @@ def test_probe_stack_warns_only_for_rows_not_yet_stopped(monkeypatch):
         {"epsilon": 1e308},  # the draws' width 2e308 overflows
         {"tol": 0.0},
         {"tol": -1e-10},
+        {"tol": True},
+        {"tol": False},
         {"max_iter": 0},
         {"samples": 0},
         {"samples": 2.5},

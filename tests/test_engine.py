@@ -589,6 +589,65 @@ def test_chunks_cut_inside_and_across_sizes(monkeypatch):
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_nash_boundary_test_runs_per_chunk(monkeypatch):
+    """``solve_auxiliary_ne`` drops each chunk's non-Nash profiles before
+    the next chunk, so between chunks it holds only the Nash profiles found
+    so far. At every ``_SOLVE_BLOCK`` its records and diagnostics equal,
+    bit for bit, those of one boundary test on the whole kept stack (the
+    filter as it ran after enumeration), on the kernel battery's games up to
+    n = 9 with all agents and with every other agent as candidates. The
+    certificate is off, so every candidate set enumerates."""
+    monkeypatch.setattr(equilibrium, "_certified_ne", lambda spec, j: None)
+    solve, chunker = equilibrium._solve_supports, equilibrium._chunks
+    held, chunks = [], []  # rows passing the test, and chunks, per call
+
+    def tested(spec, runs, keep=None):
+        def counted(rows):
+            mask = keep(rows)
+            held.append(int(mask.sum()))
+            return mask
+
+        return solve(spec, runs, counted)
+
+    def counted_chunks(runs):
+        for chunk in chunker(runs):
+            chunks.append(chunk)
+            yield chunk
+
+    def whole_stack(spec, j):
+        acts, diags = solve(spec, equilibrium._subset_runs(j))
+        x = aggregate(spec, acts)
+        outside = np.isin(np.arange(spec.n), j) & (acts == 0.0)
+        keep = ~((spec.alpha + x > equilibrium.BOUNDARY_TOL) & outside).any(axis=1)
+        declared = frozenset(range(spec.n)) - frozenset(j)
+        records = equilibrium._records(spec, acts[keep], x[keep], declared)
+        return records, diags, int((~keep).sum())
+
+    monkeypatch.setattr(equilibrium, "_solve_supports", tested)
+    monkeypatch.setattr(equilibrium, "_chunks", counted_chunks)
+    seen = {"records": 0, "dropped": 0, "singular": 0, "cap_hits": 0}
+    for spec in _kernel_battery():
+        if spec.n > 9:
+            continue
+        for j in (list(range(spec.n)), list(range(0, spec.n, 2))):
+            want, want_diags, dropped = whole_stack(spec, j)
+            for block in (1, 2, 5, 7, 64):
+                monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", block)
+                held.clear()
+                chunks.clear()
+                got, diags = solve_auxiliary_ne(spec, j)
+                _same_records(got, want)
+                assert diags == want_diags
+                assert len(held) == len(chunks) == -(-2 ** len(j) // block)
+                assert sum(held) == len(got)
+            monkeypatch.setattr(equilibrium, "_SOLVE_BLOCK", 4096)
+            seen["records"] += len(want)
+            seen["dropped"] += dropped
+            seen["singular"] += len(want_diags.singular)
+            seen["cap_hits"] += len(want_diags.cap_hits)
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_one_support_solver():
     """``src/netsce`` solves supports on one path: no per-support
     ``_solve_active`` or ``_solve_halving``, one ``lstsq`` call and one

@@ -45,6 +45,32 @@ def test_spec_validation(line_game):
     with pytest.raises(UsageError):
         make_global_game(line_game, beta=1.0, c=0.25)
 
+    def message(base=line_game, beta=1.0, c=0.1):
+        with pytest.raises(UsageError) as err:
+            make_global_game(base, beta=beta, c=c)
+        return str(err.value)
+
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        assert message(beta=beta) == "beta must be positive and finite"
+    assert message(c=[0.1, 0.0, -1.0]) == "c[1] must be strictly positive"
+    assert message(c=-0.5) == "c[0] must be strictly positive"
+    # rows sum to 0.2, 0.4 and 0.2; over beta = 0.5 the bounds are 0.4, 0.8, 0.4
+    assert message(beta=0.5, c=[0.1, 0.9, 0.5]) == (
+        "c[1]=0.9 exceeds the admissible bound 0.8 (row weight sum over beta)"
+    )
+    assert message(c=[0.1, 0.1, 0.25]) == (
+        "c[2]=0.25 exceeds the admissible bound 0.2 (row weight sum over beta)"
+    )
+    assert message(c=[0.1, 0.1]) == "c must be a scalar or length-3 vector"
+    assert message(c=np.full((3, 1), 0.1)) == "c must be a scalar or length-3 vector"
+    assert message(c=[0.1, float("nan"), 0.1]) == "c must be finite"
+    assert message(c=float("inf")) == "c must be finite"
+    # each agent's y_hi sums the other two caps, 2e308, past the floats
+    huge = make_game(WeightedNetwork(z=LINE3), alpha=0.1, a_max=1e308)
+    with np.errstate(over="ignore"):
+        assert message(base=huge) == "y_hi must be finite"
+        assert message(base=huge, c=[0.1, 0.1]) == "c must be a scalar or length-3 vector"
+
 
 def test_spillover_range_is_derived_and_read_only():
     base = make_game(WeightedNetwork(z=LINE3), alpha=0.1, a_max=[1.0, 2.5, 4.0])

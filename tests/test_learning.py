@@ -149,6 +149,8 @@ def test_run_learning_validations(positive_game):
         {"tol": "1e-10"},
         {"tol": 1e-10 + 0j},
         {"tol": np.array([1e-10, 1e-10])},
+        {"tol": True},
+        {"tol": False},
         {"max_iter": 0},
         {"max_iter": 2.5},
         {"max_iter": np.float64(3.0)},

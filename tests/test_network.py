@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +170,174 @@ def test_decomposition_validation():
         Decomposition(z0=np.array([[0.0, 1.0], [2.0, 0.0]]), gamma=np.ones(2))
     with pytest.raises(UsageError):
         Decomposition(z0=np.zeros((2, 2)), gamma=np.array([1.0, -1.0]))
+
+
+# ------------------------------------------- the symmetrization walk, differential
+
+
+def _reference_decompose(z):
+    """``symmetrize_decompose`` as it was written before its walk ran on
+    Python floats: upper pairs from ``triu_indices``, one NumPy-scalar ratio
+    per edge in ascending neighbour order, ``np.allclose`` for uniformity."""
+    n = len(z)
+    iu, ju = np.triu_indices(n, k=1)
+    a, b = z[iu, ju], z[ju, iu]
+    bad = np.flatnonzero(((a == 0) != (b == 0)) | (a * b < 0))
+    if bad.size:
+        k = int(bad[0])
+        raise NotSymmetrizableError("sign", (int(iu[k]), int(ju[k])))
+    gamma = np.full(n, np.nan)
+    for root in range(n):
+        if not np.isnan(gamma[root]):
+            continue
+        gamma[root] = 1.0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(z[i]):
+                ratio = z[i, j] / z[j, i]
+                if np.isnan(gamma[j]):
+                    gamma[j] = gamma[i] / ratio
+                    stack.append(int(j))
+                elif not math.isclose(gamma[i] / gamma[j], ratio, rel_tol=1e-9):
+                    raise NotSymmetrizableError("cycle", (i, int(j)))
+    z0 = z / gamma[:, None]
+    z0 = (z0 + z0.T) / 2.0
+    if np.allclose(gamma, gamma[:1], rtol=1e-9, atol=0.0):
+        return Decomposition(z0=z0 * gamma[:1], gamma=np.ones(n))
+    return Decomposition(z0=z0, gamma=gamma)
+
+
+def _decomposed(fn, z):
+    """(kind, z0 bytes, gamma bytes) or the error's (type, reason, detail or
+    message), and the warnings raised, as (category, message) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            dec = fn(z)
+            out = (dec.kind, dec.z0.tobytes(), dec.gamma.tobytes())
+        except NotSymmetrizableError as exc:
+            out = ("NotSymmetrizableError", exc.reason, exc.detail)
+        except UsageError as exc:
+            out = ("UsageError", str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _walk_battery(seed=20261020):
+    """Named weight matrices: no agents and one; random symmetrizable ones,
+    alone and as several components beside isolated agents, permuted;
+    dense asymmetric ones; sign faults late in upper-triangle order;
+    cycles broken by a 1e-6 ratio change (and kept by a 1e-12 one); and
+    ratios or gammas that overflow or underflow."""
+    rng = np.random.default_rng(seed)
+    yield "empty", np.zeros((0, 0))
+    yield "one", np.zeros((1, 1))
+    nets = []
+    for t in range(24):
+        n = (2, 3, 4, 6, 9, 15, 30, 60)[t % 8]
+        mu = rng.uniform(0.05, 2.0)
+        sigma2 = (0.0, 0.1, 1.0)[t % 3] * mu * mu
+        spec = RandomNetSpec(n=n, k=rng.uniform(0.5, min(n - 0.5, 6.0)), mu=mu, sigma2=sigma2,
+                             seed=int(rng.integers(1 << 30)))
+        z = random_symmetrizable(spec).z
+        nets.append(z)
+        yield f"random-{t}", z
+    for t in range(8):
+        parts = [nets[k] for k in rng.choice(len(nets) // 2, size=3)] + [np.zeros((2, 2))]
+        size = sum(len(p) for p in parts)
+        z, at = np.zeros((size, size)), 0
+        for p in parts:
+            z[at:at + len(p), at:at + len(p)] = p
+            at += len(p)
+        perm = rng.permutation(size)
+        yield f"components-{t}", z[np.ix_(perm, perm)]
+    for t in range(8):
+        n = (3, 4, 5, 8)[t % 4]
+        z = rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], size=(n, n)) ** (t % 2)
+        np.fill_diagonal(z, 0.0)
+        yield f"dense-{t}", z
+    for t, z in enumerate(nets[8:16]):
+        n = len(z)
+        if n < 5:
+            continue
+        full = np.array(z) + 0.01 * (np.ones((n, n)) - np.eye(n))  # every pair an edge
+        for name, value in (("one-sided", 0.0), ("opposite", -1.0)):
+            # the last pair alone; then (1, n-1), first in upper-triangle order,
+            # beside (n-3, n-2), first in lower-triangle order
+            for faults in ([(n - 2, n - 1)], [(n - 3, n - 2), (1, n - 1)]):
+                bad = full.copy()
+                for i, j in faults:
+                    bad[j, i] *= value
+                yield f"{name}-{len(faults)}-{t}", bad
+    for t, z in enumerate(nets[16:]):
+        n = len(z)
+        rows, cols = np.nonzero(np.triu(z))
+        if len(rows) < 3:
+            continue
+        for eps in (1e-6, 1e-12):
+            for k in (len(rows) // 2, len(rows) - 1):
+                nudged = np.array(z)
+                nudged[rows[k], cols[k]] *= 1.0 + eps
+                yield f"nudged-{eps:g}-{t}-{k}", nudged
+    big, tiny = 1e300, 1e-300
+    yield "ratio-overflow", np.array([[0.0, big], [tiny, 0.0]])
+    yield "ratio-underflow", np.array([[0.0, tiny], [big, 0.0]])
+    chain = np.zeros((4, 4))
+    for i in range(3):
+        chain[i, i + 1], chain[i + 1, i] = 1e200, 1e-100
+    yield "gamma-underflow", chain
+    yield "gamma-overflow", chain.T.copy()
+    # gamma_1 = 1e-200 and gamma_2 = 1e200: the check on edge (2, 1) divides
+    # them past the floats
+    yield "cycle-overflow", np.array([[0.0, 1e100, 1e-100], [1e-100, 0.0, 1.0],
+                                      [1e100, 1.0, 0.0]])
+    # gamma_2 = 1e-310, a subnormal that stays inside (0, inf)
+    yield "subnormal", np.array([[0.0, 1e150, 0.0], [1e-150, 0.0, 1e5], [0.0, 1e-5, 0.0]])
+
+
+def test_walk_matches_the_per_edge_walk():
+    """``symmetrize_decompose`` gives the per-edge NumPy-scalar walk's gamma
+    and z0 bytes, kind, error (reason and detail) and warnings on every
+    matrix of the battery, whose outcomes cover all of them."""
+    seen = set()
+    for name, z in _walk_battery():
+        net = WeightedNetwork(z=z)
+        want = _decomposed(_reference_decompose, net.z)
+        got = _decomposed(lambda _: symmetrize_decompose(net), net.z)
+        assert got == want, name
+        seen.add(want[0][1] if want[0][0] == "NotSymmetrizableError" else want[0][0])
+        seen.add("warned" if want[1] else "quiet")
+    assert seen == {"uniform", "diagonal", "sign", "cycle", "UsageError", "warned", "quiet"}
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("pair", [
+    (_INF, _INF), (-_INF, -_INF), (_INF, -_INF), (_INF, 1.0), (1.0, -_INF),
+    (_NAN, _NAN), (_NAN, 1.0), (_NAN, _INF), (1.0, 1.0 + 1e-10), (1.0, 1.0 + 1e-8),
+    (1e308, -1e308), (0.0, -0.0), (0.0, 5e-324),
+])
+def test_decomposition_symmetry_check_is_allclose(pair):
+    """``Decomposition`` accepts z0 exactly when ``np.allclose(z0, z0.T,
+    rtol=1e-9, atol=0)`` does, with the same warnings, inf and nan included."""
+    z0 = np.zeros((3, 3))
+    z0[0, 2], z0[2, 0] = pair
+    z0[1, 1] = pair[0]  # a non-finite diagonal is compared with itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = np.allclose(z0, z0.T, rtol=1e-9, atol=0.0)
+    expected = [(w.category, str(w.message)) for w in caught]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            Decomposition(z0=z0, gamma=np.ones(3))
+            got = True
+        except UsageError as exc:
+            assert "symmetric z0" in str(exc)
+            got = False
+    assert got == want
+    assert [(w.category, str(w.message)) for w in caught] == expected
 
 
 def test_check_assumption_bounded():

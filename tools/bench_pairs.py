@@ -11,12 +11,19 @@ workload take consecutive seeds, and each workload continues where the
 previous one stopped, so no seed is measured twice. Every run's last stdout
 line, the JSON result, is kept with its per-family latency lines.
 
+With ``--traced SEED``, the pairs are followed by one ``--trace 1`` run per
+side and workload at SEED, the parent first on even workload indexes, for
+the per-layer metrics.
+
 The output file holds ``about``, ``machine`` (the first run's env line),
 ``runs`` and ``summary``: per workload and end-to-end metric, each side's
 median and quartiles, the parent's IQR, the change's relative difference
 and the pairs it won, with failed-op counts and whether every run was
-correct. Metric names and directions come from the change's
-``BENCHMARK.json``. Nothing in either checkout is written.
+correct. With ``--traced`` it also holds ``traced``: the seed, the traced
+runs and, per workload and per-layer metric, each side's value and the
+change's relative difference. Metric names and directions come from the
+change's ``BENCHMARK.json``. Nothing in either checkout is written but
+run.py's ``.bench_work`` working directory, which holds its span files.
 """
 
 import argparse
@@ -96,9 +103,29 @@ def summarize(runs, better) -> dict:
     return summary
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float):
+def compare_traced(runs, per_layer) -> dict:
+    """Per workload of the traced ``runs``, in order of first appearance:
+    for each metric of ``per_layer`` (names in report order) both sides'
+    values and the change's relative difference, rounded to 4 decimals.
+    A side without a result, or without the metric, reads None, and so does
+    the difference then or when the parent's value is 0."""
+    table = {}
+    for run in runs:
+        table.setdefault(run["workload"], {})[run["side"]] = (run["result"] or {}).get("metrics", {})
+    out = {}
+    for workload, sides in table.items():
+        row = {}
+        for name in per_layer:
+            p, c = (sides.get(s, {}).get(name, {}).get("value") for s in SIDES)
+            row[name] = {"parent": p, "change": c,
+                         "change_vs_parent": round(c / p - 1.0, 4) if p and c is not None else None}
+        out[workload] = row
+    return out
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     env = next((line[4:] for line in proc.stdout.splitlines() if line.startswith("env ")), None)
     return proc.returncode, proc.stdout, env
@@ -121,6 +148,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0, help="op time per run")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     ap.add_argument("--about", default="", help="what was measured, for the file's about")
+    ap.add_argument("--traced", type=int, metavar="SEED",
+                    help="after the pairs, one traced run per side and workload at SEED")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -139,6 +168,18 @@ def main(argv=None) -> int:
             seed += 1
     out = {"about": args.about, "machine": machine, "runs": runs,
            "summary": summarize(runs, better)}
+    if args.traced is not None:
+        traced = []
+        for index, workload in enumerate(dict.fromkeys(name for name, _ in args.workload)):
+            for side in pair_order(index):
+                code, stdout, _ = _run(checkouts[side], workload, args.traced, args.seconds, 1)
+                traced.append({"workload": workload, "seed": args.traced, "side": side,
+                               "exit": code, "result": parse_output(stdout)[1], "trace": 1,
+                               "seconds": args.seconds})
+                print(f"{workload} traced seed {args.traced} {side}: exit {code}", file=sys.stderr)
+        per_layer = [m["name"] for m in bench["per_layer"]]
+        out["traced"] = {"seed": args.traced, "runs": traced,
+                         "metrics": compare_traced(traced, per_layer)}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
