@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import UsageError
 from .game import GameSpec, _check_tol, aggregate, justifiable_inactivity_set
-from .network import WeightedNetwork, _try_symmetrize, check_assumption, spectral_radius
+from .network import WeightedNetwork, _agent_set, _try_symmetrize, check_assumption, spectral_radius
 
 __all__ = [
     "ACTIVE_TOL",
@@ -138,16 +138,6 @@ def _check_agents(spec: GameSpec, **arrays) -> None:
             raise UsageError(f"{name} have length {length}; the game has {spec.n} agents")
 
 
-def _agent_set(spec: GameSpec, entries: Iterable, name: str) -> frozenset:
-    """``entries`` as a frozenset; raise unless each is an agent index: an
-    int or np.integer, not a bool, in range(n)."""
-    entries = tuple(entries)
-    for i in entries:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < spec.n:
-            raise UsageError(f"{name} holds {i!r}: not an agent index in range({spec.n})")
-    return frozenset(entries)
-
-
 def make_record(
     spec: GameSpec,
     actions: np.ndarray,
@@ -165,7 +155,7 @@ def make_record(
     conjectures must hold one entry per agent.
     """
     _check_agents(spec, actions=actions, conjectures=conjectures)
-    declared = _agent_set(spec, declared_inactive, "declared_inactive")
+    declared = _agent_set(spec.n, declared_inactive, "declared_inactive")
     acts = np.asarray(actions, dtype=float)[None]
     witnesses = None if conjectures is None else np.asarray(conjectures, dtype=float)[None]
     rec = _records(spec, acts, aggregate(spec, acts), declared, witnesses)[0]
@@ -467,7 +457,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     ran. A candidate that is not an agent index (an int or np.integer, not
     a bool, in range(n)) raises before any solve.
     """
-    j = sorted(map(int, _agent_set(spec, candidates, "candidates")))
+    j = sorted(map(int, _agent_set(spec.n, candidates, "candidates")))
     runs = _subset_runs(j)  # raises past the enumeration limit, before any solve
     found = _certified_ne(spec, j)
     if found is not None:

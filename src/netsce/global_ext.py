@@ -193,12 +193,8 @@ def true_centrality(g: GlobalGameSpec, actions) -> TrueCentrality:
 
 def bonacich(net: WeightedNetwork, alpha) -> np.ndarray:
     """Action-weighted network centrality: the solution of (I - Z) b = alpha."""
-    n = net.n
-    rhs = np.asarray(alpha, dtype=float)
-    if rhs.ndim == 0:
-        rhs = np.full(n, float(rhs))
     try:
-        return np.linalg.solve(np.eye(n) - net.z, rhs)
+        return np.linalg.solve(np.eye(net.n) - net.z, _vec(alpha, net.n, "alpha"))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"centrality system is singular: {exc}") from exc
 
@@ -236,6 +232,7 @@ def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
     x_hat' = c e / (1 + c a).
     """
     alpha = _require_learning_regime(g)
+    _check_agents(g.base, x_hat=x_hat)
     xh = np.asarray(x_hat, dtype=float)
     a = alpha + xh
     if np.any(a <= 0):
@@ -253,6 +250,7 @@ def global_learn_step(g: GlobalGameSpec, x_hat) -> GlobalStep:
 def residual(g: GlobalGameSpec, actions) -> np.ndarray:
     """Fixed-point defect H(a) of the rest-point system, per agent."""
     alpha = _require_learning_regime(g)
+    _check_agents(g.base, actions=actions)
     a = np.asarray(actions, dtype=float)
     return alpha + _resplit(g)(a)[3] - a
 
@@ -285,11 +283,11 @@ def check_homeo2(g: GlobalGameSpec) -> Homeo2Report:
 class GlobalSolve:
     """A solved (or best-effort) rest point of the split-belief dynamics.
 
-    ``method`` names the kernel whose actions are returned: "newton",
-    "damped" or "seidel"; ``iterations`` sums every kernel that ran.
-    ``verdict`` is "converged" when ``converged`` holds, "no_rest_point"
-    when a certificate proved that no profile passes the acceptance rule
-    (the solve then stops after Newton), and "undetermined" otherwise.
+    ``method`` names the kernel whose actions are returned: "newton" or
+    "seidel"; ``iterations`` sums every kernel that ran. ``verdict`` is
+    "converged" when ``converged`` holds, "no_rest_point" when a certificate
+    proved that no profile passes the acceptance rule (the solve then stops
+    after Newton), and "undetermined" otherwise.
     """
 
     actions: np.ndarray
@@ -300,23 +298,6 @@ class GlobalSolve:
     method: str
     converged: bool
     verdict: str
-
-
-def _damped(g, alpha, tol, max_iter):
-    # In the learning regime (common alpha > 0, Z >= 0, c > 0) every re-split
-    # c e / d of a positive profile is >= +0.0, so from x_hat = 0 the averaged
-    # conjectures stay >= 0 and a = alpha + x_hat >= alpha > 0: the profile
-    # never leaves the domain of the update rule.
-    resplit, top = _resplit(g), np.maximum.reduce
-    xh = np.zeros(g.n)
-    for k in range(max_iter):
-        new = 0.5 * xh + 0.5 * resplit(alpha + xh)[3]
-        if not top(np.abs(new)) <= 1e12:  # also true for inf and nan
-            return alpha + xh, k + 1, False
-        if top(np.abs(new - xh)) < tol:
-            return alpha + new, k + 1, True
-        xh = new
-    return alpha + xh, max_iter, False
 
 
 def _seidel(g, alpha, tol, max_iter):
@@ -355,11 +336,6 @@ def _jacobian(g, a, x, e, d):
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 41))
 
 
-def _newton(g, alpha, tol, max_iter):
-    """``_newton_point`` without its point's re-split and defect."""
-    return _newton_point(g, alpha, tol, max_iter)[:3]
-
-
 def _newton_point(g, alpha, tol, max_iter):
     """Newton's method on H(a) = 0 with the analytic Jacobian, from the
     common base payoff intercept, which keeps it on the small-action branch
@@ -372,8 +348,9 @@ def _newton_point(g, alpha, tol, max_iter):
     overflowed f passes no t), else the solve stops. t0 is tried alone; the
     other halvings are evaluated as one stack and the largest passing t wins.
 
-    Returns (a, iterations, ok, parts, h): ``_resplit``'s (x, e, d, c e / d)
-    and the defect H at the returned a, as ``_resplit`` gives them there.
+    Returns (a, iterations, ok, parts, h): the (a, iterations, ok) of every
+    kernel, then ``_resplit``'s (x, e, d, c e / d) and the defect H at the
+    returned a, as ``_resplit`` gives them there, which the solve reuses.
     """
     resplit, top, total = _resplit(g), np.maximum.reduce, np.add.reduce
     a = np.full(g.n, alpha)
@@ -545,51 +522,41 @@ def solve_global_sce(
 ) -> GlobalSolve:
     """Solve the rest-point system of the split-belief dynamics.
 
-    Three kernels run in a fixed order until one converges: Newton's method
-    with the analytic Jacobian and a line search on the rest-point defect
-    (a few steps wherever it converges), then the update map averaged with
-    the identity ("damped"), then Seidel sweeps of the per-agent quadratic.
-    When Newton fails, a certificate (``_no_rest_point``) first tries to
-    prove that no profile can pass the acceptance rule; if it does, the
-    solve returns Newton's point with ``verdict="no_rest_point"`` and runs
-    neither damped iteration nor Seidel. ``iterations`` sums every kernel
-    that ran (the certificate's sweeps are not counted), and an unconverged
-    solve returns the kernel with the smallest residual. The returned
-    residual is max |H_i| at the final actions; ``converged`` compares it
-    against ``tol`` scaled by the action size and additionally requires a
-    strictly positive profile, the domain on which the update rule is
-    defined.
+    A profile is accepted when it is strictly positive, the domain on which
+    the update rule is defined, and its residual max |H_i| is below ``tol``
+    scaled by the action size. Newton's method with the analytic Jacobian
+    and a line search on the rest-point defect runs first (a few steps
+    wherever it converges). When its point is not accepted, a certificate
+    (``_no_rest_point``) tries to prove that no profile can be; if it does,
+    the solve returns Newton's point with ``verdict="no_rest_point"``.
+    Otherwise Seidel sweeps of the per-agent quadratic run from alpha, which
+    rise to the least rest point when one exists. The solve stops at the
+    first accepted point; unaccepted, it returns the kernel with the smaller
+    residual. ``iterations`` sums both kernels (the certificate's sweeps are
+    not counted).
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
-    resplit, top = _resplit(g), np.maximum.reduce
+    top = np.maximum.reduce
 
-    def point(a):
-        parts = resplit(a)
-        return parts, alpha + parts[3] - a
+    def scored(a, h):
+        res = float(top(np.abs(h)))
+        if not math.isfinite(res):
+            res = math.inf
+        return res, bool((a > 0.0).all()) and res < tol * max(1.0, float(top(np.abs(a))))
 
-    total = 0
-    best = None
-    proved = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, kernel in (("newton", _newton_point), ("damped", _damped), ("seidel", _seidel)):
-            # Newton returns the re-split and defect at its point; the others
-            # are re-split here.
-            a, iters, ok, *known = kernel(g, alpha, tol, max_iter)
-            (_, e, d, x_hat), h = known or point(a)
+        a, total, _, parts, h = _newton_point(g, alpha, tol, max_iter)
+        name, (res, accepted) = "newton", scored(a, h)
+        proved = not accepted and _no_rest_point(g, alpha, tol, max_iter) is not None
+        if not (accepted or proved):
+            sa, iters, _ = _seidel(g, alpha, tol, max_iter)
             total += iters
-            res = float(top(np.abs(h)))
-            if not math.isfinite(res):
-                res = math.inf
-            accepted = bool((a > 0.0).all()) and res < tol * max(1.0, float(top(np.abs(a))))
-            if best is None or res < best[4] or (ok and accepted):
-                best = (a, x_hat, e, d, res, name, accepted)
-            if ok and accepted:
-                break
-            if name == "newton" and _no_rest_point(g, alpha, tol, max_iter) is not None:
-                proved = True
-                break
-        a, x_hat, e, d, res, name, accepted = best
+            sparts = _resplit(g)(sa)
+            sres, saccepted = scored(sa, alpha + sparts[3] - sa)
+            if saccepted or sres < res:
+                name, a, parts, res, accepted = "seidel", sa, sparts, sres, saccepted
+        _, e, d, x_hat = parts
         y_hat = e / d
     return GlobalSolve(
         actions=a,

@@ -338,12 +338,19 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
     )
 
 
+def _agent_set(n: int, entries: Iterable, name: str) -> frozenset:
+    """``entries`` as a frozenset; raise unless each is an agent index: an
+    int or np.integer, not a bool, in range(n)."""
+    entries = tuple(entries)
+    for i in entries:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            raise UsageError(f"{name} holds {i!r}: not an agent index in range({n})")
+    return frozenset(entries)
+
+
 def submatrix(net: WeightedNetwork, agents: Iterable[int]) -> WeightedNetwork:
-    """Restriction of the network to ``agents``."""
-    idx = sorted(set(int(a) for a in agents))
-    for a in idx:
-        if not 0 <= a < net.n:
-            raise UsageError(f"agent index {a} out of range for n={net.n}")
+    """Restriction of the network to ``agents``, each an agent index."""
+    idx = sorted(_agent_set(net.n, agents, "agents"))
     return WeightedNetwork(z=net.z[np.ix_(idx, idx)])
 
 

@@ -18,9 +18,10 @@ from netsce import (
     solve_global_sce,
     true_centrality,
 )
-from netsce.global_ext import _damped, _newton, _seidel, _spillover
+from netsce.global_ext import _newton_point, _seidel, _spillover
 
 from conftest import COMPLETE3, LINE3
+from test_global_solver import reference_damped
 
 
 @pytest.fixture
@@ -177,7 +178,8 @@ def test_methods_agree_inside_contraction_window(line_game):
     window = check_homeo2(g)
     assert window.holds
     assert np.all(window.lhs < window.row_sums)
-    runs = [kernel(g, 0.1, 1e-10, 100_000) for kernel in (_newton, _damped, _seidel)]
+    kernels = (_newton_point, reference_damped, _seidel)
+    runs = [kernel(g, 0.1, 1e-10, 100_000)[:3] for kernel in kernels]
     assert all(ok for _, _, ok in runs)
     pts = [a for a, _, _ in runs]
     for other in pts[1:]:
@@ -188,8 +190,9 @@ def test_methods_agree_inside_contraction_window(line_game):
 
 def test_newton_on_a_hot_network():
     # Dense positive spillovers with perceived centralities near the edge of
-    # solvability; the damped sweep stalls here while Newton lands in a few
-    # steps. The converging kernels must agree on the rest point.
+    # solvability; the update map averaged with the identity stalls here
+    # while Newton lands in a few steps. The converging kernels must agree
+    # on the rest point.
     z = np.array(
         [
             [0.0, 0.2661, 0.6581, 0.7264],
@@ -200,7 +203,7 @@ def test_newton_on_a_hot_network():
     )
     base = make_game(WeightedNetwork(z=z), alpha=np.full(4, 0.25), a_max=50.0)
     g = make_global_game(base, beta=1.0, c=np.array([0.3381, 0.2372, 0.1415, 0.1347]))
-    newton, iterations, ok = _newton(g, 0.25, 1e-10, 2500)
+    newton, iterations, ok = _newton_point(g, 0.25, 1e-10, 2500)[:3]
     assert ok
     assert np.max(np.abs(residual(g, newton))) < 1e-9
     assert iterations <= 40
@@ -258,9 +261,11 @@ def _right(n=3):
         (lambda g: check_global_sce(g, np.ones(3), GlobalConjecture(np.zeros(3), np.zeros(4))),
          "y_hat", 4),
         (lambda g: true_centrality(g, np.ones(2)), "actions", 2),
+        (lambda g: global_learn_step(g, np.zeros(2)), "x_hat", 2),
+        (lambda g: residual(g, np.ones(4)), "actions", 4),
     ],
     ids=["check_global_sce-actions", "check_global_sce-x_hat", "check_global_sce-y_hat",
-         "true_centrality"],
+         "true_centrality", "global_learn_step", "residual"],
 )
 def test_wrong_global_lengths_are_named_with_the_agent_count(line_game, call, name, length):
     """A vector of the wrong length is a usage error that names its length
@@ -276,6 +281,21 @@ def test_wrong_global_lengths_are_named_with_the_agent_count(line_game, call, na
 def test_bonacich_profiles(line_game, complete_game):
     assert np.allclose(bonacich(line_game.net, 0.1), [3 / 23, 7 / 46, 3 / 23])
     assert np.allclose(bonacich(complete_game.net, 0.1), 1 / 6)
+
+
+@pytest.mark.parametrize(
+    "alpha, why",
+    [
+        (np.full(2, 0.1), "a scalar or length-3 vector"),
+        (np.full((3, 1), 0.1), "a scalar or length-3 vector"),
+        (np.nan, "finite"),
+        ([0.1, np.inf, 0.1], "finite"),
+    ],
+    ids=["short", "column", "nan", "inf-entry"],
+)
+def test_bonacich_rejects_a_bad_intercept(line_game, alpha, why):
+    with pytest.raises(UsageError, match=f"^alpha must be {why}$"):
+        bonacich(line_game.net, alpha)
 
 
 def test_true_centrality_at_network_equilibrium(line_game):

@@ -3,7 +3,8 @@
 ``global_ext._no_rest_point`` may fire only where no profile passes the
 solver's acceptance rule. Two checks hold it to that on every game here:
 
-- it never fires on a game where one of the three kernels converges, on
+- it never fires on a game where one of three kernels converges (the
+  solver's Newton and Seidel kernels and the tests' damped iteration), on
   random games, hot corners, n = 20 and 50, and a ladder around the fold
   of the rest-point branch;
 - every proof it returns is re-derived in exact rational arithmetic
@@ -17,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from netsce import global_ext, make_global_game
-from netsce.global_ext import _damped, _newton, _no_rest_point, _seidel
+from netsce.global_ext import _newton_point, _no_rest_point, _seidel
 
-from test_global_solver import _accepted, _battery_game, _hot_corner_game
+from test_global_solver import _accepted, _battery_game, _hot_corner_game, reference_damped
 
 KERNEL_BUDGET = 2000
 SWEEP = global_ext._sweep_down
@@ -28,9 +29,9 @@ SWEEP = global_ext._sweep_down
 def _converges(g, tol):
     """Whether any kernel ends at a profile the solver accepts."""
     alpha = float(g.base.alpha[0])
-    for kernel in (_newton, _damped, _seidel):
+    for kernel in (_newton_point, reference_damped, _seidel):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, _, _ = kernel(g, alpha, tol, KERNEL_BUDGET)
+            a = kernel(g, alpha, tol, KERNEL_BUDGET)[0]
         if _accepted(g, a, tol):
             return True
     return False
@@ -127,7 +128,7 @@ def test_certificate_near_the_fold(monkeypatch):
         alpha, lo, hi = float(g0.base.alpha[0]), 0.25, 1.0
         while hi - lo > 1e-9 * hi:
             mid = 0.5 * (lo + hi)
-            a, _, _ = _newton(at(mid), alpha, 1e-10, 200)
+            a = _newton_point(at(mid), alpha, 1e-10, 200)[0]
             lo, hi = (mid, hi) if _accepted(at(mid), a, 1e-10) else (lo, mid)
         for t in (lo * (1 - 1e-6), lo * (1 + 1e-3)):
             g = at(t)

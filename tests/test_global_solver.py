@@ -1,13 +1,15 @@
 """The global rest-point solver against its per-step-validated predecessor.
 
 ``reference_solve`` is the earlier driver: every learn step and every
-residual re-checks the learning regime, damped iteration catches
-``UsageError`` to stop, the re-split c e / (1 + c a) is written out at each
-use, ``reference_seidel`` sweeps with NumPy scalars and ``reference_newton``
-builds its Jacobian and runs its line search in plain loops.
-``solve_global_sce``, its three kernels, ``residual`` and
+residual re-checks the learning regime, the re-split c e / (1 + c a) is
+written out at each use, ``reference_seidel`` sweeps with NumPy scalars and
+``reference_newton`` builds its Jacobian and runs its line search in plain
+loops. ``solve_global_sce``, its two kernels, ``residual`` and
 ``global_learn_step`` must reproduce it bit for bit, warnings included, on
-a seeded battery and through the CLI.
+a seeded battery and through the CLI. ``reference_damped``, the update map
+averaged with the identity, catches ``UsageError`` to stop; the library no
+longer runs it, and it stays as a third kernel for the oracles that ask
+whether any kernel converges.
 
 When Newton fails, the reference asks the library's certificate
 ``_no_rest_point`` whether any rest point can pass, and stops after Newton
@@ -17,8 +19,9 @@ tested against the kernels and an exact rational re-derivation in
 
 ``parent_solve`` is the cascade as it was before Newton used the analytic
 Jacobian and led: a quasi-Newton step, tried last, after plain iteration
-inside the contraction window. Every game it solves must still be solved,
-at the same rest point.
+inside the contraction window and damped iteration. Every game it solves
+must still be solved, at the same rest point. Both drivers stop at the
+first kernel whose point the solve accepts.
 """
 
 import warnings
@@ -44,9 +47,8 @@ from netsce.game import aggregate
 from netsce.global_ext import (
     GlobalSolve,
     GlobalStep,
-    _damped,
     _jacobian,
-    _newton,
+    _newton_point,
     _no_rest_point,
     _require_learning_regime,
     _resplit,
@@ -217,7 +219,7 @@ def _cascade(g, tol, max_iter, order, newton, certify):
     proved = False
     for name in order:
         with np.errstate(over="ignore", invalid="ignore"):
-            out, iters, ok = attempts[name]()
+            out, iters, _ = attempts[name]()
         total += iters
         a = alpha + out if name == "iterate" else out
         with np.errstate(invalid="ignore"):
@@ -226,7 +228,7 @@ def _cascade(g, tol, max_iter, order, newton, certify):
             res = float("inf")
         if best is None or res < best[1]:
             best = (a, res, name)
-        if ok and np.all(a > 0.0) and res < tol * max(1.0, float(np.max(np.abs(a)))):
+        if np.all(a > 0.0) and res < tol * max(1.0, float(np.max(np.abs(a)))):
             best = (a, res, name)
             break
         if certify and name == "newton" and _no_rest_point(g, alpha, tol, max_iter):
@@ -254,7 +256,7 @@ def _cascade(g, tol, max_iter, order, newton, certify):
 
 
 def reference_solve(g, tol=1e-10, max_iter=100_000):
-    order = ("newton", "damped", "seidel")
+    order = ("newton", "seidel")
     return _cascade(g, tol, max_iter, order, reference_newton, certify=True)
 
 
@@ -265,10 +267,10 @@ def parent_solve(g, tol=1e-10, max_iter=100_000):
 
 
 # Each kernel of the library's cascade and the reference kernel it must
-# reproduce; all take (g, alpha, tol, max_iter) and return (a, iterations, ok).
+# reproduce; all take (g, alpha, tol, max_iter) and return (a, iterations,
+# ok) first (``_newton_point`` also returns its point's re-split and defect).
 KERNELS = {
-    "newton": (_newton, reference_newton),
-    "damped": (_damped, reference_damped),
+    "newton": (_newton_point, reference_newton),
     "seidel": (_seidel, reference_seidel),
 }
 METHODS = tuple(KERNELS)
@@ -355,7 +357,7 @@ def _compare(g, tol, max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
             got, got_warn = _outcome(kernel, g, alpha, tol, max_iter)
             ref, ref_warn = _outcome(ref_kernel, g, alpha, tol, max_iter)
-        assert (got[0].tobytes(),) + got[1:] == (ref[0].tobytes(),) + ref[1:], name
+        assert (got[0].tobytes(),) + got[1:3] == (ref[0].tobytes(),) + ref[1:], name
         assert got_warn == ref_warn, name
         runs[name] = ref
     return solve, runs
@@ -407,7 +409,7 @@ def test_solver_matches_reference_bit_for_bit():
                 else:
                     nonconverged += 1
         _compare_steps(g, rng)
-    assert winners == {"newton": 107, "damped": 6}
+    assert winners == {"newton": 107, "seidel": 6}
     assert nonconverged > 0 and exhausted > 0
     assert errors == 20
 
@@ -567,6 +569,49 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
     assert len(calls) == 2
 
 
+def test_an_accepted_newton_point_at_its_budget_ends_the_solve(monkeypatch, capsys):
+    # Newton can spend its last step landing on a point it never checks; the
+    # solve accepts that point, so neither the certificate nor Seidel runs.
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(global_ext, name)
+
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return run
+
+    for name in ("_no_rest_point", "_seidel"):
+        monkeypatch.setattr(global_ext, name, counted(name))
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(20):
+        g = _battery_game(rng, heterogeneous=False)
+        alpha = float(g.base.alpha[0])
+        _, steps, ok = _newton_point(g, alpha, 1e-10, 200)[:3]
+        if not ok or steps < 2:
+            continue
+        a, iters, ok = _newton_point(g, alpha, 1e-10, steps - 1)[:3]
+        assert not ok and iters == steps - 1 and _accepted(g, a, 1e-10)
+        out = solve_global_sce(g, max_iter=steps - 1)
+        assert (out.method, out.iterations, out.verdict) == ("newton", steps - 1, "converged")
+        checked += 1
+    assert checked >= 5
+
+    code = main(["global-sce", "-i", str(SCENARIO_DIR / "global_line.json"), "--max-iter", "3"])
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 3
+    assert all(row[6:] == ["3", "newton", "true"] for row in rows)
+    assert not calls
+
+    # The counters see both when Newton's point is not accepted.
+    base = make_game(WeightedNetwork(z=0.5005 * (np.ones((3, 3)) - np.eye(3))), alpha=0.12)
+    solve_global_sce(make_global_game(base, beta=1.0, c=0.6), max_iter=50)
+    assert calls == {"_no_rest_point": 1, "_seidel": 1}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -594,7 +639,7 @@ def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("the solver started before its arguments were checked")
 
-    for name in ("_resplit", "_damped", "_seidel", "_newton", "_no_rest_point"):
+    for name in ("_resplit", "_seidel", "_newton_point", "_no_rest_point"):
         monkeypatch.setattr(global_ext, name, no_work)
     with pytest.raises(UsageError):
         solve_global_sce(g, **kwargs)

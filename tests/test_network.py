@@ -13,7 +13,9 @@ from netsce import (
     WeightedNetwork,
     check_assumption,
     interior_conditions,
+    make_game,
     random_symmetrizable,
+    solve_auxiliary_ne,
     spectral_radius,
     submatrix,
     symmetrize_decompose,
@@ -106,6 +108,25 @@ def test_submatrix_keeps_labels():
     net = WeightedNetwork(z=MIXED4)
     sub = submatrix(net, [1, 3])
     assert sub.z[0, 1] == pytest.approx(0.2)  # weight 1 <- 3 survives
+
+
+@pytest.mark.parametrize(
+    "bad", [1.7, np.float64(2.0), True, np.bool_(True), "1", -1, 4, np.int64(4)], ids=repr
+)
+def test_submatrix_takes_agent_indices_only(bad):
+    """An entry that is not an int or np.integer in range(n), or is a bool,
+    raises with the message of the equilibrium solvers' agent sets; nothing
+    is truncated or coerced."""
+    net = WeightedNetwork(z=MIXED4)
+    message = r"^agents holds .*: not an agent index in range\(4\)$"
+    with pytest.raises(UsageError, match=message) as got:
+        submatrix(net, [0, bad])
+    spec = make_game(net, alpha=0.1)
+    with pytest.raises(UsageError) as ref:
+        solve_auxiliary_ne(spec, [0, bad])
+    assert str(got.value).replace("agents", "candidates", 1) == str(ref.value)
+    same = submatrix(net, [np.int64(3), np.uint8(1), 3])
+    assert same.z.tolist() == submatrix(net, [1, 3]).z.tolist()
 
 
 def test_decompose_two_agent_example():
