@@ -511,7 +511,7 @@ def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
     ``tol``: a finite real >= 0, where 0 asks for an exact test.
 
     Violations are reported per agent: "range" (action or conjecture out of
-    bounds), "rationality" (action is not the best reply to the conjecture),
+    bounds, or NaN), "rationality" (action is not the best reply to the conjecture),
     "confirmation" (an active agent's conjecture differs from its true
     aggregate).
     """
@@ -523,8 +523,8 @@ def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
     gap = np.abs(a - np.clip(spec.alpha + xh, 0.0, spec.a_max))
     miss = np.abs(xh - x)
     bad = _violations(
-        ("range", (a < -tol) | (a > spec.a_max + tol), a),
-        ("range", (xh < spec.x_lo - tol) | (xh > spec.x_hi + tol), xh),
+        ("range", ~((a >= -tol) & (a <= spec.a_max + tol)), a),
+        ("range", ~((xh >= spec.x_lo - tol) & (xh <= spec.x_hi + tol)), xh),
         ("rationality", gap > tol, gap),
         ("confirmation", (a > ACTIVE_TOL) & (miss > tol), miss),
     )

@@ -142,7 +142,8 @@ def check_global_sce(
     Active agents must best-respond to x_hat and believe a payoff equal to
     the realized one, which pins y_hat = y + a (x - x_hat). Inactive agents
     observe exactly y (their network term vanishes), so y_hat must equal y
-    and x_hat must justify staying out.
+    and x_hat must justify staying out. An entry outside its bounds, or
+    NaN, is a "range" violation.
     """
     _check_tol(tol)
     _check_agents(g.base, actions=actions, x_hat=conjecture.x_hat, y_hat=conjecture.y_hat)
@@ -160,9 +161,9 @@ def check_global_sce(
     )
     confirmation = np.abs(np.where(active, yh - (y + a * (x - xh)), yh - y))
     bad = _violations(
-        ("range", (a < -tol) | (a > spec.a_max + tol), a),
-        ("range", (xh < spec.x_lo - tol) | (xh > spec.x_hi + tol), xh),
-        ("range", (yh < g.y_lo - tol) | (yh > g.y_hi + tol), yh),
+        ("range", ~((a >= -tol) & (a <= spec.a_max + tol)), a),
+        ("range", ~((xh >= spec.x_lo - tol) & (xh <= spec.x_hi + tol)), xh),
+        ("range", ~((yh >= g.y_lo - tol) & (yh <= g.y_hi + tol)), yh),
         ("rationality", rationality > tol, rationality),
         ("confirmation", confirmation > tol, confirmation),
     )

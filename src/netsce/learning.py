@@ -82,6 +82,8 @@ PROBE_MAX_ITER = 20_000
 #: takes about 15 s on a 2-vCPU VM when every record runs; a certified
 #: record runs none.
 _MAX_PROBE_RUNS = 1 << 17
+#: The clip ufunc that ``ndarray.clip`` calls, without its Python wrapper.
+_clip = np._core.umath.clip
 
 
 @dataclass(frozen=True)
@@ -95,22 +97,60 @@ class StepResult:
     clamped: tuple  # agents whose updated conjecture had to be clipped
 
 
-def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray) -> tuple:
-    """One period from conjectures ``xh``, one profile or a (k, n) stack.
+def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out=None) -> tuple:
+    """Periods of the dynamics from conjectures ``xh``, one profile or a
+    (k, n) stack: the engine's one step kernel.
 
-    Returns the actions, payoffs and clipped next conjectures, and the masks
-    of entries whose action reached ``cap_at`` (capped) and whose updated
-    conjecture had to be clipped (clamped). Inactive entries keep their
-    conjecture; active ones take ``invert_feedback``'s ``m/a - alpha + a/2``.
+    ``out`` is a block's (actions, payoffs, states, learned, flags): four
+    float stacks (periods, *xh.shape) and one bool stack of that shape.
+    Period p is stepped from the states of period p - 1, ``xh`` for the
+    first, and written in place: its actions, payoffs, clipped next
+    conjectures and, in ``learned``, next conjectures before the clip;
+    ``flags[p]`` holds its active mask until the block ends. Returns the
+    actions, payoffs and states, and the masks of entries whose action
+    reached ``cap_at`` (capped) and whose next conjecture had to be clipped
+    (clamped). Without ``out`` it steps one period and returns that
+    period's five arrays.
+
+    A period from conjectures x is one matvec, Z a, and twelve elementwise
+    operations, in this order:
+
+    1. alpha + x, 2. a = clip(that, 0, a_max), 3. h = a * 0.5, which
+    equals a / 2 exactly, 4. alpha * a, 5. h * a, 6. (4) - (5), 7. a * (Z a),
+    8. m = (6) + (7); then, only where a > 0, 9. m / a, 10. (9) - alpha,
+    11. l = (10) + h, which is ``invert_feedback``, while the other entries
+    keep x; 12. the state clip(l, x_lo, x_hi).
+
+    h lives in the state's slot until 12 and each intermediate in the
+    block's own arrays, so nothing is allocated per period. Both clips call
+    the clip ufunc itself, which keeps a -0.0 that ``np.maximum`` would turn
+    into +0.0, and no 0/0 is evaluated.
     """
-    a = (spec.alpha + xh).clip(0.0, spec.a_max)
-    m = spec.alpha * a - 0.5 * a * a + a * np.matvec(spec.net.z, a)
-    active = a > 0
-    # The placeholder divisor 1 only feeds entries np.where discards.
-    learned = m / np.where(active, a, 1.0) - spec.alpha + a / 2.0
-    nxt = np.where(active, learned, xh)
-    clipped = nxt.clip(spec.x_lo, spec.x_hi)
-    return a, m, clipped, a >= cap_at, clipped != nxt
+    one = out is None
+    if one:
+        out = (*np.empty((4, 1) + xh.shape), np.empty((1,) + xh.shape, dtype=bool))
+    acts, pays, states, learned, flags = out
+    alpha = spec.alpha
+    for a, m, x, nxt, active in zip(acts, pays, states, learned, flags):
+        h = x  # the state's slot holds a / 2 until the final clip
+        np.add(alpha, xh, out=a)
+        _clip(a, 0.0, spec.a_max, out=a)
+        np.multiply(a, 0.5, out=h)
+        np.multiply(alpha, a, out=m)
+        np.multiply(h, a, out=nxt)
+        np.subtract(m, nxt, out=m)
+        np.matvec(spec.net.z, a, out=nxt)
+        np.multiply(a, nxt, out=nxt)
+        np.add(m, nxt, out=m)
+        np.greater(a, 0.0, out=active)
+        nxt[...] = xh
+        np.divide(m, a, out=nxt, where=active)
+        np.subtract(nxt, alpha, out=nxt, where=active)
+        np.add(nxt, h, out=nxt, where=active)
+        _clip(nxt, spec.x_lo, spec.x_hi, out=x)
+        xh = x
+    result = acts, pays, states, acts >= cap_at, np.not_equal(states, learned, out=flags)
+    return tuple(v[0] for v in result) if one else result
 
 
 def _warn_cap(capped: np.ndarray, stacklevel: int) -> None:
@@ -128,9 +168,11 @@ def _warn_cap(capped: np.ndarray, stacklevel: int) -> None:
 
 
 def learn_step(spec: GameSpec, conjectures) -> StepResult:
-    """Advance the dynamics one period from one profile of conjectures."""
+    """Advance the dynamics one period from one profile of finite conjectures."""
     xh = np.asarray(conjectures, dtype=float)
     _check_agents(spec, conjectures=xh)
+    if not np.isfinite(xh).all():
+        raise UsageError("conjectures must be finite")
     a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN)
     if np.count_nonzero(capped):
         _warn_cap(capped, stacklevel=2)
@@ -254,8 +296,8 @@ def _settling(change, quiet, tol, window) -> float:
 def _advance(spec, x0, tol, max_iter, window, on_block=None) -> _Runs:
     """Run the dynamics from every row of ``x0`` (k, n) at once.
 
-    The live stack steps a block of periods, one :func:`_step` call each,
-    and then applies the stopping rules to the whole block in one pass, per
+    The live stack steps a block of periods in one :func:`_step` call,
+    which writes them into the block's stacks, and then applies the stopping rules to the whole block in one pass, per
     row and period in order: ``window`` consecutive sup-norm changes below
     ``tol`` (converged); an action or conjecture beyond ``DIVERGENCE_CAP``
     in magnitude (diverged); the same state recurrence, or else increment
@@ -312,11 +354,9 @@ def _advance(spec, x0, tol, max_iter, window, on_block=None) -> _Runs:
         if end + size > hist.shape[2]:
             hist[:, :, : RING - 1] = hist[:, :, end - RING + 1 : end]
             end = RING - 1
-        acts, pays, states = np.empty((3, size, k, n))
-        caps, clamps = np.empty((2, size, k, n), dtype=bool)
-        for p in range(size):
-            acts[p], pays[p], states[p], caps[p], clamps[p] = _step(spec, xh, cap_at)
-            xh = states[p]
+        block = (*np.empty((4, size, k, n)), np.empty((size, k, n), dtype=bool))
+        acts, pays, states, caps, clamps = _step(spec, xh, cap_at, block)
+        xh = states[-1]
         new = hist[:k, :, end : end + size]
         new[...] = states.transpose(1, 2, 0)
         incr = hist[k:, :, end : end + size]
@@ -440,7 +480,8 @@ def run_learning(
     _check_count(window, "window")
     xh = np.asarray(initial, dtype=float).copy()
     _check_agents(spec, **{"initial conjectures": xh})
-    outside = (xh < spec.x_lo - _RANGE_SLACK) | (xh > spec.x_hi + _RANGE_SLACK)
+    # "Not inside" rather than "below or above": a NaN start is outside.
+    outside = ~((xh >= spec.x_lo - _RANGE_SLACK) & (xh <= spec.x_hi + _RANGE_SLACK))
     if np.any(outside):
         i = int(np.flatnonzero(outside)[0])
         raise UsageError(
@@ -641,7 +682,7 @@ def _certificate(spec, witnesses, targets, epsilon, tol, max_iter):
 
     The rounding of a period is taken as (n + 12) u times the record's
     scale, over active agents only: n for the matvec, a dozen for the
-    other operations of ``_step``. No record certifies in a game whose
+    twelve elementwise operations :func:`_step` lists. No record certifies in a game whose
     bounds would let ``_advance`` test for divergence.
     """
     n = spec.n

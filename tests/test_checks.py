@@ -17,6 +17,7 @@ from netsce import (
     is_sce,
     make_game,
     make_global_game,
+    make_record,
 )
 from netsce.equilibrium import ACTIVE_TOL
 
@@ -164,3 +165,28 @@ def test_checks_take_zero_and_finite_tolerances(check):
     assert not any(chk.ok for chk in verdicts)
     for chk in verdicts:
         assert {(i, why) for i, why, _ in chk.violations} >= {(0, "range"), (1, "range")}
+
+
+# ------------------------------------------------------------------ NaN
+
+
+def test_nan_entries_are_range_violations():
+    """An all-NaN profile used to pass both checks with no violation, so
+    make_record(..., validate=True) built a NaN record. Every NaN entry is
+    now a "range" violation, each check listing its entries by agent."""
+    z = np.array([[0.0, 0.5], [0.5, 0.0]])
+    spec = make_game(WeightedNetwork(z=z), alpha=0.1)
+    g = make_global_game(spec, 0.05, 0.5)
+    nan = np.full(2, np.nan)
+    chk = is_sce(spec, nan, nan)
+    assert not chk.ok
+    assert [(i, why) for i, why, _ in chk.violations] == [(0, "range")] * 2 + [(1, "range")] * 2
+    chk = check_global_sce(g, nan, GlobalConjecture(nan, nan))
+    assert not chk.ok
+    assert [(i, why) for i, why, _ in chk.violations] == [(0, "range")] * 3 + [(1, "range")] * 3
+    with pytest.raises(UsageError, match="not selfconfirming .agent 0: range off by nan"):
+        make_record(spec, nan, conjectures=nan)
+    # One NaN conjecture beside a selfconfirming entry: only its agent fails.
+    a = np.array([0.2, 0.2])
+    chk = is_sce(spec, a, np.array([np.nan, 0.1]))
+    assert [(i, why) for i, why, _ in chk.violations] == [(0, "range")]

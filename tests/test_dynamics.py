@@ -884,6 +884,88 @@ def test_step_kernel_matches_reference_step():
     assert seen >= {"zero", "capped", "clamped", "margin", "rows=1", f"rows={PROBE_BLOCK}"}, seen
 
 
+def _block(periods, shape):
+    """A block's stacks for ``_step``: four float ones and one bool one."""
+    return (*np.empty((4, periods) + shape), np.empty((periods,) + shape, dtype=bool))
+
+
+def test_block_kernel_matches_one_period_calls_and_reference_step():
+    """One ``_step`` call over a 32-period block writes what 32 one-period
+    calls fed back return, and each period is ``reference_step`` of the
+    block's previous state, row by row: bytes and masks. Warnings are
+    errors, so a 0/0 evaluated at an inactive agent fails."""
+    periods = 32
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for game, xh in _kernel_cases(seed=79):
+            if len(xh) not in (1, PROBE_BLOCK) and game.n > 1:
+                continue
+            cap_at = game.a_max - CAP_WARN_MARGIN
+            # A one-row case also runs as one profile, the shape learn_step passes.
+            for start in (xh, xh[0]) if len(xh) == 1 else (xh,):
+                out = _step(game, start, cap_at, _block(periods, start.shape))
+                assert all(v.shape == (periods,) + start.shape for v in out)
+                rows = np.atleast_2d
+                unsign = 0.0 if game.n == 1 and len(xh) > 1 else -0.0
+                x = start
+                for p in range(periods):
+                    one = _step(game, x, cap_at)
+                    for got, want in zip(out, one):
+                        assert got[p].tobytes() == want.tobytes()
+                    for r, prev in enumerate(rows(start if p == 0 else out[2][p - 1])):
+                        ra, rm, rnew, rcapped, rclamped = reference_step(game, prev)
+                        assert rows(out[0][p])[r].tobytes() == ra.tobytes()
+                        assert rows(out[1][p])[r].tobytes() == rm.tobytes()
+                        assert (rows(out[2][p])[r] + unsign).tobytes() == (rnew + unsign).tobytes()
+                        assert tuple(np.flatnonzero(rows(out[3][p])[r]).tolist()) == rcapped
+                        assert tuple(np.flatnonzero(rows(out[4][p])[r]).tolist()) == rclamped
+                        seen.update(name for name, hit in (
+                            ("zero", np.any(ra == 0)), ("capped", rcapped), ("clamped", rclamped),
+                            ("margin", np.any(ra == cap_at))) if hit)
+                    x = one[2]
+                seen.add(f"shape={start.shape if len(xh) == 1 else len(xh)}")
+    assert seen >= {"zero", "capped", "clamped", "margin", f"shape={PROBE_BLOCK}"}, seen
+    assert {"shape=(1, 1)", "shape=(1,)"} <= seen, seen
+
+
+def test_the_kernel_runs_once_per_block(monkeypatch):
+    """``_advance`` steps each block in one kernel call, looked up by its
+    module name; ``learn_step`` makes exactly one."""
+    from netsce import learning
+
+    kernel, advance = learning._step, learning._advance
+    calls, blocks = [], []
+
+    def counting(*args, **kw):
+        calls.append(args[3] if len(args) > 3 else kw.get("out"))
+        return kernel(*args, **kw)
+
+    def watching(spec, x0, tol, max_iter, window, on_block=None):
+        def seen(t, *stacks):
+            blocks.append(len(stacks[0]))
+            on_block(t, *stacks)
+        return advance(spec, x0, tol, max_iter, window, seen)
+
+    monkeypatch.setattr(learning, "_step", counting)
+    monkeypatch.setattr(learning, "_advance", watching)
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapBindingWarning)
+        for game, x0, max_iter in BATTERY:
+            calls.clear()
+            blocks.clear()
+            traj = run_learning(game, np.asarray(x0, dtype=float), max_iter=max_iter)
+            assert len(calls) == len(blocks) > 0
+            assert all(out is not None for out in calls)
+            assert sum(blocks) >= traj.steps
+            kinds.add(traj.classification)
+        calls.clear()
+        learn_step(game, np.asarray(x0, dtype=float))
+    assert calls == [None]
+    assert kinds == {"converged", "diverged", "oscillating", "max-iter"}, kinds
+
+
 def _cap_message(agents):
     return (f"actions of agents {sorted(agents)} are within {CAP_WARN_MARGIN:g} of the "
             "action cap; results likely reflect the cap, not the game")

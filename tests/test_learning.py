@@ -55,6 +55,13 @@ def test_step_warns_when_cap_binds():
     assert step.capped == (0, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_a_non_finite_conjecture(positive_game, bad):
+    """A NaN conjecture used to come back as a NaN action."""
+    with pytest.raises(UsageError, match="conjectures must be finite"):
+        learn_step(positive_game, [0.0, bad, 0.0, 0.0])
+
+
 # ------------------------------------------------------------- trajectories
 
 
@@ -136,6 +143,22 @@ def test_run_learning_validations(positive_game):
         run_learning(positive_game, np.zeros(4), max_iter=0)
     with pytest.raises(UsageError):
         run_learning(positive_game, np.zeros(4), window=0)
+
+
+@pytest.mark.parametrize("start, agent", [([np.nan, 0.0], 0), ([0.0, np.nan], 1),
+                                          ([np.inf, 0.0], 0), ([0.0, -np.inf], 1)])
+def test_run_learning_rejects_a_non_finite_start_before_any_step(start, agent, monkeypatch):
+    """A NaN start used to pass the range test and, its change read as
+    quiet, converge after 3 steps to an all-NaN limit with limit_is_sce."""
+    from netsce import learning
+
+    def no_steps(*args, **kw):
+        raise AssertionError("a step ran before the start was checked")
+
+    monkeypatch.setattr(learning, "_step", no_steps)
+    game = make_game(WeightedNetwork(z=np.array([[0.0, 0.5], [0.5, 0.0]])), alpha=0.1)
+    with pytest.raises(UsageError, match=f"conjecture for agent {agent} lies outside"):
+        run_learning(game, start)
 
 
 
