@@ -511,9 +511,9 @@ def is_sce(spec: GameSpec, actions, conjectures, tol: float = 1e-9) -> SceCheck:
     ``tol``: a finite real >= 0, where 0 asks for an exact test.
 
     Violations are reported per agent: "range" (action or conjecture out of
-    bounds, or NaN), "rationality" (action is not the best reply to the conjecture),
-    "confirmation" (an active agent's conjecture differs from its true
-    aggregate).
+    bounds, or NaN), "rationality" (action is not the best reply to the
+    conjecture), "confirmation" (an active agent's conjecture differs from
+    its true aggregate).
     """
     _check_tol(tol)
     _check_agents(spec, actions=actions, conjectures=conjectures)

@@ -297,10 +297,11 @@ def _advance(spec, x0, tol, max_iter, window, on_block=None) -> _Runs:
     """Run the dynamics from every row of ``x0`` (k, n) at once.
 
     The live stack steps a block of periods in one :func:`_step` call,
-    which writes them into the block's stacks, and then applies the stopping rules to the whole block in one pass, per
-    row and period in order: ``window`` consecutive sup-norm changes below
-    ``tol`` (converged); an action or conjecture beyond ``DIVERGENCE_CAP``
-    in magnitude (diverged); the same state recurrence, or else increment
+    which writes them into the block's stacks, and then applies the
+    stopping rules to the whole block in one pass, per row and period in
+    order: ``window`` consecutive sup-norm changes below ``tol``
+    (converged); an action or conjecture beyond ``DIVERGENCE_CAP`` in
+    magnitude (diverged); the same state recurrence, or else increment
     recurrence while the state still moves, found in two consecutive
     periods (oscillating). A row stops at its first such period and leaves
     the stack after the block; rows live after ``max_iter`` periods are
@@ -682,8 +683,9 @@ def _certificate(spec, witnesses, targets, epsilon, tol, max_iter):
 
     The rounding of a period is taken as (n + 12) u times the record's
     scale, over active agents only: n for the matvec, a dozen for the
-    twelve elementwise operations :func:`_step` lists. No record certifies in a game whose
-    bounds would let ``_advance`` test for divergence.
+    twelve elementwise operations :func:`_step` lists. No record
+    certifies in a game whose bounds would let ``_advance`` test for
+    divergence.
     """
     n = spec.n
     z = np.abs(spec.net.z)

@@ -8,7 +8,7 @@ come out bit for bit the same from ``run_learning`` and ``probe_stability``.
 ``reference_analytic_stability`` holds the stacked spectral test to one
 ``spectral_radius`` per record the same way. The engine's private step
 kernel is held to ``reference_step`` the same way, row by row, on single
-rows and stacks. Each probe row that the certificate decides without a run
+rows and stacks, one period at a time and over a whole block. Each probe row that the certificate decides without a run
 is held to its own full reference run.
 """
 
