@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import UsageError
 from .game import GameSpec, _check_tol, aggregate, justifiable_inactivity_set
-from .network import WeightedNetwork, _agent_set, _try_symmetrize, check_assumption, spectral_radius
+from .network import WeightedNetwork, _agent_set, _freeze, _rebuild, check_assumption
+# spectral_radius is not called here; perfbench's span tracer wraps it under
+# this module's name.
+from .network import spectral_radius  # noqa: F401
 
 __all__ = [
     "ACTIVE_TOL",
@@ -97,20 +100,11 @@ class EquilibriumRecord:
                     and type(getattr(arr.base, "base", arr.base)) is bytes):
                 object.__setattr__(self, name, _freeze(np.asarray(arr, dtype=float)))
 
-    def __reduce__(self):
-        """Pickle and deep-copy through the constructor, whose
-        ``__post_init__`` freezes the copy's arrays."""
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    __reduce__ = _rebuild
 
     @property
     def bitmask(self) -> int:
         return sum(1 << i for i in self.active_set)
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A copy of ``arr`` over an immutable ``bytes`` object: neither it nor
-    any view of it can be made writable again."""
-    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -586,6 +580,11 @@ def interior_conditions(net: WeightedNetwork) -> InteriorReport:
     its fixed point is strictly positive. A spectral radius below one is
     not enough once weights are negative: a single heavy row such as
     [0, -0.9, -0.9] beside rows of -0.01 has radius 0.14 yet a_0 < 0.
+
+    The ``bounded`` entry, the rho of ``negative-limited`` and the
+    decomposition and lambda_max of ``symmetrizable-limited`` come from the
+    network's cached analysis, as :func:`check_assumption` reads them: on
+    symmetrizable Z rho is read off the symmetric spectrum.
     """
     n = net.n
     z = net.z
@@ -607,14 +606,14 @@ def interior_conditions(net: WeightedNetwork) -> InteriorReport:
         "negative-limited",
         holds=bool(max_off < 0.0 and row_sum < 1.0),
         # rho is reported for comparison only: it does not decide (ii)
-        witness={"max_offdiag": max_off, "row_sum": row_sum, "rho": spectral_radius(z)},
+        witness={"max_offdiag": max_off, "row_sum": row_sum, "rho": net._spectrum[0]},
     )
 
-    dec, failure = _try_symmetrize(net)
+    dec, failure = net._decomposition
     if dec is None:
-        cond_sym = ConditionEntry("symmetrizable-limited", holds=False, witness=failure)
+        cond_sym = ConditionEntry("symmetrizable-limited", holds=False, witness=dict(failure))
     else:
-        lam = dec.lambda_max()
+        lam = net._spectrum[1]
         cond_sym = ConditionEntry(
             "symmetrizable-limited",
             holds=bool(nonnegative and abs(lam) < 1.0),

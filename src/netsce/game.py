@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .network import WeightedNetwork
+from .network import WeightedNetwork, _freeze, _rebuild
 
 __all__ = [
     "GameSpec",
@@ -45,11 +45,9 @@ def _vec(value, n, name) -> np.ndarray:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise UsageError(f"{name} must be a scalar or length-{n} vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise UsageError(f"{name} must be finite")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _freeze(arr)
 
 
 def _check_count(value, name, least=1) -> None:
@@ -86,7 +84,8 @@ class GameSpec:
 
     ``x_lo``/``x_hi`` bound each agent's conjecture about its aggregate and
     must contain every attainable aggregate value; violations raise at
-    construction so downstream logic can rely on containment.
+    construction so downstream logic can rely on containment. The four
+    vectors are stored over immutable bytes.
     """
 
     net: WeightedNetwork
@@ -103,10 +102,10 @@ class GameSpec:
         object.__setattr__(self, "a_max", _vec(self.a_max, n, "a_max"))
         object.__setattr__(self, "x_lo", _vec(self.x_lo, n, "x_lo"))
         object.__setattr__(self, "x_hi", _vec(self.x_hi, n, "x_hi"))
-        if np.any(self.a_max <= 0):
+        if (self.a_max <= 0).any():
             i = int(np.flatnonzero(self.a_max <= 0)[0])
             raise UsageError(f"a_max[{i}] must be positive")
-        if np.any(self.x_lo > self.x_hi):
+        if (self.x_lo > self.x_hi).any():
             i = int(np.flatnonzero(self.x_lo > self.x_hi)[0])
             raise UsageError(f"x_lo[{i}] exceeds x_hi[{i}]")
         z = self.net.z
@@ -114,12 +113,14 @@ class GameSpec:
         attain_hi = np.maximum(z, 0.0) @ self.a_max
         ok_lo = self.x_lo <= attain_lo + _RANGE_SLACK
         ok_hi = self.x_hi >= attain_hi - _RANGE_SLACK
-        if not np.all(ok_lo & ok_hi):
+        if not (ok_lo & ok_hi).all():
             i = int(np.flatnonzero(~(ok_lo & ok_hi))[0])
             raise UsageError(
                 f"conjecture range for agent {i} does not contain all "
                 f"attainable aggregates [{attain_lo[i]:.6g}, {attain_hi[i]:.6g}]"
             )
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .equilibrium import SceCheck, _check_agents, _violations
 from .game import _RANGE_SLACK, GameSpec, _check_stopping, _check_tol, _vec, aggregate
-from .network import WeightedNetwork
+from .network import WeightedNetwork, _freeze, _rebuild
 
 __all__ = [
     "GlobalConjecture",
@@ -58,7 +58,8 @@ class GlobalGameSpec:
     lies in that range whenever others' actions are nondecreasing in index
     order of magnitude; the upper end is the all-equal-actions ratio.)
 
-    ``y_lo``/``y_hi``, derived and read-only: [0, beta * sum_{j!=i} a_max_j].
+    ``y_lo``/``y_hi``, derived and over immutable bytes as ``c`` is:
+    [0, beta * sum_{j!=i} a_max_j].
     """
 
     base: GameSpec
@@ -78,12 +79,12 @@ class GlobalGameSpec:
         # a_max is the base game's checked (n,) vector: only its sum can
         # leave the floats.
         a_max = self.base.a_max
-        y_lo, y_hi = np.zeros(n), beta * (a_max.sum() - a_max)
+        y_hi = beta * (a_max.sum() - a_max)
         if not np.isfinite(y_hi).all():
             raise UsageError("y_hi must be finite")
-        for name, arr in (("y_lo", y_lo), ("y_hi", y_hi)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # n float zeros over immutable bytes, without a zeros array to copy
+        object.__setattr__(self, "y_lo", np.frombuffer(bytes(8 * n)))
+        object.__setattr__(self, "y_hi", _freeze(y_hi))
         low = c <= 0
         if low.any():
             i = int(low.argmax())
@@ -96,6 +97,8 @@ class GlobalGameSpec:
                 f"c[{i}]={c[i]:.6g} exceeds the admissible bound "
                 f"{bound[i]:.6g} (row weight sum over beta)"
             )
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:

@@ -554,11 +554,20 @@ def analytic_stability(spec: GameSpec, record) -> AnalyticStability:
 
 
 def _stacks(spec: GameSpec, records) -> tuple:
-    """Witnesses and actions of ``records`` from this game: two (count, n) stacks."""
+    """Witnesses and actions of ``records`` from this game: two (count, n)
+    stacks. Raises on a wrong length or a non-finite entry, which
+    ``make_record(..., validate=False)`` lets through and which would read
+    as a quiet run in the probe and as a nan margin in the analytic test."""
     for rec in records:
         _check_agents(spec, actions=rec.actions, conjectures=rec.conjectures)
-    return (np.array([rec.conjectures for rec in records]).reshape(-1, spec.n),
-            np.array([rec.actions for rec in records]).reshape(-1, spec.n))
+    stacks = (np.array([rec.conjectures for rec in records]).reshape(-1, spec.n),
+              np.array([rec.actions for rec in records]).reshape(-1, spec.n))
+    for name, stack in zip(("witness", "action"), stacks):
+        bad = ~np.isfinite(stack)
+        if bad.any():
+            r, i = divmod(int(bad.argmax()), spec.n)
+            raise UsageError(f"record {r} has a non-finite {name} for agent {i}")
+    return stacks
 
 
 def _analytic(spec: GameSpec, records) -> list:

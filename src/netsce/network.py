@@ -8,8 +8,9 @@ spectral limits, diagonal symmetrizability) live here.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -42,10 +43,24 @@ ASSUMPTIONS = (
 _REL_TOL = 1e-9
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` over an immutable ``bytes`` object: neither it nor
+    any view of it can be made writable again."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
+def _rebuild(self):
+    """``__reduce__`` of a frozen dataclass: pickle and deep-copy through the
+    constructor, whose ``__post_init__`` checks and freezes the copy's arrays
+    and which carries nothing cached on the original."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+def _first(mask: np.ndarray):
+    """The first true entry of a nonempty square mask in row-major order, as
+    (i, j), or None."""
+    k = int(mask.argmax())
+    return divmod(k, mask.shape[0]) if mask.flat[k] else None
 
 
 def _allclose(x: np.ndarray, y: np.ndarray) -> bool:
@@ -68,7 +83,13 @@ class WeightedNetwork:
     ----------
     z : (n, n) array_like
         Weight matrix, zero diagonal, finite entries. ``z[i, j]`` multiplies
-        agent j's action in agent i's aggregate.
+        agent j's action in agent i's aggregate. Stored over immutable bytes.
+
+    The structural tests read one analysis of z in three parts, the entry
+    pattern, the decomposition and the spectrum, each computed on its first
+    read and cached in the instance ``__dict__``. It is not a field, so
+    ``==``, ``repr`` and ``dataclasses.replace`` ignore it, and a pickled or
+    copied network comes back without it.
     """
 
     z: np.ndarray
@@ -82,11 +103,54 @@ class WeightedNetwork:
         if np.any(np.diag(z) != 0.0):
             i = int(np.flatnonzero(np.diag(z))[0])
             raise UsageError(f"z[{i}][{i}] must be 0")
-        object.__setattr__(self, "z", _as_readonly(z))
+        object.__setattr__(self, "z", _freeze(z))
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
+
+    @functools.cached_property
+    def _pattern(self) -> tuple:
+        """(max |z_ij|, its first position, the first pair i < j whose signs
+        differ, the first nonnegative off-diagonal entry); a position is
+        (i, j) or None. Built from boolean masks, with no float temporary and
+        no product z_ij * z_ji that could underflow to -0.0."""
+        z, n = self.z, self.n
+        if not n:
+            return 0.0, None, None, None
+        # Not argmax on z: on a read-only array NumPy's argmax is several
+        # times slower than max, min or argmax on a fresh mask.
+        big = max(float(z.max()), -float(z.min()))
+        pos, neg = z > 0, z < 0
+        nonneg = ~neg
+        nonneg.flat[:: n + 1] = False
+        asym = (pos != pos.T) | (neg != neg.T)
+        return big, _first((z == big) | (z == -big)), _first(asym), _first(nonneg)
+
+    @functools.cached_property
+    def _decomposition(self) -> tuple:
+        """``(symmetrize_decompose(self), None)``, or ``(None, {"reason",
+        "detail"})`` when z is not symmetrizable; readers copy the dict."""
+        try:
+            return symmetrize_decompose(self), None
+        except NotSymmetrizableError as exc:
+            return None, {"reason": exc.reason, "detail": exc.detail}
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple:
+        """``(rho, lambda_max)``. On symmetrizable z both come from one
+        ``eigvalsh`` of the similar symmetrized form (``lambda_max`` as
+        :meth:`Decomposition.lambda_max` gives it); otherwise rho is
+        :func:`spectral_radius` and ``lambda_max`` None."""
+        dec = self._decomposition[0]
+        if dec is None:
+            return spectral_radius(self.z), None
+        if not self.n:
+            return 0.0, 0.0
+        ev = np.linalg.eigvalsh(dec.symmetrized())
+        return float(np.abs(ev).max()), float(ev[-1])
 
 
 def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> Union[float, np.ndarray]:
@@ -110,22 +174,25 @@ class Decomposition:
     gamma and symmetric z0.
 
     :attr:`kind` is ``"uniform"`` when every gamma is 1, so that z0 is Z
-    itself, and ``"diagonal"`` otherwise.
+    itself, and ``"diagonal"`` otherwise. Both arrays are stored over
+    immutable bytes.
     """
 
     z0: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", _as_readonly(self.z0))
+        object.__setattr__(self, "z0", _freeze(np.asarray(self.z0, dtype=float)))
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 1 or g.shape[0] != self.z0.shape[0]:
             raise UsageError("decomposition needs one gamma per agent")
         if np.any(g <= 0):
             raise UsageError("diagonal scaling must be strictly positive")
-        object.__setattr__(self, "gamma", _as_readonly(g))
+        object.__setattr__(self, "gamma", _freeze(g))
         if not _allclose(self.z0, self.z0.T):
             raise UsageError(f"{self.kind} decomposition needs a symmetric z0")
+
+    __reduce__ = _rebuild
 
     @property
     def kind(self) -> str:
@@ -225,11 +292,11 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
     z = net.z
     n = net.n
     # Sign-symmetric support is necessary: z_ij and z_ji must vanish together
-    # and agree in sign. The mask is symmetric with a false diagonal, so its
-    # first entry in row-major order is the first bad pair i < j.
-    bad = ((z == 0) != (z.T == 0)) | (z * z.T < 0)
-    if bad.any():
-        raise NotSymmetrizableError("sign", divmod(int(bad.argmax()), n))
+    # and agree in sign. The sign mask is symmetric with a false diagonal, so
+    # its first entry in row-major order is the first bad pair i < j.
+    bad = net._pattern[2]
+    if bad is not None:
+        raise NotSymmetrizableError("sign", bad)
 
     # Propagate gamma ratios over the support graph: z = Gamma z0 with z0
     # symmetric forces gamma_i / gamma_j = z_ij / z_ji on every edge.
@@ -246,15 +313,6 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
     return Decomposition(z0=z0, gamma=gamma)
 
 
-def _try_symmetrize(net: WeightedNetwork) -> tuple:
-    """``(decomposition, None)``, or ``(None, witness)`` when Z is not
-    symmetrizable, with the failure's ``{"reason", "detail"}`` as witness."""
-    try:
-        return symmetrize_decompose(net), None
-    except NotSymmetrizableError as exc:
-        return None, {"reason": exc.reason, "detail": exc.detail}
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of one structural test, with its numeric witness."""
@@ -269,64 +327,50 @@ def check_assumption(net: WeightedNetwork, assumption: str) -> AssumptionReport:
 
     Recognized names are listed in :data:`ASSUMPTIONS`. The witness dict
     carries the quantity that decides the test (spectral radius, violating
-    pair, top eigenvalue of the symmetrized form, ...).
+    pair, top eigenvalue of the symmetrized form, ...). Every test reads it
+    from the network's cached analysis, so the six tests together make at
+    most one decomposition and one eigenvalue solve, and a report does not
+    depend on which tests ran before it. On symmetrizable z, ``limited``
+    reads rho off the symmetric spectrum, as ``symmetrizable-limited`` does.
     """
-    z = net.z
     n = net.n
 
-    if assumption == "bounded":
-        # With no agents the bound holds vacuously.
-        bound = 1.0 / n if n else math.inf
-        absz = np.abs(z)
-        argmax = divmod(int(np.argmax(absz)), n) if n else None
-        max_abs = float(absz[argmax]) if n else 0.0
-        return AssumptionReport(
-            assumption,
-            holds=bool(max_abs < bound),
-            witness={"bound": bound, "max_abs": max_abs, "argmax": argmax},
+    if assumption in ("bounded", "same-sign", "negative"):
+        max_abs, top, asym, nonneg = net._pattern
+        if assumption == "bounded":
+            # With no agents the bound holds vacuously.
+            bound = 1.0 / n if n else math.inf
+            return AssumptionReport(
+                assumption,
+                holds=bool(max_abs < bound),
+                witness={"bound": bound, "max_abs": max_abs, "argmax": top},
+            )
+        bad = asym if assumption == "same-sign" else nonneg
+        if bad is None:
+            return AssumptionReport(assumption, holds=True, witness={"violation": None})
+        i, j = bad
+        values = (
+            {"values": (float(net.z[i, j]), float(net.z[j, i]))}
+            if assumption == "same-sign"
+            else {"value": float(net.z[i, j])}
         )
-
-    if assumption == "same-sign":
-        s = np.sign(z)
-        bad = np.argwhere((s != s.T) & ~np.eye(n, dtype=bool))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            return AssumptionReport(
-                assumption,
-                holds=False,
-                witness={"violation": (i, j), "values": (float(z[i, j]), float(z[j, i]))},
-            )
-        return AssumptionReport(assumption, holds=True, witness={"violation": None})
-
-    if assumption == "negative":
-        bad = np.argwhere((z >= 0) & ~np.eye(n, dtype=bool))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            return AssumptionReport(
-                assumption,
-                holds=False,
-                witness={"violation": (i, j), "value": float(z[i, j])},
-            )
-        return AssumptionReport(assumption, holds=True, witness={"violation": None})
+        return AssumptionReport(assumption, holds=False, witness={"violation": bad, **values})
 
     if assumption == "limited":
-        rho = spectral_radius(z)
+        rho = net._spectrum[0]
         return AssumptionReport(assumption, holds=bool(rho < 1.0), witness={"rho": rho})
 
     if assumption in ("symmetrizable", "symmetrizable-limited"):
-        dec, failure = _try_symmetrize(net)
+        dec, failure = net._decomposition
         if dec is None:
-            return AssumptionReport(assumption, holds=False, witness=failure)
+            return AssumptionReport(assumption, holds=False, witness=dict(failure))
         if assumption == "symmetrizable":
             return AssumptionReport(
                 assumption,
                 holds=True,
                 witness={"kind": dec.kind, "decomposition": dec},
             )
-        # One symmetric spectrum, ascending, gives lambda_max as
-        # Decomposition.lambda_max does, and rho.
-        ev = np.linalg.eigvalsh(dec.symmetrized()) if n else np.zeros(1)
-        lam, rho = float(ev[-1]), float(np.abs(ev).max())
+        rho, lam = net._spectrum
         return AssumptionReport(
             assumption,
             holds=bool(rho < 1.0),

@@ -282,6 +282,21 @@ def test_check_reports_assumptions(tmp_path):
     assert "rho=0.6" in limited["witness"]
 
 
+def test_check_on_an_underflowing_sign_pair(tmp_path):
+    """z_01 * z_10 underflows to -0.0; check still reports the sign fault at
+    (0, 1) in both symmetrizable rows and exits 0."""
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps({"mode": "local", "n": 2, "alpha": 0.1,
+                                "z": [[0.0, 1e-200], [-1e-200, 0.0]]}))
+    out = tmp_path / "out.csv"
+    assert main(["check", "-i", str(path), "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = {r["assumption"]: (r["holds"], r["witness"]) for r in csv.DictReader(fh)}
+    assert rows["same-sign"][0] == "false"
+    for name in ("symmetrizable", "symmetrizable-limited"):
+        assert rows[name] == ("false", "reason=sign;detail=0|1")
+
+
 # ------------------------------------------------------------------ learning
 
 

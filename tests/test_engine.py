@@ -671,9 +671,11 @@ def test_one_support_solver():
 
 def test_one_spectral_kernel_and_one_weight_rule():
     """``src/netsce`` calls ``np.linalg.eigvals`` once, inside
-    ``spectral_radius``, and both contraction certificates, ``_certified_ne``
-    and the probe's ``_certificate``, take their weights from ``_weights``."""
-    eigvals, weights = [], set()
+    ``spectral_radius``, and ``np.linalg.eigvalsh`` twice, in the network
+    analysis's ``_spectrum`` and in ``Decomposition.lambda_max``; both
+    contraction certificates, ``_certified_ne`` and the probe's
+    ``_certificate``, take their weights from ``_weights``."""
+    eigvals, eigvalsh, weights = [], [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -684,9 +686,12 @@ def test_one_spectral_kernel_and_one_weight_rule():
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                     if name == "eigvals":
                         eigvals.append(fn.name)
+                    elif name == "eigvalsh":
+                        eigvalsh.append(fn.name)
                     elif name == "_weights":
                         weights.add(fn.name)
     assert eigvals == ["spectral_radius"]
+    assert sorted(eigvalsh) == ["_spectrum", "lambda_max"]
     assert weights == {"_certified_ne", "_certificate"}
 
 

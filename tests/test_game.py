@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,23 @@ def test_game_rejects_no_agents():
         make_game(net, alpha=0.1)
     with pytest.raises(UsageError, match="at least one agent"):
         GameSpec(net=net, alpha=empty, a_max=empty, x_lo=empty, x_hi=empty)
+
+
+@pytest.mark.parametrize("route", [None, lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["built", "pickle", "deepcopy"])
+def test_game_vectors_cannot_be_made_writable(route):
+    """A game's four vectors and its network's z sit over immutable bytes,
+    also after a pickle or deep-copy, so no holder can slip a nan into a
+    validated game."""
+    game = make_game(WeightedNetwork(z=0.2 * ADJ4), alpha=[0.1, 0.2, 0.3, 0.4], a_max=5.0)
+    got = game if route is None else route(game)
+    for name in ("alpha", "a_max", "x_lo", "x_hi"):
+        arr = getattr(got, name)
+        assert arr.tobytes() == getattr(game, name).tobytes()
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    with pytest.raises(ValueError):
+        got.net.z.setflags(write=True)
 
 
 def test_aggregate_values(positive_game):

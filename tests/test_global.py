@@ -1,5 +1,7 @@
 """Global-spillover games: split conjectures, rest points, centrality maps."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,19 @@ def test_spillover_range_is_derived_and_read_only():
         g.y_hi = np.ones(3)
     with pytest.raises(TypeError):
         make_global_game(base, beta, 0.1, y_lo=np.zeros(3), y_hi=np.ones(3))
+
+
+def test_global_game_vectors_cannot_be_made_writable():
+    """c, y_lo and y_hi sit over immutable bytes, also in a deep copy, which
+    re-derives the spillover range through the constructor."""
+    base = make_game(WeightedNetwork(z=LINE3), alpha=0.1, a_max=[1.0, 2.5, 4.0])
+    g = make_global_game(base, beta=0.3, c=0.1)
+    for got in (g, copy.deepcopy(g)):
+        for name in ("c", "y_lo", "y_hi"):
+            arr = getattr(got, name)
+            assert arr.tobytes() == getattr(g, name).tobytes()
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
 
 
 def test_spillover_and_payoff():

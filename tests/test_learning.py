@@ -249,6 +249,31 @@ def test_records_of_another_game_are_usage_errors(positive_game, monkeypatch):
         make_record(positive_game, np.zeros(4), conjectures=np.zeros(5))
 
 
+@pytest.mark.parametrize("actions, conjectures, name", [
+    ([np.nan, np.nan], [np.nan, np.nan], "witness"),
+    ([0.1, np.nan], [0.0, 0.0], "action"),
+], ids=["witness", "action"])
+def test_non_finite_records_are_usage_errors(monkeypatch, actions, conjectures, name):
+    """A record with a non-finite witness or action, which
+    ``make_record(..., validate=False)`` builds, raises before the
+    certificate and any draw: the probe would read every nan run as quiet
+    and the analytic test would report a nan margin."""
+    from netsce import learning
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the values were checked")
+
+    game = make_game(WeightedNetwork(z=np.array([[0.0, 0.2], [0.2, 0.0]])), alpha=0.5)
+    rec = make_record(game, actions, conjectures=conjectures, validate=False)
+    monkeypatch.setattr(learning, "_certificate", no_work)
+    monkeypatch.setattr(learning, "_advance", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    for call in (lambda: probe_stability(game, rec, samples=3),
+                 lambda: analytic_stability(game, rec)):
+        with pytest.raises(UsageError, match=f"^record 0 has a non-finite {name} for agent"):
+            call()
+
+
 def _global3():
     return make_global_game(make_game(WeightedNetwork(z=COMPLETE3), alpha=0.1), beta=1.0, c=0.1)
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -409,13 +411,10 @@ def test_check_assumption_symmetrizable_limited():
     assert not rep.holds
 
 
-def test_symmetrizable_limited_reads_rho_off_the_symmetric_spectrum():
-    """``symmetrizable-limited`` takes lambda_max and rho from one
-    ``eigvalsh``: lambda_max is Decomposition's, bit for bit, and rho agrees
-    with ``spectral_radius`` of the symmetrized form to 1e-12, with either
-    end of the spectrum on top."""
+def _symmetrizable_battery():
+    """(sign, network): 80 seeded random symmetrizable networks, n = 2..39,
+    each scaled by a random sign."""
     rng = np.random.default_rng(23)
-    seen = set()
     for _ in range(80):
         n = int(rng.integers(2, 40))
         net = random_symmetrizable(
@@ -423,7 +422,16 @@ def test_symmetrizable_limited_reads_rho_off_the_symmetric_spectrum():
                           sigma2=float(rng.choice([0.0, 1e-3])), seed=int(rng.integers(1 << 30)))
         )
         sign = float(rng.choice([-1.0, 1.0]))
-        net = WeightedNetwork(z=sign * net.z)
+        yield sign, WeightedNetwork(z=sign * net.z)
+
+
+def test_symmetrizable_limited_reads_rho_off_the_symmetric_spectrum():
+    """``symmetrizable-limited`` takes lambda_max and rho from one
+    ``eigvalsh``: lambda_max is Decomposition's, bit for bit, and rho agrees
+    with ``spectral_radius`` of the symmetrized form to 1e-12, with either
+    end of the spectrum on top."""
+    seen = set()
+    for sign, net in _symmetrizable_battery():
         rep = check_assumption(net, "symmetrizable-limited")
         dec = rep.witness["decomposition"]
         rho = spectral_radius(dec.symmetrized())
@@ -432,6 +440,33 @@ def test_symmetrizable_limited_reads_rho_off_the_symmetric_spectrum():
         assert rep.holds == (rho < 1.0)
         seen.add((sign, rep.holds))
     assert seen == {(-1.0, True), (-1.0, False), (1.0, True), (1.0, False)}, seen
+
+
+#: |rho - 1| below which ``limited`` read off the symmetric spectrum may
+#: decide otherwise than ``spectral_radius``'s general ``eigvals`` (README,
+#: "Network analysis").
+LIMITED_MARGIN = 1e-9
+
+
+def test_limited_on_symmetrizable_z_matches_the_general_spectrum():
+    """On symmetrizable Z, ``limited`` reads rho off the symmetric spectrum:
+    the same float as ``symmetrizable-limited``'s rho, within 1e-12 relative
+    of ``spectral_radius(z)``, with the same verdict wherever |rho - 1|
+    exceeds LIMITED_MARGIN. Games inside the margin are listed, not
+    asserted."""
+    seen, inside = set(), []
+    for sign, net in _symmetrizable_battery():
+        rep = check_assumption(net, "limited")
+        rho, old = rep.witness["rho"], spectral_radius(net.z)
+        assert rho == check_assumption(net, "symmetrizable-limited").witness["rho"]
+        assert rho == pytest.approx(old, rel=1e-12)
+        if abs(old - 1.0) > LIMITED_MARGIN:
+            assert rep.holds == (old < 1.0)
+        else:
+            inside.append((sign, net.n, old))
+        seen.add((sign, rep.holds))
+    assert seen == {(-1.0, True), (-1.0, False), (1.0, True), (1.0, False)}, seen
+    print(f"games within {LIMITED_MARGIN:g} of rho = 1: {inside}")
 
 
 def test_check_assumption_unknown_name():
@@ -508,3 +543,147 @@ def test_interlacing_on_submatrices():
         sub = submatrix(net, keep)
         lam_sub = symmetrize_decompose(sub).lambda_max() if sub.n else 0.0
         assert lam_sub <= lam_full + 1e-10
+
+
+# ------------------------------------------------------------ cached analysis
+
+
+def _analysis_nets():
+    """(label, z): seeded symmetrizable networks of n = 0, 1, 4 and 50, with
+    both signs, and non-symmetrizable ones of n = 4 and 50 that fail on the
+    sign pattern and on a cycle."""
+    rng = np.random.default_rng(31)
+    yield "n0", np.zeros((0, 0))
+    yield "n1", np.zeros((1, 1))
+    for n in (4, 50):
+        net = random_symmetrizable(RandomNetSpec(n=n, k=min(3.0, n - 1.0), mu=0.3,
+                                                 sigma2=0.01, seed=int(rng.integers(1 << 30))))
+        yield f"n{n}-sym", net.z
+        yield f"n{n}-sym-neg", -net.z
+        dense = rng.uniform(0.05, 0.4, (n, n))
+        np.fill_diagonal(dense, 0.0)
+        yield f"n{n}-cycle", dense
+        signed = dense * rng.choice([-1.0, 1.0], (n, n))
+        yield f"n{n}-sign", signed
+
+
+def _same_report(got, want):
+    """Reports equal field by field; a decomposition by its arrays' bytes."""
+    assert (got.assumption, got.holds) == (want.assumption, want.holds)
+    assert got.witness.keys() == want.witness.keys()
+    for key, value in want.witness.items():
+        if isinstance(value, Decomposition):
+            other = got.witness[key]
+            assert (other.z0.tobytes(), other.gamma.tobytes()) == (
+                value.z0.tobytes(), value.gamma.tobytes())
+        else:
+            assert got.witness[key] == value, key
+
+
+@pytest.mark.parametrize("label,z", list(_analysis_nets()), ids=lambda v: v if isinstance(v, str) else "")
+def test_reports_do_not_depend_on_the_order_of_checks(label, z):
+    """Each of the six reports equals the report of a fresh network, whether
+    the round runs forward, in reverse or one check per network."""
+    fresh = {name: check_assumption(WeightedNetwork(z=z), name) for name in ASSUMPTIONS}
+    for order in (ASSUMPTIONS, ASSUMPTIONS[::-1]):
+        net = WeightedNetwork(z=z)
+        for name in order:
+            _same_report(check_assumption(net, name), fresh[name])
+    for name in ASSUMPTIONS:
+        _same_report(check_assumption(WeightedNetwork(z=z), name), fresh[name])
+    kinds = {"n0": True, "n1": True}
+    assert fresh["symmetrizable"].holds == kinds.get(label, "sym" in label)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of decompositions and eigenvalue solves made from here on."""
+    from netsce import network
+
+    seen = {"decompose": 0, "eigen": 0}
+
+    def counted(key, fn):
+        def inner(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(network, "symmetrize_decompose",
+                        counted("decompose", network.symmetrize_decompose))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigen", np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigen", np.linalg.eigvalsh))
+    return seen
+
+
+@pytest.mark.parametrize("label,z", list(_analysis_nets()), ids=lambda v: v if isinstance(v, str) else "")
+def test_a_round_analyses_z_once(label, z, solves):
+    """A round of the six checks, repeated and followed by
+    ``interior_conditions``, makes at most one decomposition and one
+    eigenvalue solve; ``bounded`` alone makes neither."""
+    check_assumption(WeightedNetwork(z=z), "bounded")
+    assert solves == {"decompose": 0, "eigen": 0}
+    net = WeightedNetwork(z=z)
+    for _ in range(2):
+        for name in ASSUMPTIONS:
+            check_assumption(net, name)
+    interior_conditions(net)
+    assert solves["decompose"] == 1
+    assert solves["eigen"] == (0 if label == "n0" else 1)
+
+
+def test_underflowing_sign_pair_is_not_symmetrizable():
+    """z_01 * z_10 underflows to -0.0 here; the sign pattern still sees the
+    opposite signs, so both symmetrizable checks and the interior report say
+    "sign" at (0, 1) as ``same-sign`` does, instead of raising."""
+    net = WeightedNetwork(z=np.array([[0.0, 1e-200], [-1e-200, 0.0]]))
+    assert check_assumption(net, "same-sign").witness["violation"] == (0, 1)
+    for name in ("symmetrizable", "symmetrizable-limited"):
+        rep = check_assumption(WeightedNetwork(z=net.z), name)
+        assert (rep.holds, rep.witness) == (False, {"reason": "sign", "detail": (0, 1)})
+    cond = interior_conditions(WeightedNetwork(z=net.z)).conditions[2]
+    assert (cond.name, cond.holds) == ("symmetrizable-limited", False)
+    assert cond.witness == {"reason": "sign", "detail": (0, 1)}
+    with pytest.raises(NotSymmetrizableError) as exc:
+        symmetrize_decompose(net)
+    assert (exc.value.reason, exc.value.detail) == ("sign", (0, 1))
+
+
+def test_a_failure_witness_is_a_copy():
+    """Changing one report's failure witness leaves the next report as it was."""
+    net = WeightedNetwork(z=0.2 * ADJ4)
+    check_assumption(net, "symmetrizable").witness["detail"] = None
+    assert check_assumption(net, "symmetrizable-limited").witness == {"reason": "sign", "detail": (0, 1)}
+
+
+def _network_arrays():
+    net = WeightedNetwork(z=np.array([[0.0, 0.4], [0.2, 0.0]]))
+    dec = check_assumption(net, "symmetrizable").witness["decomposition"]
+    return {"z": net.z, "z0": dec.z0, "gamma": dec.gamma}
+
+
+@pytest.mark.parametrize("name", ["z", "z0", "gamma"])
+def test_network_arrays_cannot_be_made_writable(name):
+    arr = _network_arrays()[name]
+    with pytest.raises(ValueError):
+        arr.setflags(write=True)
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+
+
+@pytest.mark.parametrize("route", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_copied_networks_stay_frozen(route):
+    """A pickled or copied network or decomposition comes back through its
+    constructor: equal bytes, frozen arrays and no cached analysis."""
+    net = WeightedNetwork(z=np.array([[0.0, 0.4], [0.2, 0.0]]))
+    for name in ASSUMPTIONS:
+        check_assumption(net, name)
+    dec = net._decomposition[0]
+    got, got_dec = route(net), route(dec)
+    assert type(got) is WeightedNetwork and type(got_dec) is Decomposition
+    assert not {"_pattern", "_decomposition", "_spectrum"} & got.__dict__.keys()
+    for arr, want in ((got.z, net.z), (got_dec.z0, dec.z0), (got_dec.gamma, dec.gamma)):
+        assert arr.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    assert repr(got) == repr(net)
