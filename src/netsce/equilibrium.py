@@ -10,13 +10,13 @@ K the interior first-order conditions are the linear system
 (I - Z_KK) a_K = alpha_K, and a candidate is kept when the solution is
 strictly positive, clears the action caps, and no agent outside K wants in.
 Supports travel as one index array per size, in chunks of at most
-_SOLVE_BLOCK: one stacked solve per size in a chunk, halved around an
-exactly singular member, then one filter pass per chunk. One function
-builds every record from a stack (one aggregate, Nash mask and sort into
-bitmask order), and the records view its frozen rows, accepted as they
-are. A single profile is a stack of one. A Nash problem whose candidates
-provably contract (rho(|Z|) < 1, with margins) has one equilibrium, and a
-certificate decides all its supports from one solved support.
+_SOLVE_BLOCK: per size only a gather of W_KK (W = I - Z), one stacked
+solve, halved around an exactly singular member, and the residual rows
+run, then one test pass per chunk. One function builds every record from
+a stack (one aggregate, Nash mask and sort into bitmask order), and the
+records view its frozen rows, accepted as they are. A single profile is a
+stack of one. A Nash problem whose candidates provably contract (rho(|Z|)
+< 1, with margins) has one equilibrium, certified from one solved support.
 """
 
 from __future__ import annotations
@@ -163,10 +163,10 @@ def make_record(
     return rec
 
 
-def _subset_runs(agents: Sequence[int]):
-    """Every subset of ``agents``, one (C, r) intp array per size r: by size
-    and then lexicographically, so subsets of a sorted sequence have sorted
-    rows.
+def _subset_runs(agents: Sequence[int], descending: bool = False):
+    """Every subset of ``agents``, one (C, r) intp array per size r: by size,
+    ascending unless ``descending``, then lexicographically, so subsets of
+    a sorted sequence have sorted rows.
 
     Raises before building anything when the count exceeds 2^_MAX_ENUM_BITS.
     """
@@ -178,52 +178,51 @@ def _subset_runs(agents: Sequence[int]):
     return (
         np.fromiter(itertools.chain.from_iterable(itertools.combinations(agents, r)), np.intp)
         .reshape(math.comb(m, r), r)
-        for r in range(m + 1)
+        for r in (range(m, -1, -1) if descending else range(m + 1))
     )
 
 
 def _complement_runs(n: int, agents: Sequence[int]):
-    """The sorted complements in range(n) of ``_subset_runs(agents)``."""
+    """The sorted complements in range(n) of ``_subset_runs(agents)``, for
+    sorted ``agents``: complementing reverses lexicographic order (Knuth,
+    *TAOCP* 4A, 7.2.1.3): the size-r run is the size m - r run backwards, merged with the rest."""
+    rest = sorted(frozenset(range(n)).difference(agents))
 
-    def complement(run):
-        keep = np.ones((len(run), n), dtype=bool)
-        keep[np.arange(len(run))[:, None], run] = False
-        return np.nonzero(keep)[1].reshape(len(run), n - run.shape[1])
+    def merged(run):
+        out = np.empty((len(run), run.shape[1] + len(rest)), dtype=np.intp)
+        out[:, len(rest) :], out[:, : len(rest)] = run[::-1], rest
+        out.sort()
+        return out
 
-    return map(complement, _subset_runs(agents))
+    runs = _subset_runs(agents, descending=True)
+    return map(merged, runs) if rest else (run[::-1] for run in runs)
 
 
 def _solve_block(sub: np.ndarray, rhs: np.ndarray):
-    """Interior solutions of the stacked systems ``sub`` (s, m, m) @ x =
-    ``rhs`` (s, m): (sol, bad, why), with ``bad`` marking the rows that have
-    none and ``why`` labelling those rows in order.
+    """Solutions of the stacked systems ``sub`` (s, m, m) @ x = ``rhs``
+    (s, m): (sol, res, why), with the residual rows sub @ sol - rhs and the
+    label each row's support takes when it has no interior solution.
 
-    One stacked LAPACK call solves all s systems; a non-finite solution, or
-    one failing the residual guard, is "inconsistent". A block that LAPACK
-    rejects, because a member is exactly singular, is halved into views of
-    the same stack (``np.array_split`` order) and each half solved again,
-    recursively: at most 2s - 1 stacked calls. A lone exactly singular
-    system is labelled by its least-squares residual: "continuum" when it
-    is at most 1e-9, else "inconsistent".
+    One LAPACK call (``np.linalg.solve``'s gufunc and errstate) solves all s
+    systems. A block it rejects, because a member is exactly singular, is
+    halved into views of the same stack (``np.array_split`` order) and each
+    half solved again, recursively: at most 2s - 1 stacked calls. A lone
+    exactly singular system gets NaN rows, labelled by its least-squares
+    residual: "continuum" when it is at most 1e-9, else "inconsistent".
     """
     try:
-        sol = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+        with np.errstate(call=np.linalg._linalg._raise_linalgerror_singular, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            sol = np.linalg._umath_linalg.solve(sub, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         if len(sub) == 1:
             lsq = np.linalg.lstsq(sub[0], rhs[0], rcond=None)[0]
-            resid = np.max(np.abs(sub[0] @ lsq - rhs[0]))
-            why = "continuum" if resid <= 1e-9 else "inconsistent"
-            return np.zeros(rhs.shape), np.ones(1, dtype=bool), [why]
+            why = "continuum" if np.max(np.abs(sub[0] @ lsq - rhs[0])) <= 1e-9 else "inconsistent"
+            return *np.full((2, *rhs.shape), np.nan), [why]
         halves = zip(np.array_split(sub, 2), np.array_split(rhs, 2))
-        (s0, b0, w0), (s1, b1, w1) = (_solve_block(*half) for half in halves)
-        return np.concatenate([s0, s1]), np.concatenate([b0, b1]), w0 + w1
-    bad = ~np.isfinite(sol).all(axis=1)
-    # The residual guard runs on finite rows only; a slice when every row
-    # is finite spares the stack three masked copies.
-    ok = ~bad if bad.any() else slice(None)
-    resid = np.abs(np.matvec(sub[ok], sol[ok]) - rhs[ok]).max(axis=1, initial=0.0)
-    bad[ok] = resid > _RESIDUAL_GUARD * np.maximum(1.0, np.abs(rhs[ok]).max(axis=1, initial=0.0))
-    return sol, bad, ["inconsistent"] * int(np.count_nonzero(bad))
+        (s0, r0, w0), (s1, r1, w1) = (_solve_block(*half) for half in halves)
+        return np.concatenate([s0, s1]), np.concatenate([r0, r1]), w0 + w1
+    return sol, np.matvec(sub, sol) - rhs, ["inconsistent"] * len(sub)
 
 
 def _chunks(runs: Iterable[np.ndarray]):
@@ -243,39 +242,45 @@ def _chunks(runs: Iterable[np.ndarray]):
 
 def _solve_supports(spec: GameSpec, runs: Iterable[np.ndarray], keep=None):
     """Interior solutions on the sorted supports in the rows of ``runs``
-    (one (C, m) index array per size), in ``_chunks``: per size in a chunk
-    ``_solve_block`` solves the gathered I - Z_KK, alpha_K, then one pass
-    per chunk scatters a profile stack and support mask and keeps the rows
-    strictly positive (> ACTIVE_TOL) and clear of the caps (by CAP_MARGIN),
-    and, when ``keep`` is given, whose row of ``keep(rows)`` is true: a
-    row-wise test applied before the next chunk, so that what is held
-    between chunks is only what passes it.
+    (one (C, m) index array per size), in ``_chunks``: per size the gather
+    of W_KK and alpha_K, ``_solve_block`` and the residual rows, then one
+    pass per chunk over an agent-major stack keeps the rows finite, within
+    the residual guard, strictly positive (> ACTIVE_TOL), clear of the caps
+    (by CAP_MARGIN) and, when ``keep`` is given, true in ``keep(rows)``: a
+    row-wise test run before the next chunk, so only passing rows are held.
 
     Returns (acts, diagnostics): the kept profiles (k, n) in support order,
     each active exactly on its support and 0 elsewhere, and the singular
     and cap-bound supports, the only ones made frozensets.
     """
-    n, z, top = spec.n, spec.net.z, spec.a_max - CAP_MARGIN
+    # W_KK is eye(m) - Z_KK bit for bit. Rounding is monotone, so the guard's
+    # bound 1e-7 max(1, |alpha_K|) is the largest of its agents' bounds.
+    n, alpha, w = spec.n, spec.alpha, np.eye(spec.n) - spec.net.z
+    scale = _RESIDUAL_GUARD * np.maximum(1.0, np.abs(alpha))[:, None]
     stacks, singular, cap_hits, examined = [np.zeros((0, n))], [], [], 0
     for chunk in _chunks(runs):
-        sols, bads, whys = zip(*(
-            _solve_block(np.eye(k.shape[1]) - z[k[:, :, None], k[:, None, :]], spec.alpha[k])
-            for k in chunk
-        ))
-        bad = np.concatenate(bads)
-        examined += len(bad)
-        # Supports are sorted, so row r's solution fills its row of ``on`` in order.
+        sol, res, why = zip(*(_solve_block(w[k[..., None], k[:, None]], alpha[k]) for k in chunk))
+        why = list(itertools.chain(*why))
+        examined += (rows := len(why))
+        # Agent-major (n, rows) stacks, so every row test reduces over axis
+        # 0; ``at`` holds the flat place of each support entry, row by row.
         width = np.repeat([k.shape[1] for k in chunk], [len(k) for k in chunk])
-        acts, on = np.zeros((len(bad), n)), np.zeros((len(bad), n), dtype=bool)
-        on[np.repeat(np.arange(len(bad)), width), np.concatenate(chunk, axis=None)] = True
-        acts[on] = np.concatenate(sols, axis=None)
-        low = ((acts <= ACTIVE_TOL) & on).any(axis=1)
-        cap = ((acts > top) & on).any(axis=1)
-        support = lambda r: frozenset(np.flatnonzero(on[r]).tolist())
-        singular += zip(map(support, np.flatnonzero(bad)), itertools.chain(*whys))
-        cap_hits += map(support, np.flatnonzero(cap & ~low & ~bad))
-        rows = acts[~(bad | low | cap)]
-        stacks.append(rows if keep is None else rows[keep(rows)])
+        at = np.concatenate(chunk, axis=None) * rows + np.arange(rows).repeat(width)
+        on = np.zeros((n, rows), dtype=bool)
+        on.reshape(-1)[at] = True
+        acts = np.multiply(on, scale)
+        limit = acts.max(axis=0)
+        acts.reshape(-1)[at] = np.abs(np.concatenate(res, axis=None))
+        bad = acts.max(axis=0) > limit
+        acts.reshape(-1)[at] = np.concatenate(sol, axis=None)
+        bad |= ~np.isfinite(acts).all(axis=0)
+        drop = bad | ((acts <= ACTIVE_TOL) & on).any(axis=0)
+        cap = ((acts > spec.a_max[:, None] - CAP_MARGIN) & on).any(axis=0)
+        support = lambda r: frozenset(on[:, r].nonzero()[0].tolist())
+        singular += ((support(r), why[r]) for r in bad.nonzero()[0].tolist())
+        cap_hits += map(support, (cap & ~drop).nonzero()[0])
+        kept = acts.T[~(drop | cap)]
+        stacks.append(kept if keep is None else kept[keep(kept)])
     return np.concatenate(stacks), SolveDiagnostics(examined, tuple(singular), tuple(cap_hits))
 
 
@@ -292,9 +297,9 @@ def _records(
     inactive agents. The kind is "NE" when every inactive agent's
     alpha_i + x_i is at most BOUNDARY_TOL. Row r of a stacked ``aggregate``
     equals the product for that row alone, so a record does not depend on
-    its stack. Without ``witnesses``, ``x`` is overwritten.
-    Both stacks are sorted and frozen by one ``_freeze`` each; a record
-    holds row views of them, so it keeps its call's records' rows alive.
+    its stack. Without ``witnesses``, ``x`` is overwritten. Both stacks are
+    sorted and frozen by one ``_freeze`` each; a record holds row views of
+    them, so it keeps its call's records' rows alive.
     """
     active = acts > ACTIVE_TOL
     is_ne = ((spec.alpha + x <= BOUNDARY_TOL) | active).all(axis=1)
@@ -308,17 +313,18 @@ def _records(
         witnesses = x
     # Agent n - 1, the top bit, is lexsort's last and so primary key: this
     # is bitmask order for any n, without forming the bitmasks.
-    order = np.lexsort(active.T)
+    order, agents, everyone = np.lexsort(active.T), range(spec.n), frozenset(range(spec.n))
     acts, x = _freeze(acts[order]), _freeze(witnesses[order])
-    agents = range(spec.n)
-    everyone = frozenset(agents)
-    return [
-        EquilibriumRecord(
-            a, xr, on := frozenset(itertools.compress(agents, mask)),
-            everyone - on if declared is None else declared, "NE" if ne else "SCE-non-NE",
-        )
-        for a, xr, mask, ne in zip(acts, x, active[order].tolist(), is_ne[order].tolist())
-    ]
+    on = [frozenset(itertools.compress(agents, mask)) for mask in active[order].tolist()]
+    inactive = list(map(everyone.__sub__, on)) if declared is None else [declared] * len(on)
+    kind = [("SCE-non-NE", "NE")[ne] for ne in is_ne[order].tolist()]
+    # The rows are frozen views, which ``__post_init__`` would keep as they
+    # are, so the fields are set without the dataclass round trip, a column
+    # at a time (``map`` keeps the loop over records in C).
+    records = [object.__new__(EquilibriumRecord) for _ in on]
+    for name, column in zip(EquilibriumRecord.__dataclass_fields__, (acts, x, on, inactive, kind)):
+        list(map(object.__setattr__, records, itertools.repeat(name), column))
+    return records
 
 
 def _active_records(spec: GameSpec, runs: Iterable[np.ndarray]):
@@ -453,8 +459,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
     """
     j = sorted(map(int, _agent_set(spec.n, candidates, "candidates")))
     runs = _subset_runs(j)  # raises past the enumeration limit, before any solve
-    found = _certified_ne(spec, j)
-    if found is not None:
+    if (found := _certified_ne(spec, j)) is not None:
         acts, x = found
         diags = SolveDiagnostics(examined=2 ** len(j), certified=True)
     else:
@@ -469,8 +474,7 @@ def solve_auxiliary_ne(spec: GameSpec, candidates: Iterable[int]):
 
         acts, diags = _solve_supports(spec, runs, is_nash)
         x = np.concatenate(kept_x)
-    declared = frozenset(range(spec.n)) - frozenset(j)
-    return _records(spec, acts, x, declared), diags
+    return _records(spec, acts, x, frozenset(range(spec.n)) - frozenset(j)), diags
 
 
 def solve_full_ne(spec: GameSpec):

@@ -6,6 +6,7 @@ function of the kept results, checked here without any subprocess.
 
 import importlib.util
 import json
+import os
 import pathlib
 
 import pytest
@@ -155,3 +156,82 @@ def test_traced_rows_pair_each_per_layer_metric():
         "parent": None, "change": None, "change_vs_parent": None}
     assert rows["enumerate"]["global_ext.solves"] == {
         "parent": None, "change": 0, "change_vs_parent": None}
+
+
+def test_verdict_needs_ten_pairs_nine_tenths_won_and_more_than_the_parent_iqr():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    # nine wins out of ten, medians 110 against 100, parent IQR 2
+    change = [110.0, 111.0, 109.0, 112.0, 108.0, 110.0, 111.0, 109.0, 95.0, 110.0]
+    assert bench_pairs.verdict(parent, change, 1) == "better"
+    # the same values read as a latency, lower being better
+    assert bench_pairs.verdict(parent, change, -1) == "worse"
+    assert bench_pairs.verdict(change, parent, -1) == "better"
+    # eight wins are too few
+    eight = change[:7] + [95.0, 95.0, 110.0]
+    assert bench_pairs.verdict(parent, eight, 1) == "unresolved"
+    # every pair won, but the medians differ by less than the parent's IQR
+    close = [p + 0.5 for p in parent]
+    assert bench_pairs.verdict(parent, close, 1) == "unresolved"
+    # ties count for neither side
+    assert bench_pairs.verdict(parent, list(parent), 1) == "unresolved"
+    # nine pairs, all won, are too few for a verdict either way
+    assert bench_pairs.verdict(parent[:9], [c + 50.0 for c in parent[:9]], 1) == "unresolved"
+    assert bench_pairs.verdict(parent[:9], [c + 50.0 for c in parent[:9]], -1) == "unresolved"
+
+
+def test_verdict_is_worse_past_the_bound_whatever_the_pairs():
+    parent = [100.0, 100.0, 100.0, 100.0]
+    change = [70.0, 70.0, 70.0, 140.0]  # three losses of four; median 70
+    assert bench_pairs.verdict(parent, change, 1) == "unresolved"
+    assert bench_pairs.verdict(parent, change, 1, bound=0.25) == "worse"
+    assert bench_pairs.verdict(parent, change, 1, bound=0.35) == "unresolved"
+    # a latency 30 % up is past a 25 % bound; 30 % down is not
+    assert bench_pairs.verdict(parent, [130.0] * 3 + [60.0], -1, bound=0.25) == "worse"
+    assert bench_pairs.verdict(parent, [70.0] * 3 + [140.0], -1, bound=0.25) == "unresolved"
+
+
+def test_summary_reports_a_verdict_per_metric():
+    parent = [(300.0 + i, 2.5) for i in range(10)]
+    change = [(400.0 + i, 2.5 if i else 2.4) for i in range(10)]
+    triples = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        sides = [("parent", p), ("change", c)]
+        for side, (ops, p50) in sides if pair % 2 == 0 else sides[::-1]:
+            triples.append((pair, side, _stdout(ops, p50)))
+    runs = _runs("enumerate", triples)
+    row = bench_pairs.summarize(runs, BETTER, {"ops_per_s": 0.25, "op_ms_p50": 0.25})["enumerate"]
+    assert row["ops_per_s"]["verdict"] == "better"
+    assert row["op_ms_p50"]["verdict"] == "unresolved"
+    assert bench_pairs.summarize(runs, BETTER)["enumerate"]["ops_per_s"]["verdict"] == "better"
+    # a change 30 % slower on every pair is worse
+    for run in runs:
+        if run["side"] == "change":
+            run["result"]["metrics"]["ops_per_s"]["value"] = 0.7 * 300.0
+    row = bench_pairs.summarize(runs, BETTER, {"ops_per_s": 0.25})["enumerate"]
+    assert row["ops_per_s"]["verdict"] == "worse"
+
+
+def test_runs_read_and_write_no_bytecode_cache(monkeypatch):
+    """Each run.py process compiles its checkout's sources: a cache left in
+    one checkout only would make that side's set-up faster and its peak RSS
+    lower."""
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = "env nproc=2\n{}\n"
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((cmd, cwd, env))
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    code, stdout, env_line = bench_pairs._run(pathlib.Path("parent"), "learn", 7, 2.0)
+    assert (code, env_line) == (0, "nproc=2")
+    (cmd, cwd, env), = seen
+    assert cmd[1:] == ["perfbench/run.py", "--workload", "learn", "--seed", "7", "--seconds",
+                       "2.0", "--trace", "0"]
+    assert cwd == pathlib.Path("parent")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPYCACHEPREFIX"] == os.devnull

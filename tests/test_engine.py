@@ -695,19 +695,108 @@ def test_one_spectral_kernel_and_one_weight_rule():
     assert weights == {"_certified_ne", "_certificate"}
 
 
+def _runs_against_itertools(n, agents):
+    """_subset_runs and _complement_runs of the sorted ``agents`` against
+    itertools: one intp array per size, rows in subset order and each
+    complement sorted."""
+    subsets = [k for r in range(len(agents) + 1) for k in itertools.combinations(agents, r)]
+    complements = [tuple(i for i in range(n) if i not in k) for k in subsets]
+    for runs, want in (
+        (equilibrium._subset_runs(agents), subsets),
+        (equilibrium._complement_runs(n, agents), complements),
+    ):
+        runs = list(runs)
+        assert [run.dtype for run in runs] == [np.dtype(np.intp)] * (len(agents) + 1)
+        assert [run.ndim for run in runs] == [2] * (len(agents) + 1)
+        rows = [tuple(row) for run in runs for row in run.tolist()]
+        assert rows == want
+        assert all(list(row) == sorted(row) for row in rows)
+
+
 def test_runs_follow_subset_order():
     """_subset_runs and _complement_runs against itertools, one index array
-    per size, for agent sets with gaps and for no agents at all."""
+    per size, for agent sets with gaps and for no agents at all. The
+    complements are the subset runs read backwards and merged with the
+    agents outside J, since complementing within J reverses lexicographic
+    order: checked for every J of range(n), n <= 6, and for seeded random J
+    of range(n), n = 7..12, with J empty and J everyone among them."""
     for n, agents in ((7, [0, 2, 5, 6]), (5, list(range(5))), (3, [])):
-        subsets = [k for r in range(len(agents) + 1) for k in itertools.combinations(agents, r)]
-        complements = [tuple(i for i in range(n) if i not in k) for k in subsets]
-        for runs, want in (
-            (equilibrium._subset_runs(agents), subsets),
-            (equilibrium._complement_runs(n, agents), complements),
-        ):
-            runs = list(runs)
-            assert [run.dtype for run in runs] == [np.dtype(np.intp)] * (len(agents) + 1)
-            assert [tuple(row) for run in runs for row in run.tolist()] == want
+        _runs_against_itertools(n, agents)
+    for n in range(7):
+        for r in range(n + 1):
+            for agents in itertools.combinations(range(n), r):
+                _runs_against_itertools(n, list(agents))
+    rng = np.random.default_rng(20261021)
+    for n in range(7, 13):
+        picks = [[], list(range(n))]
+        picks += [sorted(rng.choice(n, size=rng.integers(1, n), replace=False).tolist())
+                  for _ in range(4)]
+        for agents in picks:
+            _runs_against_itertools(n, agents)
+
+
+def _lapack_calls(monkeypatch):
+    """Wrap ``np.array_split`` and ``np.linalg.lstsq``, which the kernel
+    calls only after LAPACK has rejected a stack (to halve it, or to label
+    a lone system), and return the list their calls append to."""
+    calls = []
+    for owner, name in ((np, "array_split"), (np.linalg, "lstsq")):
+        real = getattr(owner, name)
+
+        def wrapped(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+def test_lapack_entry_matches_numpy_solve(monkeypatch):
+    """Whatever LAPACK entry ``_solve_block`` uses gives the bits of
+    ``np.linalg.solve`` on every stack the kernel battery's enumerations
+    hand it (all subsets, n = 1..14), and is rejected on exactly the stacks
+    ``np.linalg.solve`` rejects: the battery's singular ones, each of
+    ``_pairs_game``'s exactly singular pairs alone and in stacks, and
+    one-row stacks. The residual rows are ``sub @ sol - rhs``."""
+    stacks = []
+    kernel = equilibrium._solve_block
+
+    def captured(sub, rhs):
+        stacks.append((sub.copy(), rhs.copy()))
+        return kernel(sub, rhs)
+
+    monkeypatch.setattr(equilibrium, "_solve_block", captured)
+    for spec in _kernel_battery():
+        equilibrium._solve_supports(spec, equilibrium._subset_runs(range(spec.n)))
+    monkeypatch.setattr(equilibrium, "_solve_block", kernel)
+    spec = _pairs_game()
+    w = np.eye(8) - spec.net.z
+    for block in ([(0, 1)], [(2, 3)], [(6, 7)], [(0, 5)], [(0, 2), (2, 3), (6, 7)],
+                  [(0, 1), (2, 3), (4, 5)]):
+        k = np.array(block, dtype=np.intp)
+        stacks.append((w[k[:, :, None], k[:, None, :]], spec.alpha[k]))
+    stacks += [(sub[i : i + 1], rhs[i : i + 1]) for sub, rhs in stacks[:60] for i in (0, -1)]
+    calls = _lapack_calls(monkeypatch)
+    seen = {"solved": 0, "rejected": 0, "rejected_rows": 0, "one_row": 0}
+    for sub, rhs in stacks:
+        try:
+            want = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            want = None
+        calls.clear()
+        sol, res, why = kernel(sub, rhs)
+        assert len(why) == len(sub)
+        # The kernel halves or labels a stack only once LAPACK rejects it.
+        assert bool(calls) == (want is None)
+        seen["one_row"] += len(sub) == 1
+        if want is None:
+            seen["rejected"] += 1
+            seen["rejected_rows"] += len(sub) == 1
+            continue
+        seen["solved"] += 1
+        assert sol.tobytes() == want.tobytes()
+        assert res.tobytes() == (np.matvec(sub, want) - rhs).tobytes()
+    assert all(count > 0 for count in seen.values()), seen
 
 
 # ------------------------------------------------------------ enumeration limit

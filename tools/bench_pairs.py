@@ -9,7 +9,10 @@ trees). Each pair runs ``python3 perfbench/run.py --workload W --seed S
 first on even pair indexes, the change first on odd ones. The pairs of one
 workload take consecutive seeds, and each workload continues where the
 previous one stopped, so no seed is measured twice. Every run's last stdout
-line, the JSON result, is kept with its per-family latency lines.
+line, the JSON result, is kept with its per-family latency lines. Both
+sides compile their sources afresh in every run: no bytecode cache is read
+or written, so a ``__pycache__`` left in one checkout cannot make its
+set-up faster or its peak RSS lower.
 
 With ``--traced SEED``, the pairs are followed by one ``--trace 1`` run per
 side and workload at SEED, the parent first on even workload indexes, for
@@ -17,17 +20,19 @@ the per-layer metrics.
 
 The output file holds ``about``, ``machine`` (the first run's env line),
 ``runs`` and ``summary``: per workload and end-to-end metric, each side's
-median and quartiles, the parent's IQR, the change's relative difference
-and the pairs it won, with failed-op counts and whether every run was
-correct. With ``--traced`` it also holds ``traced``: the seed, the traced
-runs and, per workload and per-layer metric, each side's value and the
-change's relative difference. Metric names and directions come from the
-change's ``BENCHMARK.json``. Nothing in either checkout is written but
-run.py's ``.bench_work`` working directory, which holds its span files.
+median and quartiles, the parent's IQR, the change's relative difference,
+the pairs it won and a ``verdict``, with failed-op counts and whether
+every run was correct. With ``--traced`` it also holds ``traced``: the
+seed, the traced runs and, per workload and per-layer metric, each side's
+value and the change's relative difference. Metric names, directions and
+the bounds the verdicts read come from the change's ``BENCHMARK.json``.
+Nothing in either checkout is written but run.py's ``.bench_work``
+working directory, which holds its span files.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -63,13 +68,43 @@ def _quartiles(values):
     return q1, med, q3
 
 
-def summarize(runs, better) -> dict:
+#: Share of the pairs a side must win for a "better" or "worse" verdict,
+#: and the fewest pairs that verdict needs (choosing-metrics, section 8).
+WIN_SHARE = 0.9
+MIN_PAIRS = 10
+
+
+def verdict(parent, change, sign, bound=None) -> str:
+    """"better", "worse" or "unresolved" for one metric's paired values,
+    ``sign`` 1 when higher is better and -1 when lower is.
+
+    "better" when at least MIN_PAIRS pairs ran, the change wins at least
+    WIN_SHARE of them (ties count for neither side) and its median beats
+    the parent's by more than the parent's IQR; "worse" by the same rule
+    the other way, or, at any number of pairs, when the change's median is
+    beyond ``bound``, a relative change from the parent's median in the bad
+    direction; else "unresolved"."""
+    (p1, pm, p3), (_, cm, _) = _quartiles(parent), _quartiles(change)
+    gain = [sign * (c - p) for p, c in zip(parent, change)]
+    need = WIN_SHARE * len(gain) if len(gain) >= MIN_PAIRS else float("inf")
+    gap = sign * (cm - pm)
+    if sum(g > 0 for g in gain) >= need and gap > p3 - p1:
+        return "better"
+    past_bound = bound is not None and pm and -gap > bound * abs(pm)
+    if past_bound or (sum(g < 0 for g in gain) >= need and -gap > p3 - p1):
+        return "worse"
+    return "unresolved"
+
+
+def summarize(runs, better, bounds=None) -> dict:
     """Per workload, in order of first appearance: for each metric of
     ``better`` (name -> "lower" | "higher", in report order) the medians and
     quartiles of both sides, the parent's IQR, the change's relative
-    difference and the pairs it won, over the pairs in which both runs
-    produced a result; then failed ops per side and whether every run of
-    the workload was correct. Values are rounded to 4 decimals."""
+    difference, the pairs it won and its ``verdict`` (with the metric's
+    relative bound from ``bounds``, name -> bound, when given), over the
+    pairs in which both runs produced a result; then failed ops per side
+    and whether every run of the workload was correct. Values are rounded
+    to 4 decimals."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = {}
@@ -93,6 +128,8 @@ def summarize(runs, better) -> dict:
                     sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"])
                 ),
                 "pairs": len(complete),
+                "verdict": verdict(vals["parent"], vals["change"], sign,
+                                   (bounds or {}).get(name)),
             }
         results = [side for p in pairs.values() for side in p.items()]
         row["failed_ops"] = {
@@ -126,7 +163,8 @@ def compare_traced(runs, per_layer) -> dict:
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    environ = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=os.devnull)
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, env=environ)
     env = next((line[4:] for line in proc.stdout.splitlines() if line.startswith("env ")), None)
     return proc.returncode, proc.stdout, env
 
@@ -154,6 +192,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     runs, machine, seed = [], None, args.seed
     for workload, count in args.workload:
         for pair in range(count):
@@ -167,7 +206,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} seed {seed} {side}: exit {code}", file=sys.stderr)
             seed += 1
     out = {"about": args.about, "machine": machine, "runs": runs,
-           "summary": summarize(runs, better)}
+           "summary": summarize(runs, better, bounds)}
     if args.traced is not None:
         traced = []
         for index, workload in enumerate(dict.fromkeys(name for name, _ in args.workload)):
