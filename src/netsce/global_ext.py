@@ -288,10 +288,10 @@ class GlobalSolve:
     """A solved (or best-effort) rest point of the split-belief dynamics.
 
     ``method`` names the kernel whose actions are returned: "newton" or
-    "seidel"; ``iterations`` sums every kernel that ran. ``verdict`` is
-    "converged" when ``converged`` holds, "no_rest_point" when a certificate
-    proved that no profile passes the acceptance rule (the solve then stops
-    after Newton), and "undetermined" otherwise.
+    "jacobi" (``_climb``); ``iterations`` sums every kernel that ran.
+    ``verdict`` is "converged" when ``converged`` holds, "no_rest_point"
+    when a certificate proved that no profile passes the acceptance rule
+    (the solve then stops after Newton), and "undetermined" otherwise.
     """
 
     actions: np.ndarray
@@ -302,27 +302,6 @@ class GlobalSolve:
     method: str
     converged: bool
     verdict: str
-
-
-def _seidel(g, alpha, tol, max_iter):
-    # Scalars are Python floats; a running sum of a would change bits, so
-    # each agent sums the whole profile again.
-    rows, cs, beta = list(g.base.net.z), g.c.tolist(), g.beta
-    total, top, inf = np.add.reduce, np.maximum.reduce, math.inf
-    a = np.full(g.n, alpha)
-    for k in range(max_iter):
-        prev = a.copy()
-        for i, ci in enumerate(cs):
-            b2 = 1.0 - ci * (alpha + float(rows[i] @ a))
-            disc = b2 * b2 + 4.0 * ci * (alpha + ci * (beta * float(total(a) - a[i])))
-            if not (disc >= 0.0 and disc != inf):
-                return prev, k + 1, False
-            a[i] = (-b2 + math.sqrt(disc)) / (2.0 * ci)
-        if top(np.abs(a)) > 1e12:
-            return a, k + 1, False
-        if top(np.abs(a - prev)) < tol:
-            return a, k + 1, True
-    return a, max_iter, False
 
 
 def _jacobian(g, a, x, e, d):
@@ -340,10 +319,10 @@ def _jacobian(g, a, x, e, d):
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 41))
 
 
-def _newton_point(g, alpha, tol, max_iter):
-    """Newton's method on H(a) = 0 with the analytic Jacobian, from the
-    common base payoff intercept, which keeps it on the small-action branch
-    when the system has several solutions.
+def _newton_point(g, alpha, tol, max_iter, start=None):
+    """Newton's method on H(a) = 0 with the analytic Jacobian, from a
+    positive ``start`` or else the common base payoff intercept, which keeps
+    it on the small-action branch when the system has several solutions.
 
     A step s starts at t0 = min(1, 0.99 / max_i(-s_i / a_i)), which keeps 1 %
     of every action, so a stays in the dynamics' domain a > 0. t halves from
@@ -352,12 +331,11 @@ def _newton_point(g, alpha, tol, max_iter):
     overflowed f passes no t), else the solve stops. t0 is tried alone; the
     other halvings are evaluated as one stack and the largest passing t wins.
 
-    Returns (a, iterations, ok, parts, h): the (a, iterations, ok) of every
-    kernel, then ``_resplit``'s (x, e, d, c e / d) and the defect H at the
-    returned a, as ``_resplit`` gives them there, which the solve reuses.
+    Returns every kernel's (a, iterations, ok), then ``_resplit``'s bits of
+    (x, e, d, c e / d) and the defect H at a, for the solve and ``_climb``.
     """
     resplit, top, total = _resplit(g), np.maximum.reduce, np.add.reduce
-    a = np.full(g.n, alpha)
+    a = np.full(g.n, alpha) if start is None else start
     parts = resplit(a)
     x, e, d, x_next = parts
     h = alpha + x_next - a
@@ -421,7 +399,8 @@ class _Proof:
 def _sweep_down(g, p, low, gam):
     """One Jacobi sweep of the root map at intercept p from the lower bound
     ``low``, rounded down: each input and the root lose a relative gam, and
-    b = 1 - c (p + x), which cancels, gains gam (1 + c (p + x))."""
+    b = 1 - c (p + x), which cancels, gains gam (1 + c (p + x)). The
+    certificate calls it with its gam, the solver's ``_climb`` with gam = 0."""
     c, beta, down = g.c, g.beta, 1.0 - gam
     x = np.matvec(g.base.net.z, low) * down
     y = np.maximum(beta * (np.add.reduce(low) * down - low) * down, 0.0)
@@ -521,6 +500,30 @@ def _no_rest_point(g, alpha, tol, max_iter):
     return None
 
 
+def _climb(g, alpha, tol, max_iter):
+    """The solve's fallback: Jacobi sweeps of the root map from alpha in
+    blocks of 8, 16, 32, ... (each 8 more than all before it), each block
+    followed by ``_newton_point`` from its last sweep. It stops at the first
+    Newton point the solve accepts, at a sweep that leaves the floats or
+    passes 1e12 (returning the sweep before), or when its sweeps reach
+    ``max_iter``; ``iterations`` counts sweeps and Newton steps."""
+    top, a = np.maximum.reduce, np.full(g.n, alpha)
+    sweeps = steps = 0
+    while sweeps < max_iter:
+        with np.errstate(divide="ignore"):  # in the root branch np.where drops
+            for _ in range(min(sweeps + 8, max_iter - sweeps)):
+                nxt = _sweep_down(g, alpha, a, 0.0)
+                sweeps += 1
+                if not top(nxt) <= 1e12:
+                    return a, sweeps + steps, False
+                a = nxt
+        point, k, _, _, h = _newton_point(g, alpha, tol, max_iter, a)
+        steps += k
+        if top(np.abs(h)) < tol * max(1.0, top(np.abs(point))):
+            return point, sweeps + steps, True
+    return point, sweeps + steps, False
+
+
 def solve_global_sce(
     g: GlobalGameSpec, tol: float = 1e-10, max_iter: int = 100_000
 ) -> GlobalSolve:
@@ -533,11 +536,11 @@ def solve_global_sce(
     wherever it converges). When its point is not accepted, a certificate
     (``_no_rest_point``) tries to prove that no profile can be; if it does,
     the solve returns Newton's point with ``verdict="no_rest_point"``.
-    Otherwise Seidel sweeps of the per-agent quadratic run from alpha, which
-    rise to the least rest point when one exists. The solve stops at the
-    first accepted point; unaccepted, it returns the kernel with the smaller
-    residual. ``iterations`` sums both kernels (the certificate's sweeps are
-    not counted).
+    Otherwise ``_climb``'s Jacobi root sweeps run from alpha, rising to the
+    least rest point when one exists, with Newton from each block's last
+    sweep. The solve stops at the first accepted point; unaccepted, it
+    returns the kernel with the smaller residual. ``iterations`` sums both
+    kernels (the certificate's sweeps are not counted).
     """
     _check_stopping(tol, max_iter)
     alpha = _require_learning_regime(g)
@@ -554,12 +557,12 @@ def solve_global_sce(
         name, (res, accepted) = "newton", scored(a, h)
         proved = not accepted and _no_rest_point(g, alpha, tol, max_iter) is not None
         if not (accepted or proved):
-            sa, iters, _ = _seidel(g, alpha, tol, max_iter)
+            ja, iters, _ = _climb(g, alpha, tol, max_iter)
             total += iters
-            sparts = _resplit(g)(sa)
-            sres, saccepted = scored(sa, alpha + sparts[3] - sa)
-            if saccepted or sres < res:
-                name, a, parts, res, accepted = "seidel", sa, sparts, sres, saccepted
+            jparts = _resplit(g)(ja)
+            jres, jaccepted = scored(ja, alpha + jparts[3] - ja)
+            if jaccepted or jres < res:
+                name, a, parts, res, accepted = "jacobi", ja, jparts, jres, jaccepted
         _, e, d, x_hat = parts
         y_hat = e / d
     return GlobalSolve(

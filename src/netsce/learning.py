@@ -97,7 +97,7 @@ class StepResult:
     clamped: tuple  # agents whose updated conjecture had to be clipped
 
 
-def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out=None) -> tuple:
+def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out) -> tuple:
     """Periods of the dynamics from conjectures ``xh``, one profile or a
     (k, n) stack: the engine's one step kernel.
 
@@ -109,8 +109,7 @@ def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out=None) -> tuple
     ``flags[p]`` holds its active mask until the block ends. Returns the
     actions, payoffs and states, and the masks of entries whose action
     reached ``cap_at`` (capped) and whose next conjecture had to be clipped
-    (clamped). Without ``out`` it steps one period and returns that
-    period's five arrays.
+    (clamped).
 
     A period from conjectures x is one matvec, Z a, and twelve elementwise
     operations, in this order:
@@ -126,9 +125,6 @@ def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out=None) -> tuple
     the clip ufunc itself, which keeps a -0.0 that ``np.maximum`` would turn
     into +0.0, and no 0/0 is evaluated.
     """
-    one = out is None
-    if one:
-        out = (*np.empty((4, 1) + xh.shape), np.empty((1,) + xh.shape, dtype=bool))
     acts, pays, states, learned, flags = out
     alpha = spec.alpha
     for a, m, x, nxt, active in zip(acts, pays, states, learned, flags):
@@ -149,8 +145,7 @@ def _step(spec: GameSpec, xh: np.ndarray, cap_at: np.ndarray, out=None) -> tuple
         np.add(nxt, h, out=nxt, where=active)
         _clip(nxt, spec.x_lo, spec.x_hi, out=x)
         xh = x
-    result = acts, pays, states, acts >= cap_at, np.not_equal(states, learned, out=flags)
-    return tuple(v[0] for v in result) if one else result
+    return acts, pays, states, acts >= cap_at, np.not_equal(states, learned, out=flags)
 
 
 def _warn_cap(capped: np.ndarray, stacklevel: int) -> None:
@@ -173,13 +168,14 @@ def learn_step(spec: GameSpec, conjectures) -> StepResult:
     _check_agents(spec, conjectures=xh)
     if not np.isfinite(xh).all():
         raise UsageError("conjectures must be finite")
-    a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN)
+    block = (*np.empty((4, 1) + xh.shape), np.empty((1,) + xh.shape, dtype=bool))
+    a, m, clipped, capped, clamped = _step(spec, xh, spec.a_max - CAP_WARN_MARGIN, block)
     if np.count_nonzero(capped):
         _warn_cap(capped, stacklevel=2)
     return StepResult(
-        actions=a,
-        payoffs=m,
-        conjectures_next=clipped,
+        actions=a[0],
+        payoffs=m[0],
+        conjectures_next=clipped[0],
         capped=tuple(np.flatnonzero(capped).tolist()),
         clamped=tuple(np.flatnonzero(clamped).tolist()),
     )

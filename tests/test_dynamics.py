@@ -863,7 +863,8 @@ def _kernel_cases(seed=77):
 def test_step_kernel_matches_reference_step():
     seen = set()
     for game, xh in _kernel_cases():
-        a, m, new, capped, clamped = _step(game, xh, game.a_max - CAP_WARN_MARGIN)
+        period = _step(game, xh, game.a_max - CAP_WARN_MARGIN, _block(1, xh.shape))
+        a, m, new, capped, clamped = (v[0] for v in period)
         assert a.shape == m.shape == new.shape == capped.shape == clamped.shape == xh.shape
         # On a stack of one-agent rows np.clip sees its (1,) bounds broadcast
         # along the rows, and its zero results can then differ from a single
@@ -910,7 +911,7 @@ def test_block_kernel_matches_one_period_calls_and_reference_step():
                 unsign = 0.0 if game.n == 1 and len(xh) > 1 else -0.0
                 x = start
                 for p in range(periods):
-                    one = _step(game, x, cap_at)
+                    one = [v[0] for v in _step(game, x, cap_at, _block(1, x.shape))]
                     for got, want in zip(out, one):
                         assert got[p].tobytes() == want.tobytes()
                     for r, prev in enumerate(rows(start if p == 0 else out[2][p - 1])):
@@ -931,7 +932,7 @@ def test_block_kernel_matches_one_period_calls_and_reference_step():
 
 def test_the_kernel_runs_once_per_block(monkeypatch):
     """``_advance`` steps each block in one kernel call, looked up by its
-    module name; ``learn_step`` makes exactly one."""
+    module name; ``learn_step`` makes exactly one, on a one-period block."""
     from netsce import learning
 
     kernel, advance = learning._step, learning._advance
@@ -962,7 +963,7 @@ def test_the_kernel_runs_once_per_block(monkeypatch):
             kinds.add(traj.classification)
         calls.clear()
         learn_step(game, np.asarray(x0, dtype=float))
-    assert calls == [None]
+    assert len(calls) == 1 and len(calls[0][0]) == 1
     assert kinds == {"converged", "diverged", "oscillating", "max-iter"}, kinds
 
 

@@ -20,10 +20,10 @@ from netsce import (
     solve_global_sce,
     true_centrality,
 )
-from netsce.global_ext import _newton_point, _seidel, _spillover
+from netsce.global_ext import _climb, _newton_point, _spillover
 
 from conftest import COMPLETE3, LINE3
-from test_global_solver import reference_damped
+from test_global_solver import reference_damped, reference_seidel
 
 
 @pytest.fixture
@@ -193,7 +193,7 @@ def test_methods_agree_inside_contraction_window(line_game):
     window = check_homeo2(g)
     assert window.holds
     assert np.all(window.lhs < window.row_sums)
-    kernels = (_newton_point, reference_damped, _seidel)
+    kernels = (_newton_point, reference_damped, reference_seidel, _climb)
     runs = [kernel(g, 0.1, 1e-10, 100_000)[:3] for kernel in kernels]
     assert all(ok for _, _, ok in runs)
     pts = [a for a, _, _ in runs]
@@ -223,10 +223,11 @@ def test_newton_on_a_hot_network():
     assert np.max(np.abs(residual(g, newton))) < 1e-9
     assert iterations <= 40
     assert np.allclose(newton, [1.120544, 0.854195, 0.714, 0.662016], atol=1e-5)
-    seidel, _, ok = _seidel(g, 0.25, 1e-10, 2500)
-    assert ok
-    assert np.max(np.abs(residual(g, seidel))) < 1e-10 * np.max(seidel)
-    assert np.allclose(seidel, newton, atol=1e-8)
+    for kernel in (reference_seidel, _climb):
+        other, _, ok = kernel(g, 0.25, 1e-10, 2500)
+        assert ok
+        assert np.max(np.abs(residual(g, other))) < 1e-10 * np.max(other)
+        assert np.allclose(other, newton, atol=1e-8)
 
 
 def test_solver_rejects_nonpositive_rest_points():

@@ -3,10 +3,10 @@
 ``global_ext._no_rest_point`` may fire only where no profile passes the
 solver's acceptance rule. Two checks hold it to that on every game here:
 
-- it never fires on a game where one of three kernels converges (the
-  solver's Newton and Seidel kernels and the tests' damped iteration), on
-  random games, hot corners, n = 20 and 50, and a ladder around the fold
-  of the rest-point branch;
+- it never fires on a game where one of four kernels converges (the
+  solver's Newton and its root-map climb, and the tests' damped iteration
+  and per-agent Seidel sweeps), on random games, hot corners, n = 20 and
+  50, and a ladder around the fold of the rest-point branch;
 - every proof it returns is re-derived in exact rational arithmetic
   (``fractions.Fraction``) from the floats the library used: u^T Z >=
   lam u^T, kappa, the bound B, the intercept, each sweep of the lower
@@ -18,9 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from netsce import global_ext, make_global_game
-from netsce.global_ext import _newton_point, _no_rest_point, _seidel
+from netsce.global_ext import _climb, _newton_point, _no_rest_point
 
-from test_global_solver import _accepted, _battery_game, _hot_corner_game, reference_damped
+from test_global_solver import (
+    _accepted,
+    _battery_game,
+    _hot_corner_game,
+    reference_damped,
+    reference_seidel,
+)
 
 KERNEL_BUDGET = 2000
 SWEEP = global_ext._sweep_down
@@ -29,7 +35,7 @@ SWEEP = global_ext._sweep_down
 def _converges(g, tol):
     """Whether any kernel ends at a profile the solver accepts."""
     alpha = float(g.base.alpha[0])
-    for kernel in (_newton_point, reference_damped, _seidel):
+    for kernel in (_newton_point, reference_damped, reference_seidel, _climb):
         with np.errstate(over="ignore", invalid="ignore"):
             a = kernel(g, alpha, tol, KERNEL_BUDGET)[0]
         if _accepted(g, a, tol):
@@ -46,8 +52,11 @@ def _certify(g, tol, max_iter, monkeypatch):
         chain.append((low, out))
         return out
 
-    monkeypatch.setattr(global_ext, "_sweep_down", recorded)
-    return _no_rest_point(g, float(g.base.alpha[0]), tol, max_iter), chain
+    # Only the certificate's sweeps: the climb that _converges runs later
+    # calls the same function.
+    with monkeypatch.context() as m:
+        m.setattr(global_ext, "_sweep_down", recorded)
+        return _no_rest_point(g, float(g.base.alpha[0]), tol, max_iter), chain
 
 
 def _exact_check(g, tol, proof, chain):

@@ -2,14 +2,20 @@
 
 ``reference_solve`` is the earlier driver: every learn step and every
 residual re-checks the learning regime, the re-split c e / (1 + c a) is
-written out at each use, ``reference_seidel`` sweeps with NumPy scalars and
-``reference_newton`` builds its Jacobian and runs its line search in plain
-loops. ``solve_global_sce``, its two kernels, ``residual`` and
-``global_learn_step`` must reproduce it bit for bit, warnings included, on
-a seeded battery and through the CLI. ``reference_damped``, the update map
-averaged with the identity, catches ``UsageError`` to stop; the library no
-longer runs it, and it stays as a third kernel for the oracles that ask
-whether any kernel converges.
+written out at each use, ``reference_newton`` builds its Jacobian and runs
+its line search in plain loops, and ``reference_climb`` sweeps the root map
+agent by agent in NumPy scalars, with the cancellation-free root written
+out, and polishes each block of sweeps with ``reference_newton``.
+``solve_global_sce``, its two kernels (``_newton_point`` and ``_climb``),
+``residual`` and ``global_learn_step`` must reproduce it bit for bit,
+warnings included, on a seeded battery and through the CLI.
+``reference_damped``, the update map averaged with the identity, and
+``reference_seidel``, per-agent quadratic sweeps that the library ran as
+its fallback before ``_climb``, are independent kernels the library no
+longer runs; they stay for the oracles that ask whether any kernel
+converges. ``test_climb_sweeps_are_monotone_lower_bounds`` checks the order
+argument the climb rests on: from alpha its sweeps rise, and they stay
+below the rest point the solve returns.
 
 When Newton fails, the reference asks the library's certificate
 ``_no_rest_point`` whether any rest point can pass, and stops after Newton
@@ -51,8 +57,8 @@ from netsce.global_ext import (
     _newton_point,
     _no_rest_point,
     _require_learning_regime,
+    _climb,
     _resplit,
-    _seidel,
 )
 
 from conftest import SCENARIO_DIR
@@ -135,10 +141,10 @@ def reference_seidel(g, alpha, tol, max_iter):
     return a, max_iter, False
 
 
-def reference_newton(g, alpha, tol, max_iter):
+def reference_newton(g, alpha, tol, max_iter, start=None):
     z, c, beta = g.base.net.z, g.c, g.beta
     n = g.n
-    a = np.full(n, alpha)
+    a = np.full(n, alpha) if start is None else start
     h = reference_residual(g, a)
     f = 0.5 * np.add.reduce(h * h, -1)
     for k in range(min(max_iter, 200)):
@@ -171,6 +177,49 @@ def reference_newton(g, alpha, tol, max_iter):
         else:
             return a, k + 1, False
     return a, min(max_iter, 200), False
+
+
+def reference_sweep(g, alpha, a):
+    """One Jacobi sweep of the root map from a, agent by agent: a_i's positive
+    root of c s^2 + b s - k, b = 1 - c (alpha + x_i), k = alpha + c y_i,
+    as 2 k / (b + r) for b > 0 and (r - b) / (2 c) otherwise, r =
+    sqrt(b^2 + 4 c k); an agent whose root is below a_i keeps a_i."""
+    x = aggregate(g.base, a)
+    total = a.sum()
+    out = a.copy()
+    for i in range(g.n):
+        ci = g.c[i]
+        b = 1.0 - ci * (alpha + x[i])
+        k = alpha + ci * (g.beta * (total - a[i]))
+        r = np.sqrt(b * b + 4.0 * ci * k)
+        s = 2.0 * k / (b + r) if b > 0.0 else (r - b) / (2.0 * ci)
+        if s > a[i] or np.isnan(s):
+            out[i] = s
+    return out
+
+
+def reference_climb(g, alpha, tol, max_iter):
+    """Sweeps from alpha in blocks of 8, 16, 32, ..., each block followed by
+    ``reference_newton`` from its last sweep, until a Newton point passes
+    Newton's own test, a sweep leaves the floats or passes 1e12 (the sweep
+    before it is returned), or the sweeps reach max_iter."""
+    a = np.full(g.n, alpha)
+    sweeps = steps = 0
+    size = 8
+    while sweeps < max_iter:
+        for _ in range(min(size, max_iter - sweeps)):
+            nxt = reference_sweep(g, alpha, a)
+            sweeps += 1
+            if not np.all(np.isfinite(nxt)) or float(np.max(nxt)) > 1e12:
+                return a, sweeps + steps, False
+            a = nxt
+        point, k, _ = reference_newton(g, alpha, tol, max_iter, start=a)
+        steps += k
+        h = reference_residual(g, point)
+        if float(np.max(np.abs(h))) < tol * max(1.0, float(np.max(np.abs(point)))):
+            return point, sweeps + steps, True
+        size *= 2
+    return point, sweeps + steps, False
 
 
 def parent_newton(g, alpha, tol, max_iter):
@@ -212,6 +261,7 @@ def _cascade(g, tol, max_iter, order, newton, certify):
         "iterate": lambda: reference_iterate(g, 1.0, tol, max_iter),
         "damped": lambda: reference_damped(g, alpha, tol, max_iter),
         "seidel": lambda: reference_seidel(g, alpha, tol, max_iter),
+        "jacobi": lambda: reference_climb(g, alpha, tol, max_iter),
         "newton": lambda: newton(g, alpha, tol, max_iter),
     }
     total = 0
@@ -256,7 +306,7 @@ def _cascade(g, tol, max_iter, order, newton, certify):
 
 
 def reference_solve(g, tol=1e-10, max_iter=100_000):
-    order = ("newton", "seidel")
+    order = ("newton", "jacobi")
     return _cascade(g, tol, max_iter, order, reference_newton, certify=True)
 
 
@@ -271,7 +321,7 @@ def parent_solve(g, tol=1e-10, max_iter=100_000):
 # ok) first (``_newton_point`` also returns its point's re-split and defect).
 KERNELS = {
     "newton": (_newton_point, reference_newton),
-    "seidel": (_seidel, reference_seidel),
+    "jacobi": (_climb, reference_climb),
 }
 METHODS = tuple(KERNELS)
 
@@ -386,6 +436,8 @@ def _compare_steps(g, rng):
 
 
 def _budget(method, max_iter):
+    """Newton's step budget, or the climb's sweep budget: a climb that
+    spends it has also run Newton steps, so its count passes the budget."""
     return min(max_iter, 200) if method == "newton" else max_iter
 
 
@@ -404,17 +456,18 @@ def test_solver_matches_reference_bit_for_bit():
             winners[solve.method] += 1
         for name, (a, iters, _) in runs.items():
             if not _accepted(g, a, tol):
-                if iters == _budget(name, max_iter):
+                if iters >= _budget(name, max_iter):
                     exhausted += 1
                 else:
                     nonconverged += 1
         _compare_steps(g, rng)
-    assert winners == {"newton": 107, "seidel": 6}
+    assert winners == {"newton": 107, "jacobi": 18}
     assert nonconverged > 0 and exhausted > 0
     assert errors == 20
 
-    # Hot corners: every kernel fails, and each one also stops early
-    # (blow-up, a bad discriminant, an exhausted line search) on some game.
+    # Hot corners: every kernel fails, and each one also stops early on some
+    # game: the climb when a sweep passes 1e12, Newton when its line search
+    # runs out.
     early = set()
     for k in range(24):
         g = _hot_corner_game(rng)
@@ -459,6 +512,48 @@ def test_solver_matches_reference_bit_for_bit():
                 assert iters > 1 and newton_end < start
             else:
                 assert iters == 1
+
+
+def test_climb_sweeps_are_monotone_lower_bounds(monkeypatch):
+    # The root map preserves order and lifts alpha 1 strictly (each agent's
+    # quadratic is negative at alpha, since y_i > 0), so the climb's sweeps
+    # start at alpha, rise entrywise and stay below every rest point, the
+    # solve's included. Games: battery draws on which Newton from alpha
+    # fails, so that every converged solve is the climb's; at the default
+    # budget each of them either converges or is proved to have no rest
+    # point.
+    sweep, chain = global_ext._sweep_down, []
+
+    def recorded(g, p, low, gam):
+        out = sweep(g, p, low, gam)
+        chain.append((low, out))
+        return out
+
+    rng = np.random.default_rng(12345)
+    checked = converged = 0
+    while checked < 40:
+        g = _battery_game(rng, heterogeneous=False)
+        alpha = float(g.base.alpha[0])
+        if _newton_point(g, alpha, 1e-10, 200)[2]:
+            continue
+        chain.clear()
+        with monkeypatch.context() as m:
+            m.setattr(global_ext, "_sweep_down", recorded)
+            _climb(g, alpha, 1e-10, 1000)
+        assert chain[0][0].tobytes() == np.full(g.n, alpha).tobytes()
+        assert np.all(chain[0][1] > alpha)
+        for (_, out), (low, _) in zip(chain, chain[1:]):
+            assert low.tobytes() == out.tobytes()
+        assert all(np.all(out >= low) for low, out in chain)
+        solve = solve_global_sce(g)
+        assert solve.verdict != "undetermined"
+        if solve.converged:
+            a = solve.actions
+            top = a + 1e-9 * max(1.0, float(a.max()))
+            assert all(np.all(out <= top) for _, out in chain)
+            converged += 1
+        checked += 1
+    assert converged >= 10
 
 
 def _central_differences(g, a):
@@ -571,7 +666,7 @@ def test_regime_is_checked_once_per_solve(monkeypatch):
 
 def test_an_accepted_newton_point_at_its_budget_ends_the_solve(monkeypatch, capsys):
     # Newton can spend its last step landing on a point it never checks; the
-    # solve accepts that point, so neither the certificate nor Seidel runs.
+    # solve accepts that point, so neither the certificate nor the climb runs.
     calls = Counter()
 
     def counted(name):
@@ -583,7 +678,7 @@ def test_an_accepted_newton_point_at_its_budget_ends_the_solve(monkeypatch, caps
 
         return run
 
-    for name in ("_no_rest_point", "_seidel"):
+    for name in ("_no_rest_point", "_climb"):
         monkeypatch.setattr(global_ext, name, counted(name))
     rng = np.random.default_rng(11)
     checked = 0
@@ -609,7 +704,7 @@ def test_an_accepted_newton_point_at_its_budget_ends_the_solve(monkeypatch, caps
     # The counters see both when Newton's point is not accepted.
     base = make_game(WeightedNetwork(z=0.5005 * (np.ones((3, 3)) - np.eye(3))), alpha=0.12)
     solve_global_sce(make_global_game(base, beta=1.0, c=0.6), max_iter=50)
-    assert calls == {"_no_rest_point": 1, "_seidel": 1}
+    assert calls == {"_no_rest_point": 1, "_climb": 1}
 
 
 @pytest.mark.parametrize(
@@ -639,7 +734,7 @@ def test_solver_rejects_bad_stopping_rule_before_any_work(kwargs, monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("the solver started before its arguments were checked")
 
-    for name in ("_resplit", "_seidel", "_newton_point", "_no_rest_point"):
+    for name in ("_resplit", "_climb", "_newton_point", "_no_rest_point"):
         monkeypatch.setattr(global_ext, name, no_work)
     with pytest.raises(UsageError):
         solve_global_sce(g, **kwargs)
