@@ -22,9 +22,9 @@ class NumericError(NetsceError):
 class NotSymmetrizableError(NetsceError):
     """Raised when no positive diagonal rescaling symmetrizes the matrix.
 
-    ``reason`` is one of ``"sign"`` (an asymmetric sign pattern) or
-    ``"cycle"`` (inconsistent weight-ratio product around a cycle);
-    ``detail`` carries the offending index pair or cycle.
+    ``reason`` is ``"sign"`` (an asymmetric sign pattern), ``"cycle"`` (an
+    inconsistent ratio product around a cycle) or ``"range"`` (a ratio, a
+    scaling or a z0 entry off the floats); ``detail`` is the index pair.
     """
 
     def __init__(self, reason, detail):

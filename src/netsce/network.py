@@ -170,8 +170,8 @@ def spectral_radius(m: Union[WeightedNetwork, np.ndarray]) -> Union[float, np.nd
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A factorization Z = diag(gamma) @ z0 with a strictly positive vector
-    gamma and symmetric z0.
+    """A factorization Z = diag(gamma) @ z0 with a strictly positive, finite
+    vector gamma and a symmetric, finite z0.
 
     :attr:`kind` is ``"uniform"`` when every gamma is 1, so that z0 is Z
     itself, and ``"diagonal"`` otherwise. Both arrays are stored over
@@ -186,11 +186,13 @@ class Decomposition:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 1 or g.shape[0] != self.z0.shape[0]:
             raise UsageError("decomposition needs one gamma per agent")
-        if np.any(g <= 0):
-            raise UsageError("diagonal scaling must be strictly positive")
+        if not np.all((g > 0) & (g < np.inf)):
+            raise UsageError("diagonal scaling must be strictly positive and finite")
         object.__setattr__(self, "gamma", _freeze(g))
         if not _allclose(self.z0, self.z0.T):
             raise UsageError(f"{self.kind} decomposition needs a symmetric z0")
+        if not np.isfinite(self.z0).all():
+            raise UsageError("decomposition z0 entries must be finite")
 
     __reduce__ = _rebuild
 
@@ -219,16 +221,16 @@ class Decomposition:
         return float(np.linalg.eigvalsh(zt)[-1])
 
 
-def _float_walk(z: np.ndarray):
+def _float_walk(z: np.ndarray) -> list:
     """gamma as a list, by a depth-first walk over the support of Z that
     sets gamma_j = gamma_i / (z_ij / z_ji) on reaching j and checks the
-    ratio on every other edge; None when a ratio or gamma leaves (0, inf).
+    ratio on every other edge. Raises :class:`NotSymmetrizableError`, with
+    reason "range" at an edge whose ratio or new gamma leaves (0, inf) and
+    "cycle" at one whose quotient gamma_i / gamma_j, overflowing or not, is
+    off its ratio by more than 1e-9.
 
     Neighbours are taken in ascending order from row-major lists, and every
-    number is a Python float, whose division rounds as NumPy's does; off
-    (0, inf) NumPy's scalars warn, and its nan marks an agent unreached, so
-    ``_scalar_walk`` decides those networks.
-    """
+    number is a Python float, whose division rounds as NumPy's does."""
     n = z.shape[0]
     rows, cols = np.nonzero(z)
     heads = np.searchsorted(rows, np.arange(n + 1)).tolist()
@@ -245,39 +247,15 @@ def _float_walk(z: np.ndarray):
             for k in range(heads[i], heads[i + 1]):
                 j, ratio = js[k], fwd[k] / back[k]
                 if not 0.0 < ratio < inf:
-                    return None
+                    raise NotSymmetrizableError("range", (i, j))
                 gj = gamma[j]
                 if not gj:
                     gj = gamma[j] = gi / ratio
                     if not 0.0 < gj < inf:
-                        return None
+                        raise NotSymmetrizableError("range", (i, j))
                     stack.append(j)
-                elif not math.isclose(q := gi / gj, ratio, rel_tol=_REL_TOL):
-                    if q == inf:
-                        return None
+                elif not math.isclose(gi / gj, ratio, rel_tol=_REL_TOL):
                     raise NotSymmetrizableError("cycle", (i, j))
-    return gamma
-
-
-def _scalar_walk(z: np.ndarray) -> np.ndarray:
-    """``_float_walk`` in NumPy scalars, with nan for an unreached agent,
-    for the networks whose ratios or gammas overflow or underflow."""
-    n = z.shape[0]
-    gamma = np.full(n, np.nan)
-    for root in range(n):
-        if not np.isnan(gamma[root]):
-            continue
-        gamma[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(z[i]):
-                ratio = z[i, j] / z[j, i]
-                if np.isnan(gamma[j]):
-                    gamma[j] = gamma[i] / ratio
-                    stack.append(int(j))
-                elif not math.isclose(gamma[i] / gamma[j], ratio, rel_tol=_REL_TOL):
-                    raise NotSymmetrizableError("cycle", (i, int(j)))
     return gamma
 
 
@@ -286,11 +264,10 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
 
     gamma is normalized to 1 at the first agent of each connected component
     (connectivity taken over the undirected support of Z). Raises
-    :class:`NotSymmetrizableError` when the sign pattern is asymmetric or the
-    weight ratios are inconsistent around a cycle.
-    """
+    :class:`NotSymmetrizableError` when the sign pattern is asymmetric
+    ("sign"), the weight ratios are inconsistent around a cycle ("cycle"), or
+    a ratio or gamma leaves (0, inf) or an entry of z0 the floats ("range")."""
     z = net.z
-    n = net.n
     # Sign-symmetric support is necessary: z_ij and z_ji must vanish together
     # and agree in sign. The sign mask is symmetric with a false diagonal, so
     # its first entry in row-major order is the first bad pair i < j.
@@ -300,16 +277,21 @@ def symmetrize_decompose(net: WeightedNetwork) -> Decomposition:
 
     # Propagate gamma ratios over the support graph: z = Gamma z0 with z0
     # symmetric forces gamma_i / gamma_j = z_ij / z_ji on every edge.
-    gamma = _float_walk(z)
-    gamma = _scalar_walk(z) if gamma is None else np.array(gamma, dtype=float)
+    gamma = np.array(_float_walk(z), dtype=float)
 
-    z0 = z / gamma[:, None]
-    # The edge-by-edge ratio checks make z0 symmetric up to roundoff; equalize.
-    z0 = (z0 + z0.T) / 2.0
+    with np.errstate(over="ignore"):
+        z0 = z / gamma[:, None]
+        # The edge-by-edge ratio checks make z0 symmetric up to roundoff; equalize.
+        z0 = (z0 + z0.T) / 2.0
+    # |z0_ij| <= max |z| / min gamma: while twice that is finite, neither z0
+    # nor z0 + z0.T overflowed, and only past it is z0 searched.
+    bound = 2.0 * net._pattern[0] / float(gamma.min(initial=1.0))
+    if bound == math.inf and (bad := _first(~np.isfinite(z0))) is not None:
+        raise NotSymmetrizableError("range", bad)
 
     # gamma[:1] is empty with no agents, whose decomposition is uniform.
     if _allclose(gamma, gamma[:1]):
-        return Decomposition(z0=z0 * gamma[:1], gamma=np.ones(n))
+        return Decomposition(z0=z0 * gamma[:1], gamma=np.ones_like(gamma))
     return Decomposition(z0=z0, gamma=gamma)
 
 
@@ -419,10 +401,14 @@ class RandomNetSpec:
             raise UsageError("random network needs n >= 2")
         if not 0 < self.k < self.n:
             raise UsageError("expected degree k must lie in (0, n)")
-        if self.mu <= 0:
-            raise UsageError("mean sensitivity mu must be positive")
-        if self.sigma2 < 0:
-            raise UsageError("sensitivity variance must be nonnegative")
+        if not 0 < self.mu < math.inf:
+            raise UsageError("mean sensitivity mu must be positive and finite")
+        try:  # random_symmetrizable's lognormal divides sigma2 by mu**2
+            ok = self.sigma2 == 0 or self.sigma2 > 0 and self.sigma2 / self.mu**2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise UsageError("sensitivity variance must be nonnegative, sigma2 / mu**2 finite")
 
 
 def random_symmetrizable(spec: RandomNetSpec) -> WeightedNetwork:

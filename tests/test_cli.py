@@ -297,6 +297,21 @@ def test_check_on_an_underflowing_sign_pair(tmp_path):
         assert rows[name] == ("false", "reason=sign;detail=0|1")
 
 
+def test_check_on_an_overflowing_ratio(tmp_path):
+    """z_01 / z_10 overflows; check reports "range" at (0, 1) in both
+    symmetrizable rows, exits 0 and writes nothing to stderr."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"mode": "local", "n": 2, "alpha": 0.1,
+                                "z": [[0.0, 1e300], [1e-300, 0.0]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netsce", "check", "-i", str(path)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = {r["assumption"]: (r["holds"], r["witness"]) for r in csv.DictReader(io.StringIO(proc.stdout))}
+    for name in ("symmetrizable", "symmetrizable-limited"):
+        assert rows[name] == ("false", "reason=range;detail=0|1")
+
+
 # ------------------------------------------------------------------ learning
 
 

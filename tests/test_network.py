@@ -193,6 +193,12 @@ def test_decomposition_validation():
         Decomposition(z0=np.array([[0.0, 1.0], [2.0, 0.0]]), gamma=np.ones(2))
     with pytest.raises(UsageError):
         Decomposition(z0=np.zeros((2, 2)), gamma=np.array([1.0, -1.0]))
+    for gamma in ([1.0, math.inf], [1.0, math.nan], [1.0, 0.0]):
+        with pytest.raises(UsageError, match="strictly positive and finite"):
+            Decomposition(z0=np.zeros((2, 2)), gamma=np.array(gamma))
+    for value in (math.inf, -math.inf):
+        with pytest.raises(UsageError, match="z0 entries must be finite"):
+            Decomposition(z0=np.array([[0.0, value], [value, 0.0]]), gamma=np.ones(2))
 
 
 # ------------------------------------------- the symmetrization walk, differential
@@ -201,7 +207,14 @@ def test_decomposition_validation():
 def _reference_decompose(z):
     """``symmetrize_decompose`` as it was written before its walk ran on
     Python floats: upper pairs from ``triu_indices``, one NumPy-scalar ratio
-    per edge in ascending neighbour order, ``np.allclose`` for uniformity."""
+    per edge in ascending neighbour order, ``np.allclose`` for uniformity.
+    A ratio or a new gamma off (0, inf), or a non-finite z0 entry (the first
+    in row-major order), is a "range" fault; NumPy's warnings are silenced."""
+    with np.errstate(all="ignore"):
+        return _reference_walk(z)
+
+
+def _reference_walk(z):
     n = len(z)
     iu, ju = np.triu_indices(n, k=1)
     a, b = z[iu, ju], z[ju, iu]
@@ -219,13 +232,20 @@ def _reference_decompose(z):
             i = stack.pop()
             for j in np.flatnonzero(z[i]):
                 ratio = z[i, j] / z[j, i]
+                if not 0.0 < ratio < np.inf:
+                    raise NotSymmetrizableError("range", (i, int(j)))
                 if np.isnan(gamma[j]):
                     gamma[j] = gamma[i] / ratio
+                    if not 0.0 < gamma[j] < np.inf:
+                        raise NotSymmetrizableError("range", (i, int(j)))
                     stack.append(int(j))
                 elif not math.isclose(gamma[i] / gamma[j], ratio, rel_tol=1e-9):
                     raise NotSymmetrizableError("cycle", (i, int(j)))
     z0 = z / gamma[:, None]
     z0 = (z0 + z0.T) / 2.0
+    bad = np.argwhere(~np.isfinite(z0))
+    if bad.size:
+        raise NotSymmetrizableError("range", (int(bad[0, 0]), int(bad[0, 1])))
     if np.allclose(gamma, gamma[:1], rtol=1e-9, atol=0.0):
         return Decomposition(z0=z0 * gamma[:1], gamma=np.ones(n))
     return Decomposition(z0=z0, gamma=gamma)
@@ -316,6 +336,16 @@ def _walk_battery(seed=20261020):
                                       [1e100, 1.0, 0.0]])
     # gamma_2 = 1e-310, a subnormal that stays inside (0, inf)
     yield "subnormal", np.array([[0.0, 1e150, 0.0], [1e-150, 0.0, 1e5], [0.0, 1e-5, 0.0]])
+    # gamma_2 = 1e-300 in range, but z0_12 = 1e10 / 1e-300 is not
+    yield "z0-overflow", _Z0_OVERFLOW
+    # gamma = 1 everywhere, but z0 = (z + z.T) / 2 overflows
+    yield "symmetrization-overflow", np.array([[0.0, 1e308], [1e308, 0.0]])
+    # max |z| / min gamma = 1e308 trips the z0 bound; every z0 entry is finite
+    yield "z0-bound", np.array([[0.0, 5e307, 0.0, 0.0], [5e307, 0.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+_Z0_OVERFLOW = np.array([[0.0, 1e300, 0.0], [1.0, 0.0, 1e10], [0.0, 1e10, 0.0]])
 
 
 def test_walk_matches_the_per_edge_walk():
@@ -330,7 +360,70 @@ def test_walk_matches_the_per_edge_walk():
         assert got == want, name
         seen.add(want[0][1] if want[0][0] == "NotSymmetrizableError" else want[0][0])
         seen.add("warned" if want[1] else "quiet")
-    assert seen == {"uniform", "diagonal", "sign", "cycle", "UsageError", "warned", "quiet"}
+    assert seen == {"uniform", "diagonal", "sign", "cycle", "range", "quiet"}
+
+
+def test_walk_is_silent_when_warnings_are_errors():
+    """No battery network, out-of-range ones included, makes the
+    decomposition or the six checks warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, z in _walk_battery():
+            net = WeightedNetwork(z=z)
+            try:
+                symmetrize_decompose(net)
+            except NotSymmetrizableError:
+                pass
+            for assumption in ASSUMPTIONS:
+                check_assumption(net, assumption)
+
+
+def _trees(seed=20261022):
+    """Cycle-free supports: the battery's 4-agent chains, whose gammas leave
+    (0, inf), a 2-agent pair whose ratio does, and seeded random trees with
+    signed weights between 1e-3 and 1e3, permuted, beside isolated agents."""
+    chain = np.zeros((4, 4))
+    for i in range(3):
+        chain[i, i + 1], chain[i + 1, i] = 1e200, 1e-100
+    yield chain
+    yield chain.T.copy()
+    yield np.array([[0.0, 1e300], [1e-300, 0.0]])
+    rng = np.random.default_rng(seed)
+    for t in range(40):
+        n = int(rng.integers(2, 25))
+        z = np.zeros((n + 2, n + 2))
+        for j in range(1, n):
+            i, sign = int(rng.integers(j)), rng.choice([-1.0, 1.0])
+            z[i, j], z[j, i] = sign * 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        perm = rng.permutation(n + 2)
+        yield z[np.ix_(perm, perm)]
+
+
+def test_a_cycle_free_support_never_yields_cycle():
+    """Every check on a tree meets the edge it came in by, whose quotient is
+    its ratio up to roundoff while the gammas stay normal: such a tree
+    decomposes or is out of range."""
+    outcomes = set()
+    for z in _trees():
+        try:
+            outcomes.add(symmetrize_decompose(WeightedNetwork(z=z)).kind)
+        except NotSymmetrizableError as exc:
+            outcomes.add(exc.reason)
+    assert outcomes == {"diagonal", "range"}
+
+
+def test_limited_reads_the_general_spectrum_when_z0_overflows():
+    """z0 would hold inf here, so the network is out of range: ``limited``
+    takes rho from ``spectral_radius`` (1e150) instead of an ``eigvalsh`` of
+    an infinite form, and the interior report says "range" too."""
+    net = WeightedNetwork(z=_Z0_OVERFLOW)
+    rep = check_assumption(net, "limited")
+    assert rep.witness == {"rho": spectral_radius(_Z0_OVERFLOW)}
+    assert rep.witness["rho"] == pytest.approx(1e150, rel=1e-12)
+    for name in ("symmetrizable", "symmetrizable-limited"):
+        assert check_assumption(net, name).witness == {"reason": "range", "detail": (1, 2)}
+    cond = interior_conditions(net).conditions[2]
+    assert (cond.holds, cond.witness) == (False, {"reason": "range", "detail": (1, 2)})
 
 
 _INF, _NAN = math.inf, math.nan
@@ -342,8 +435,10 @@ _INF, _NAN = math.inf, math.nan
     (1e308, -1e308), (0.0, -0.0), (0.0, 5e-324),
 ])
 def test_decomposition_symmetry_check_is_allclose(pair):
-    """``Decomposition`` accepts z0 exactly when ``np.allclose(z0, z0.T,
-    rtol=1e-9, atol=0)`` does, with the same warnings, inf and nan included."""
+    """``Decomposition`` refuses z0 as asymmetric exactly when
+    ``np.allclose(z0, z0.T, rtol=1e-9, atol=0)`` does, with the same
+    warnings, inf and nan included; a symmetric z0 that holds inf is then
+    refused as non-finite."""
     z0 = np.zeros((3, 3))
     z0[0, 2], z0[2, 0] = pair
     z0[1, 1] = pair[0]  # a non-finite diagonal is compared with itself
@@ -357,8 +452,8 @@ def test_decomposition_symmetry_check_is_allclose(pair):
             Decomposition(z0=z0, gamma=np.ones(3))
             got = True
         except UsageError as exc:
-            assert "symmetric z0" in str(exc)
-            got = False
+            got = "symmetric z0" not in str(exc)
+            assert got == ("z0 entries must be finite" in str(exc))
     assert got == want
     assert [(w.category, str(w.message)) for w in caught] == expected
 
@@ -490,6 +585,20 @@ def test_random_net_spec_validation():
         RandomNetSpec(n=5, k=5.0, mu=0.1, sigma2=0.0, seed=0)
     with pytest.raises(UsageError):
         RandomNetSpec(n=5, k=2.0, mu=0.0, sigma2=0.0, seed=0)
+    for bad in (math.inf, math.nan):
+        for field in ("k", "mu", "sigma2"):
+            args = {"n": 5, "k": 2.0, "mu": 0.1, "sigma2": 0.01, "seed": 0, field: bad}
+            with pytest.raises(UsageError):
+                RandomNetSpec(**args)
+    # mu**2 overflows; mu**2 underflows to 0; sigma2 / mu**2 overflows; sigma2 < 0
+    for mu, sigma2 in ((1e300, 1e300), (1e-200, 1.0), (1e-100, 1e300), (0.1, -1e-300)):
+        with pytest.raises(UsageError):
+            RandomNetSpec(n=5, k=2.0, mu=mu, sigma2=sigma2, seed=0)
+    # still accepted: no lognormal at sigma2 = 0, and a ratio that underflows
+    for mu in (1e300, 1e-200):
+        net = random_symmetrizable(RandomNetSpec(n=5, k=2.0, mu=mu, sigma2=0.0, seed=0))
+        assert np.isin(net.z, (0.0, mu)).all()
+    random_symmetrizable(RandomNetSpec(n=5, k=2.0, mu=1e100, sigma2=1e-300, seed=0))
 
 
 def test_random_symmetrizable_is_deterministic():
